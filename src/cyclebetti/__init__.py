@@ -1,7 +1,7 @@
 """Exact Betti numbers of cycle graphs and the tableau bijection behind them.
 
-The package computes graded Betti numbers of cycle graphs by brute force
-over vertex-subset restrictions, enumerates standard Young tableaux of
+The package computes graded Betti numbers of cycle graphs exactly from
+their vertex-subset restrictions, enumerates standard Young tableaux of
 hook-plus-column shapes, and realises the bijection between those tableaux
 and marked vertex subsets, in both directions, with exhaustive verifiers.
 All arithmetic is exact.
@@ -35,12 +35,21 @@ from .errors import (
     VertexRangeError,
     WrongShapeError,
 )
-from .hochster import MAX_CYCLE_SIZE, BettiTable, betti, betti_table, linear_strand
+from .hochster import (
+    MAX_CYCLE_SIZE,
+    BettiTable,
+    betti,
+    betti_table,
+    linear_strand,
+    rotation_orbits,
+)
 from .homology import (
     IntMatrix,
     SimplicialComplex,
     boundary_matrix,
+    cycle_boundary_matrix,
     cycle_complex,
+    cycle_reduced_homology,
     graph_homology_oracle,
     is_zero_matrix,
     mat_mul,
@@ -85,8 +94,10 @@ __all__ = [
     "betti",
     "betti_table",
     "boundary_matrix",
+    "cycle_boundary_matrix",
     "cycle_complex",
     "cycle_edges",
+    "cycle_reduced_homology",
     "enumerate_standard_tableaux",
     "format_marked_subset",
     "format_tableau",
@@ -105,6 +116,7 @@ __all__ = [
     "reduced_betti_dim",
     "restrict",
     "restriction_complex",
+    "rotation_orbits",
     "tableau_to_marked_subset",
     "transpose",
     "transpose_duality_holds",

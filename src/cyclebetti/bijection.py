@@ -98,9 +98,11 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
         tableau = Tableau(tuple(built))
     except TableauValidationError as exc:
         raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
-    # the marker always exceeds both neighbours it must exceed
-    assert tableau.entry(2, 2) > tableau.entry(1, 2)
-    assert tableau.entry(2, 2) > tableau.entry(2, 1)
+    if not tableau.entry(2, 2) > max(tableau.entry(1, 2), tableau.entry(2, 1)):
+        raise ImpossibleBranchError(
+            f"marker {marker} at (2, 2) does not exceed both neighbours in "
+            f"{format_tableau(tableau)}"
+        )
     return tableau
 
 

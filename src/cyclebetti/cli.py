@@ -74,8 +74,9 @@ def main() -> None:
 def cmd_table(n: int, fmt: str) -> None:
     """Print the nonzero graded Betti numbers of the n-cycle.
 
-    Every cell is computed by brute force over all vertex subsets.  Linear
-    strand rows also carry the count of standard tableaux of the matching
+    Every cell comes from Hochster's formula, computed on one vertex subset
+    per rotation orbit and weighted by the orbit's size.  Linear strand
+    rows also carry the count of standard tableaux of the matching
     hook-plus-column shape, which equals the Betti number.
     """
     if not 4 <= n <= MAX_CYCLE_SIZE:

@@ -10,6 +10,11 @@ Conventions.  A complex is a downward-closed family of faces; a nonempty
 complex always contains the empty face, whose dimension is -1.  The void
 complex (no faces at all) is distinct from the irrelevant complex (only
 the empty face): reduced homology separates them in degree -1.
+
+Cycle restrictions, the only complexes the Betti computations need, also
+get their boundary maps straight from the sorted vertex list
+(cycle_boundary_matrix, cycle_reduced_homology).  The generic
+SimplicialComplex route stays as the reference they are tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .cycle import cycle_edges
-from .errors import InvalidCycleError, VertexRangeError
+from .errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
 
 
 @dataclass(frozen=True)
@@ -179,9 +184,15 @@ def reduced_betti_dim(complex_: SimplicialComplex, d: int) -> int:
     """
     kernel = nullity(boundary_matrix(complex_, d))
     image = matrix_rank(boundary_matrix(complex_, d + 1))
-    dim = kernel - image
-    assert dim >= 0, "boundary image escapes the kernel; input is not a complex"
-    return dim
+    return _homology_dim(kernel, image)
+
+
+def _homology_dim(kernel: int, image: int) -> int:
+    if image > kernel:
+        raise ImpossibleBranchError(
+            f"boundary image (rank {image}) escapes the kernel (dimension {kernel})"
+        )
+    return kernel - image
 
 
 def cycle_complex(n: int) -> SimplicialComplex:
@@ -200,6 +211,70 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     generators.extend(frozenset((v,)) for v in vs)
     generators.extend(edge for edge in cycle_edges(n) if edge <= vs)
     return SimplicialComplex.from_faces(n, generators)
+
+
+def cycle_boundary_matrix(n: int, vertices: Iterable[int], d: int) -> IntMatrix:
+    """The d-th boundary map of a cycle restriction, built without a complex.
+
+    Equal to boundary_matrix(restriction_complex(n, vertices), d), with the
+    same face order and signs, but read straight off the sorted vertex list:
+    the augmentation row for d = 0, the vertex-edge incidence matrix for
+    d = 1, and a zero-column matrix of the right shape in every degree above.
+    """
+    vs, edges = _cycle_faces(n, vertices)
+    return _cycle_boundary(vs, edges, d)
+
+
+def cycle_reduced_homology(n: int, vertices: Iterable[int], degrees: Iterable[int]) -> list[int]:
+    """Reduced homology dimensions of a cycle restriction, one per requested degree.
+
+    Each is the nullity of the d-th boundary map minus the rank of the
+    (d+1)-st, both maps as cycle_boundary_matrix builds them, so the values
+    equal reduced_betti_dim(restriction_complex(n, vertices), d).  Each rank
+    is computed once, however many requested degrees share it.
+    """
+    vs, edges = _cycle_faces(n, vertices)
+    face_counts = _face_counts(vs, edges)
+    ranks: dict[int, int] = {}
+
+    def rank(d: int) -> int:
+        if d not in ranks:
+            # a matrix without rows or without columns has rank 0
+            if face_counts.get(d - 1) and face_counts.get(d):
+                ranks[d] = matrix_rank(_cycle_boundary(vs, edges, d))
+            else:
+                ranks[d] = 0
+        return ranks[d]
+
+    return [_homology_dim(face_counts.get(d, 0) - rank(d), rank(d + 1)) for d in degrees]
+
+
+def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
+    """Sorted vertices and lexicographically sorted edges of a cycle restriction."""
+    vs = _checked_vertices(n, vertices)
+    edges = sorted((v, v + 1) if v < n else (1, n) for v in vs if v % n + 1 in vs)
+    return sorted(vs), edges
+
+
+def _face_counts(vs: list[int], edges: list[tuple[int, int]]) -> dict[int, int]:
+    """Number of faces by dimension; dimensions not listed have none."""
+    return {-1: 1, 0: len(vs), 1: len(edges)}
+
+
+def _cycle_boundary(vs: list[int], edges: list[tuple[int, int]], d: int) -> IntMatrix:
+    if d == 0:
+        return IntMatrix(1, len(vs), ((1,) * len(vs),))
+    if d == 1:
+        row_of = {v: r for r, v in enumerate(vs)}
+        entries = [[0] * len(edges) for _ in vs]
+        for c, (a, b) in enumerate(edges):
+            entries[row_of[a]][c] = -1
+            entries[row_of[b]][c] = 1
+        return IntMatrix(len(vs), len(edges), tuple(tuple(row) for row in entries))
+    # every other degree has no faces on at least one side
+    face_counts = _face_counts(vs, edges)
+    nrows, ncols = face_counts.get(d - 1, 0), face_counts.get(d, 0)
+    return IntMatrix(nrows, ncols, ((0,) * ncols,) * nrows)
 
 
 def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, int]:

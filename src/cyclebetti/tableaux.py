@@ -11,7 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import factorial
 
-from .errors import DomainError, TableauParseError, TableauValidationError
+from .errors import (
+    DomainError,
+    ImpossibleBranchError,
+    TableauParseError,
+    TableauValidationError,
+)
 
 
 @dataclass(frozen=True)
@@ -25,7 +30,7 @@ class Shape:
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise DomainError("partitions need at least one part")
-        if any(not isinstance(p, int) or p < 1 for p in parts):
+        if any(type(p) is not int or p < 1 for p in parts):
             raise DomainError(f"parts must be positive integers, got {parts}")
         if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
             raise DomainError(f"parts must be weakly decreasing, got {parts}")
@@ -164,7 +169,8 @@ def hook_length_count(shape: Shape) -> int:
         for c in range(part):
             product *= (part - c) + (cols[c] - i) - 1
     total = factorial(shape.size)
-    assert total % product == 0
+    if total % product:
+        raise ImpossibleBranchError(f"hook product {product} does not divide {shape.size}!")
     return total // product
 
 

@@ -1,5 +1,8 @@
+from dataclasses import dataclass
+
 import pytest
 
+import cyclebetti.bijection as bijection
 from cyclebetti.bijection import (
     format_marked_subset,
     marked_subset_to_tableau,
@@ -8,8 +11,14 @@ from cyclebetti.bijection import (
     verify_bijection,
 )
 from cyclebetti.cycle import MarkedSubset, marked_subsets
-from cyclebetti.errors import DomainError, InvalidMarkedSubsetError, WrongShapeError
+from cyclebetti.errors import (
+    DomainError,
+    ImpossibleBranchError,
+    InvalidMarkedSubsetError,
+    WrongShapeError,
+)
 from cyclebetti.tableaux import (
+    Tableau,
     enumerate_standard_tableaux,
     format_tableau,
     hook_shape,
@@ -87,6 +96,28 @@ class TestInverse:
                     t = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
                     assert t.entry(2, 2) > t.entry(1, 2)
                     assert t.entry(2, 2) > t.entry(2, 1)
+
+    def test_misplaced_marker_raises(self, monkeypatch):
+        # with both validations switched off, the inadmissible marker 2 for
+        # {2, 4} lands at (2, 2) below the larger 4 and beside the larger 3
+        @dataclass(frozen=True)
+        class UncheckedMarkedSubset:
+            n: int
+            vertices: frozenset
+            marker: int
+
+            @property
+            def size(self):
+                return len(self.vertices)
+
+        class UncheckedTableau(Tableau):
+            def __post_init__(self):
+                object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+
+        monkeypatch.setattr(bijection, "MarkedSubset", UncheckedMarkedSubset)
+        monkeypatch.setattr(bijection, "Tableau", UncheckedTableau)
+        with pytest.raises(ImpossibleBranchError, match="does not exceed both neighbours"):
+            marked_subset_to_tableau(5, 2, {2, 4}, 2)
 
 
 class TestRoundTrips:

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 from cyclebetti.cli import main
+from cyclebetti.tableaux import hook_length_count, hook_shape
 
 
 @pytest.fixture
@@ -55,6 +56,16 @@ class TestTable:
     def test_out_of_range_size_is_usage_error(self, runner, n):
         result = runner.invoke(main, ["table", "--n", n])
         assert result.exit_code == 2
+
+    def test_largest_size_matches_closed_forms(self, runner):
+        n = 20
+        result = runner.invoke(main, ["table", "--n", str(n), "--format", "json"])
+        assert result.exit_code == 0
+        strand = {(j - 1, j): hook_length_count(hook_shape(n, j)) for j in range(2, n - 1)}
+        expected = [{"i": 0, "j": 0, "betti": 1, "syt": None}]
+        expected += [{"i": i, "j": j, "betti": v, "syt": v} for (i, j), v in strand.items()]
+        expected += [{"i": n - 2, "j": n, "betti": 1, "syt": None}]
+        assert json.loads(result.output) == {"n": n, "entries": expected}
 
     def test_deterministic(self, runner):
         first = runner.invoke(main, ["table", "--n", "6", "--format", "json"])

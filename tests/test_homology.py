@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclebetti.errors import VertexRangeError
+import cyclebetti.homology as homology
+from cyclebetti.errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
 from cyclebetti.homology import (
     IntMatrix,
     SimplicialComplex,
     boundary_matrix,
+    cycle_boundary_matrix,
     cycle_complex,
+    cycle_reduced_homology,
     graph_homology_oracle,
     is_zero_matrix,
     mat_mul,
@@ -188,3 +191,69 @@ class TestGraphHomologyOracle:
                 k = restriction_complex(n, w)
                 via_matrices = tuple(reduced_betti_dim(k, d) for d in (-1, 0, 1))
                 assert via_matrices == graph_homology_oracle(n, w)
+
+
+class TestCycleBoundaryMatrix:
+    def test_matches_generic_builder(self):
+        for n in range(3, 8):
+            for w in all_subsets(n):
+                k = restriction_complex(n, w)
+                for d in range(-2, 4):
+                    assert cycle_boundary_matrix(n, w, d) == boundary_matrix(k, d)
+
+    def test_wrapping_edge_sign(self):
+        # the edge {1, 5} lists 1 first, so deleting 5 leaves 1 with sign -1
+        assert cycle_boundary_matrix(5, {1, 5}, 1).rows == ((-1,), (1,))
+
+    def test_degrees_above_one_have_no_columns(self):
+        m = cycle_boundary_matrix(6, {1, 2, 3, 5}, 2)
+        assert (m.nrows, m.ncols) == (2, 0)
+        for d in (3, 7):
+            m = cycle_boundary_matrix(6, {1, 2, 3, 5}, d)
+            assert (m.nrows, m.ncols) == (0, 0)
+
+    def test_boundary_of_boundary_vanishes(self):
+        for n in range(3, 8):
+            for w in all_subsets(n):
+                for d in range(-1, 3):
+                    product = mat_mul(
+                        cycle_boundary_matrix(n, w, d), cycle_boundary_matrix(n, w, d + 1)
+                    )
+                    assert is_zero_matrix(product)
+
+
+class TestCycleReducedHomology:
+    def test_matches_generic_route_everywhere(self):
+        for n in range(3, 11):
+            degrees = range(-1, n + 1)
+            for w in all_subsets(n):
+                k = restriction_complex(n, w)
+                expected = [reduced_betti_dim(k, d) for d in degrees]
+                assert cycle_reduced_homology(n, w, degrees) == expected
+
+    def test_follows_requested_degree_order(self):
+        assert cycle_reduced_homology(6, {2, 4, 6}, (0, -1, 0, 5)) == [2, 0, 2, 0]
+        assert cycle_reduced_homology(6, range(1, 7), ()) == []
+
+    def test_empty_subset_is_irrelevant(self):
+        assert cycle_reduced_homology(5, (), range(-1, 3)) == [1, 0, 0, 0]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(VertexRangeError):
+            cycle_reduced_homology(5, {0, 2}, (0,))
+        with pytest.raises(InvalidCycleError):
+            cycle_reduced_homology(2, {1}, (0,))
+
+
+class TestNegativeHomologyGuard:
+    # an image larger than the kernel cannot come from a chain complex;
+    # an overstated rank forces it, and the guard must raise even under -O
+    def test_cycle_route(self, monkeypatch):
+        monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
+        with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
+            cycle_reduced_homology(5, {1, 3}, (0,))
+
+    def test_generic_route(self, monkeypatch):
+        monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
+        with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
+            reduced_betti_dim(restriction_complex(5, {1, 3}), 0)

@@ -1,8 +1,17 @@
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cyclebetti.errors import DomainError, TableauParseError, TableauValidationError
+import cyclebetti.tableaux as tableaux
+from cyclebetti.errors import (
+    DomainError,
+    ImpossibleBranchError,
+    TableauParseError,
+    TableauValidationError,
+)
 from cyclebetti.tableaux import (
     Shape,
     Tableau,
@@ -35,7 +44,7 @@ def standard_tableaux(draw):
 
 
 class TestShape:
-    @pytest.mark.parametrize("parts", [(1, 2), (0,), (), (2, -1)])
+    @pytest.mark.parametrize("parts", [(1, 2), (0,), (), (2, -1), (True,), (2, True)])
     def test_rejects_non_partitions(self, parts):
         with pytest.raises(DomainError):
             Shape(parts)
@@ -156,6 +165,30 @@ class TestHookLengthCount:
             for parts in partitions_of(n):
                 shape = Shape(parts)
                 assert hook_length_count(shape) == len(enumerate_standard_tableaux(shape))
+
+    def test_indivisible_hook_product_raises(self, monkeypatch):
+        # the hook product of (2, 1) is 3; a total of 7 cannot be divided by it
+        monkeypatch.setattr(tableaux, "factorial", lambda n: 7)
+        with pytest.raises(ImpossibleBranchError, match="does not divide"):
+            hook_length_count(Shape((2, 1)))
+
+    def test_guard_survives_optimized_mode(self):
+        # python -O strips assert statements; the guard must still raise
+        script = (
+            "import cyclebetti.tableaux as t\n"
+            "from cyclebetti.errors import ImpossibleBranchError\n"
+            "assert False, 'asserts are live, so this is not -O'\n"
+            "t.factorial = lambda n: 7\n"
+            "try:\n"
+            "    t.hook_length_count(t.Shape((2, 1)))\n"
+            "except ImpossibleBranchError:\n"
+            "    raise SystemExit(0)\n"
+            "raise SystemExit(3)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestTranspose:

@@ -51,8 +51,6 @@ from .homology import (
     cycle_complex,
     cycle_reduced_homology,
     graph_homology_oracle,
-    is_zero_matrix,
-    mat_mul,
     matrix_rank,
     nullity,
     reduced_betti_dim,
@@ -104,12 +102,10 @@ __all__ = [
     "graph_homology_oracle",
     "hook_length_count",
     "hook_shape",
-    "is_zero_matrix",
     "linear_strand",
     "marked_subset_to_tableau",
     "marked_subsets",
     "marker_set",
-    "mat_mul",
     "matrix_rank",
     "nullity",
     "parse_tableau",

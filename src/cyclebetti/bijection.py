@@ -108,7 +108,11 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
 
 @dataclass
 class BijectionReport:
-    """Outcome of exhaustively checking both directions for one (n, j)."""
+    """Outcome of exhaustively checking both directions for one (n, j).
+
+    passed covers the bijection alone; duality_holds reports separately
+    whether transposing every tableau complements its marked subset.
+    """
 
     n: int
     j: int
@@ -117,6 +121,7 @@ class BijectionReport:
     injective: bool
     image_matches: bool
     round_trips_ok: bool
+    duality_holds: bool
     mismatches: list[str] = field(default_factory=list)
 
     @property
@@ -128,19 +133,22 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     """Check the forward map is a bijection onto the marked subsets.
 
     Confirms injectivity over all standard tableaux of the hook-plus-column
-    shape, image equality with the enumerated marked subsets, and both
-    round trips.  Counterexamples are collected in the report rather than
-    raised, so callers can render them.
+    shape, image equality with the enumerated marked subsets, both round
+    trips, and transpose duality.  Each tableau is mapped forward once and
+    each marked subset back once; the round trips reuse those results and
+    call a map afresh only for a value outside the enumerated side.
+    Counterexamples are collected in the report rather than raised, so
+    callers can render them.
     """
-    if n < 4 or not 2 <= j <= n - 2:
-        raise DomainError(f"need n >= 4 and 2 <= j <= n-2, got n={n}, j={j}")
     tableaux = enumerate_standard_tableaux(hook_shape(n, j))
     marked = marked_subsets(n, j)
     mismatches: list[str] = []
 
+    image: dict[Tableau, MarkedSubset] = {}
     forward: dict[MarkedSubset, Tableau] = {}
+    duality_holds = True
     for t in tableaux:
-        ms = tableau_to_marked_subset(t)
+        ms = image[t] = tableau_to_marked_subset(t)
         if ms in forward:
             mismatches.append(
                 f"collision: {format_tableau(forward[ms])} and {format_tableau(t)} "
@@ -148,6 +156,7 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
             )
         else:
             forward[ms] = t
+        duality_holds = duality_holds and _transpose_complements(t, ms)
     injective = len(forward) == len(tableaux)
 
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
@@ -159,18 +168,21 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     for ms in sorted(set(marked) - set(forward), key=_order):
         mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
 
+    preimage = {ms: marked_subset_to_tableau(n, j, ms.vertices, ms.marker) for ms in marked}
     round_trips_ok = True
-    for t in tableaux:
-        ms = tableau_to_marked_subset(t)
-        back = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
+    for t, ms in image.items():
+        if ms in preimage:
+            back = preimage[ms]
+        else:
+            back = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
         if back != t:
             round_trips_ok = False
             mismatches.append(
                 f"tableau round trip drifts: {format_tableau(t)} -> "
                 f"{format_marked_subset(ms)} -> {format_tableau(back)}"
             )
-    for ms in marked:
-        back_ms = tableau_to_marked_subset(marked_subset_to_tableau(n, j, ms.vertices, ms.marker))
+    for ms, t in preimage.items():
+        back_ms = image[t] if t in image else tableau_to_marked_subset(t)
         if back_ms != ms:
             round_trips_ok = False
             mismatches.append(
@@ -186,6 +198,7 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
         injective=injective,
         image_matches=image_matches,
         round_trips_ok=round_trips_ok,
+        duality_holds=duality_holds,
         mismatches=mismatches,
     )
 
@@ -197,7 +210,11 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     hook-plus-column shape, and its marked subset should be the complement
     with the same marker attached.
     """
-    ms = tableau_to_marked_subset(tableau)
+    return _transpose_complements(tableau, tableau_to_marked_subset(tableau))
+
+
+def _transpose_complements(tableau: Tableau, ms: MarkedSubset) -> bool:
+    """Whether transpose(tableau) maps to the complement of ms, the tableau's image."""
     ms_t = tableau_to_marked_subset(transpose(tableau))
-    everything = frozenset(range(1, tableau.n + 1))
+    everything = frozenset(range(1, ms.n + 1))
     return ms_t.vertices == everything - ms.vertices and ms_t.marker == ms.marker

@@ -21,7 +21,6 @@ from .bijection import (
     format_marked_subset,
     marked_subset_to_tableau,
     tableau_to_marked_subset,
-    transpose_duality_holds,
     verify_bijection,
 )
 from .errors import (
@@ -41,7 +40,7 @@ from .tableaux import (
 )
 
 FORMATS = click.Choice(["text", "json", "csv"])
-VERIFY_MAX = 14  # tableau counts explode combinatorially past this
+VERIFY_MAX = 14  # tableau counts explode combinatorially past this (verify and syt)
 
 
 def _emit_text(columns: list[str], records: list[dict[str, Any]], none: str = "-") -> None:
@@ -79,9 +78,10 @@ def cmd_table(n: int, fmt: str) -> None:
     rows also carry the count of standard tableaux of the matching
     hook-plus-column shape, which equals the Betti number.
     """
-    if not 4 <= n <= MAX_CYCLE_SIZE:
-        raise click.UsageError(f"--n must be in 4..{MAX_CYCLE_SIZE}, got {n}")
-    table = betti_table(n)
+    try:
+        table = betti_table(n)
+    except DomainError as exc:
+        raise click.UsageError(str(exc)) from exc
     records = []
     for (i, j), value in table.nonzero().items():
         on_strand = i == j - 1 and 2 <= j <= n - 2
@@ -173,11 +173,7 @@ def cmd_verify(size_range: str, fmt: str) -> None:
     for n in range(low, high + 1):
         for j in range(2, n - 1):
             report = verify_bijection(n, j)
-            duality_ok = all(
-                transpose_duality_holds(t)
-                for t in enumerate_standard_tableaux(hook_shape(n, j))
-            )
-            passed = report.passed and duality_ok
+            passed = report.passed and report.duality_holds
             all_passed &= passed
             records.append(
                 {
@@ -186,7 +182,7 @@ def cmd_verify(size_range: str, fmt: str) -> None:
                     "tableaux": report.tableau_count,
                     "marked": report.marked_count,
                     "bijection": "pass" if report.passed else "FAIL",
-                    "duality": "pass" if duality_ok else "FAIL",
+                    "duality": "pass" if report.duality_holds else "FAIL",
                     "mismatches": report.mismatches,
                 }
             )
@@ -206,7 +202,7 @@ def cmd_verify(size_range: str, fmt: str) -> None:
 
 
 @main.command(name="syt")
-@click.option("--n", "n", type=int, required=True, help="Number of cells.")
+@click.option("--n", "n", type=int, required=True, help=f"Number of cells, 4..{VERIFY_MAX}.")
 @click.option("--j", "j", type=int, required=True, help="First row length, 2..n-2.")
 @click.option("--count-only", is_flag=True, help="Print the enumerated and hook-length counts only.")
 @click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
@@ -217,6 +213,8 @@ def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
     word.  With --count-only, both the enumerated count and the
     hook-length-formula count are printed so they can be compared.
     """
+    if n > VERIFY_MAX:
+        raise click.UsageError(f"--n must be at most {VERIFY_MAX}, got {n}")
     try:
         shape = hook_shape(n, j)
     except DomainError as exc:

@@ -12,11 +12,11 @@ counts.
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
+    DomainError,
     InvalidCycleError,
     InvalidMarkedSubsetError,
     UndefinedMarkerError,
@@ -24,12 +24,14 @@ from .errors import (
 )
 
 
-def _check_cycle_size(n: int) -> None:
+def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
+    """The vertex subset as a frozenset, once n and every label are checked.
+
+    This is the one input rule for a subset of the n-cycle: n >= 3, and
+    every vertex lies in 1..n.
+    """
     if n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
-
-
-def _as_vertex_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
     vs = frozenset(vertices)
     bad = sorted(v for v in vs if not 1 <= v <= n)
     if bad:
@@ -39,7 +41,7 @@ def _as_vertex_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
 
 def cycle_edges(n: int) -> set[frozenset[int]]:
     """Edge set of the cycle graph on vertices 1..n, as unordered pairs."""
-    _check_cycle_size(n)
+    vertex_set(n)
     return {frozenset((i, i % n + 1)) for i in range(1, n + 1)}
 
 
@@ -64,8 +66,7 @@ class CycleRestriction:
 
 def restrict(n: int, vertices: Iterable[int]) -> CycleRestriction:
     """Decompose the subgraph of the n-cycle induced on a vertex subset."""
-    _check_cycle_size(n)
-    vs = _as_vertex_set(n, vertices)
+    vs = vertex_set(n, vertices)
     if len(vs) == n:
         # The whole cycle is one component; walk it once from vertex 1.
         return CycleRestriction(n, vs, (tuple(range(1, n + 1)),))
@@ -89,8 +90,7 @@ def marker_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
     complement of W when 1 is in W.  Both sides split into the same number
     of arcs, so either way there is one marker per component.
     """
-    _check_cycle_size(n)
-    vs = _as_vertex_set(n, vertices)
+    vs = vertex_set(n, vertices)
     if not vs or len(vs) == n:
         raise UndefinedMarkerError(
             f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
@@ -139,15 +139,10 @@ def marked_subsets(n: int, j: int) -> list[MarkedSubset]:
     """All marked subsets of size j, in lexicographic subset order.
 
     Pairs sharing a subset are listed with markers ascending.  A size j
-    outside 2..n-2 admits no marked subsets; that case returns an empty
-    list after a warning rather than raising.
+    outside 2..n-2 admits no marked subsets and raises DomainError.
     """
     if not 2 <= j <= n - 2:
-        warnings.warn(
-            f"no marked subsets of size {j} on the {n}-cycle (need 2 <= j <= n-2)",
-            stacklevel=2,
-        )
-        return []
+        raise DomainError(f"no marked subsets of size {j} on the {n}-cycle (need 2 <= j <= n-2)")
     out = []
     for combo in itertools.combinations(range(1, n + 1), j):
         vs = frozenset(combo)

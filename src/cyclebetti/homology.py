@@ -23,8 +23,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cycle import cycle_edges
-from .errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
+from .cycle import cycle_edges, vertex_set
+from .errors import ImpossibleBranchError, VertexRangeError
 
 
 @dataclass(frozen=True)
@@ -33,6 +33,7 @@ class IntMatrix:
 
     Zero-row and zero-column matrices come up constantly as boundary maps
     in degenerate degrees, so the shape cannot be inferred from the data.
+    Rows are stored as given, so callers pass tuples of tuples.
     """
 
     nrows: int
@@ -40,9 +41,7 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
-        if len(rows) != self.nrows or any(len(row) != self.ncols for row in rows):
+        if len(self.rows) != self.nrows or any(len(row) != self.ncols for row in self.rows):
             raise ValueError(
                 f"row data does not match declared shape {self.nrows}x{self.ncols}"
             )
@@ -81,23 +80,6 @@ def matrix_rank(matrix: IntMatrix) -> int:
 def nullity(matrix: IntMatrix) -> int:
     """Dimension of the kernel: columns minus rank."""
     return matrix.ncols - matrix_rank(matrix)
-
-
-def mat_mul(left: IntMatrix, right: IntMatrix) -> IntMatrix:
-    if left.ncols != right.nrows:
-        raise ValueError(f"cannot multiply {left.nrows}x{left.ncols} by {right.nrows}x{right.ncols}")
-    rows = tuple(
-        tuple(
-            sum(left.rows[i][k] * right.rows[k][j] for k in range(left.ncols))
-            for j in range(right.ncols)
-        )
-        for i in range(left.nrows)
-    )
-    return IntMatrix(left.nrows, right.ncols, rows)
-
-
-def is_zero_matrix(matrix: IntMatrix) -> bool:
-    return all(entry == 0 for row in matrix.rows for entry in row)
 
 
 @dataclass(frozen=True)
@@ -146,13 +128,6 @@ class SimplicialComplex:
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         """The d-dimensional faces as sorted tuples, in lexicographic order."""
         return sorted(tuple(sorted(face)) for face in self.faces if len(face) == d + 1)
-
-    def restriction(self, vertices: Iterable[int]) -> "SimplicialComplex":
-        """The subcomplex of faces contained in the given vertex set."""
-        vs = frozenset(vertices)
-        return SimplicialComplex(
-            self.vertex_count, frozenset(face for face in self.faces if face <= vs)
-        )
 
 
 def boundary_matrix(complex_: SimplicialComplex, d: int) -> IntMatrix:
@@ -206,7 +181,7 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     The empty face is always included, so the empty subset yields the
     irrelevant complex rather than the void complex.
     """
-    vs = _checked_vertices(n, vertices)
+    vs = vertex_set(n, vertices)
     generators: list[frozenset[int]] = [frozenset()]
     generators.extend(frozenset((v,)) for v in vs)
     generators.extend(edge for edge in cycle_edges(n) if edge <= vs)
@@ -251,7 +226,7 @@ def cycle_reduced_homology(n: int, vertices: Iterable[int], degrees: Iterable[in
 
 def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
     """Sorted vertices and lexicographically sorted edges of a cycle restriction."""
-    vs = _checked_vertices(n, vertices)
+    vs = vertex_set(n, vertices)
     edges = sorted((v, v + 1) if v < n else (1, n) for v in vs if v % n + 1 in vs)
     return sorted(vs), edges
 
@@ -286,7 +261,7 @@ def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, in
     (1, 0, 0).  This path never builds a matrix, which keeps it independent
     of the boundary-operator computation it cross-checks.
     """
-    vs = _checked_vertices(n, vertices)
+    vs = vertex_set(n, vertices)
     if not vs:
         return (1, 0, 0)
     edge_count = sum(1 for v in vs if v % n + 1 in vs)
@@ -305,13 +280,3 @@ def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, in
                     seen.add(w)
                     stack.append(w)
     return (0, components - 1, edge_count - len(vs) + components)
-
-
-def _checked_vertices(n: int, vertices: Iterable[int]) -> frozenset[int]:
-    if n < 3:
-        raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
-    vs = frozenset(vertices)
-    bad = sorted(v for v in vs if not 1 <= v <= n)
-    if bad:
-        raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
-    return vs

@@ -140,14 +140,108 @@ class TestVerifyBijection:
         assert report.injective
         assert report.image_matches
         assert report.round_trips_ok
+        assert report.duality_holds
         assert report.tableau_count == count
         assert report.marked_count == count
         assert report.mismatches == []
+
+    def test_duality_field_matches_per_tableau_check(self):
+        for n in range(4, 9):
+            for j in range(2, n - 1):
+                expected = all(
+                    transpose_duality_holds(t)
+                    for t in enumerate_standard_tableaux(hook_shape(n, j))
+                )
+                assert verify_bijection(n, j).duality_holds == expected
+
+    def test_maps_each_side_once(self, monkeypatch):
+        # one forward map per tableau and one per transpose, one inverse map
+        # per marked subset, and a single enumeration of the tableaux
+        calls = {"forward": 0, "inverse": 0, "enumerate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            bijection, "tableau_to_marked_subset", counted("forward", tableau_to_marked_subset)
+        )
+        monkeypatch.setattr(
+            bijection, "marked_subset_to_tableau", counted("inverse", marked_subset_to_tableau)
+        )
+        monkeypatch.setattr(
+            bijection,
+            "enumerate_standard_tableaux",
+            counted("enumerate", enumerate_standard_tableaux),
+        )
+        report = verify_bijection(8, 4)
+        assert report.passed and report.duality_holds
+        assert calls == {
+            "forward": 2 * report.tableau_count,
+            "inverse": report.marked_count,
+            "enumerate": 1,
+        }
 
     @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4)])
     def test_domain_errors(self, n, j):
         with pytest.raises(DomainError):
             verify_bijection(n, j)
+
+
+class TestVerifyBijectionFailures:
+    # {2,4}|4 is sent back to another enumerated tableau, or to one of the
+    # conjugate shape that the verifier must map forward afresh
+    @pytest.mark.parametrize(
+        "drift,drift_image",
+        [("1,3;2,4;5", "{1,3}|4"), ("1,2,3;4,5", "{2,3,5}|5")],
+    )
+    def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
+        inverse = bijection.marked_subset_to_tableau
+
+        def drifting(n, j, vertices, marker):
+            if (frozenset(vertices), marker) == (frozenset({2, 4}), 4):
+                return parse_tableau(drift)
+            return inverse(n, j, vertices, marker)
+
+        monkeypatch.setattr(bijection, "marked_subset_to_tableau", drifting)
+        report = verify_bijection(5, 2)
+        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
+        assert report.injective
+        assert report.image_matches
+        assert not report.round_trips_ok
+        assert not report.passed
+        assert report.duality_holds
+        assert report.mismatches == [
+            f"tableau round trip drifts: 1,2;3,4;5 -> {{2,4}}|4 -> {drift}",
+            f"marked round trip drifts: {{2,4}}|4 -> {drift_image}",
+        ]
+
+    def test_colliding_forward_map_is_reported(self, monkeypatch):
+        # the tableau of {2,5}|5 is read as {2,4}|4, which another tableau owns
+        forward = bijection.tableau_to_marked_subset
+
+        def colliding(tableau):
+            if format_tableau(tableau) == "1,2;3,5;4":
+                return MarkedSubset(5, frozenset({2, 4}), 4)
+            return forward(tableau)
+
+        monkeypatch.setattr(bijection, "tableau_to_marked_subset", colliding)
+        report = verify_bijection(5, 2)
+        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
+        assert not report.injective
+        assert not report.image_matches
+        assert not report.round_trips_ok
+        assert not report.passed
+        assert not report.duality_holds
+        assert report.mismatches == [
+            "collision: 1,2;3,4;5 and 1,2;3,5;4 both map to {2,4}|4",
+            "marked subset never hit: {2,5}|5",
+            "tableau round trip drifts: 1,2;3,5;4 -> {2,4}|4 -> 1,2;3,4;5",
+            "marked round trip drifts: {2,5}|5 -> {2,4}|4",
+        ]
 
 
 class TestTransposeDuality:

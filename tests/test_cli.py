@@ -3,8 +3,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import cyclebetti.bijection as bijection
 from cyclebetti.cli import main
-from cyclebetti.tableaux import hook_length_count, hook_shape
+from cyclebetti.tableaux import format_tableau, hook_length_count, hook_shape, transpose
 
 
 @pytest.fixture
@@ -140,6 +141,21 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.output.splitlines()[0] == "n,j,tableaux,marked,bijection,duality"
 
+    def test_duality_failure_exits_one(self, runner, monkeypatch):
+        # a transpose that leaves one tableau in place breaks duality for (5, 2)
+        def stuck(tableau):
+            return tableau if format_tableau(tableau) == "1,2;3,4;5" else transpose(tableau)
+
+        monkeypatch.setattr(bijection, "transpose", stuck)
+        result = runner.invoke(main, ["verify", "--n", "5"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "n  j  tableaux  marked  bijection  duality\n"
+            "5  2         5       5       pass     FAIL\n"
+            "5  3         5       5       pass     pass\n"
+            "CHECKS FAILED\n"
+        )
+
     @pytest.mark.parametrize("range_text", ["3", "15", "8..5", "abc", "4..x"])
     def test_bad_ranges_are_usage_errors(self, runner, range_text):
         result = runner.invoke(main, ["verify", "--n", range_text])
@@ -178,7 +194,16 @@ class TestSyt:
             "hook_length": 5,
         }
 
-    @pytest.mark.parametrize("args", [["--n", "5", "--j", "4"], ["--n", "3", "--j", "2"]])
+    def test_largest_size_counts(self, runner):
+        result = runner.invoke(main, ["syt", "--n", "14", "--j", "2", "--count-only"])
+        assert result.exit_code == 0
+        count = hook_length_count(hook_shape(14, 2))
+        assert result.output == f"{count} {count}\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--n", "5", "--j", "4"], ["--n", "3", "--j", "2"], ["--n", "15", "--j", "2"]],
+    )
     def test_out_of_range_is_usage_error(self, runner, args):
         result = runner.invoke(main, ["syt", *args])
         assert result.exit_code == 2

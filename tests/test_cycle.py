@@ -11,6 +11,7 @@ from cyclebetti.cycle import (
     restrict,
 )
 from cyclebetti.errors import (
+    DomainError,
     InvalidCycleError,
     InvalidMarkedSubsetError,
     UndefinedMarkerError,
@@ -181,8 +182,8 @@ class TestMarkedSubsets:
 
     @pytest.mark.parametrize("n,j", [(5, 1), (5, 4), (5, 0), (5, 7), (3, 2), (4, 3)])
     def test_out_of_range_size_warns_and_returns_empty(self, n, j):
-        with pytest.warns(UserWarning, match="no marked subsets"):
-            assert marked_subsets(n, j) == []
+        with pytest.raises(DomainError, match="no marked subsets"):
+            marked_subsets(n, j)
 
     def test_count_is_total_component_surplus(self):
         for n in range(4, 10):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from chain_checks import composes_to_zero
 from hypothesis import strategies as st
 
 import cyclebetti.homology as homology
@@ -15,8 +16,6 @@ from cyclebetti.homology import (
     cycle_complex,
     cycle_reduced_homology,
     graph_homology_oracle,
-    is_zero_matrix,
-    mat_mul,
     matrix_rank,
     nullity,
     reduced_betti_dim,
@@ -111,7 +110,8 @@ class TestSimplicialComplex:
         for n in range(3, 7):
             full = cycle_complex(n)
             for w in all_subsets(n):
-                assert full.restriction(w) == restriction_complex(n, w)
+                kept = frozenset(face for face in full.faces if face <= w)
+                assert SimplicialComplex(n, kept) == restriction_complex(n, w)
 
 
 class TestBoundaryMatrix:
@@ -144,8 +144,7 @@ class TestBoundaryMatrix:
         ]
         for k in samples:
             for d in range(-1, k.max_dim + 2):
-                product = mat_mul(boundary_matrix(k, d), boundary_matrix(k, d + 1))
-                assert is_zero_matrix(product)
+                assert composes_to_zero(boundary_matrix(k, d), boundary_matrix(k, d + 1))
 
 
 class TestReducedBetti:
@@ -216,10 +215,9 @@ class TestCycleBoundaryMatrix:
         for n in range(3, 8):
             for w in all_subsets(n):
                 for d in range(-1, 3):
-                    product = mat_mul(
+                    assert composes_to_zero(
                         cycle_boundary_matrix(n, w, d), cycle_boundary_matrix(n, w, d + 1)
                     )
-                    assert is_zero_matrix(product)
 
 
 class TestCycleReducedHomology:

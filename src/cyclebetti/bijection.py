@@ -171,24 +171,26 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     preimage = {ms: marked_subset_to_tableau(n, j, ms.vertices, ms.marker) for ms in marked}
     round_trips_ok = True
     for t, ms in image.items():
-        if ms in preimage:
-            back = preimage[ms]
-        else:
-            back = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
-        if back != t:
+        try:
+            back = preimage.get(ms) or marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
+            drift = "" if back == t else format_tableau(back)
+        except InvalidMarkedSubsetError as exc:
+            drift = f"error: {exc}"
+        if drift:
             round_trips_ok = False
             mismatches.append(
                 f"tableau round trip drifts: {format_tableau(t)} -> "
-                f"{format_marked_subset(ms)} -> {format_tableau(back)}"
+                f"{format_marked_subset(ms)} -> {drift}"
             )
     for ms, t in preimage.items():
-        back_ms = image[t] if t in image else tableau_to_marked_subset(t)
-        if back_ms != ms:
+        try:
+            back_ms = image[t] if t in image else tableau_to_marked_subset(t)
+            drift = "" if back_ms == ms else format_marked_subset(back_ms)
+        except (InvalidMarkedSubsetError, WrongShapeError) as exc:
+            drift = f"error: {exc}"
+        if drift:
             round_trips_ok = False
-            mismatches.append(
-                f"marked round trip drifts: {format_marked_subset(ms)} -> "
-                f"{format_marked_subset(back_ms)}"
-            )
+            mismatches.append(f"marked round trip drifts: {format_marked_subset(ms)} -> {drift}")
 
     return BijectionReport(
         n=n,

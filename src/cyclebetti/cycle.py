@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import ge, le
 from typing import Iterable
 
 from .errors import (
@@ -33,8 +34,8 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     if n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     vs = frozenset(vertices)
-    bad = sorted(v for v in vs if not 1 <= v <= n)
-    if bad:
+    if not (all(map(le, itertools.repeat(1), vs)) and all(map(ge, itertools.repeat(n), vs))):
+        bad = sorted(v for v in vs if not 1 <= v <= n)
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
     return vs
 
@@ -96,7 +97,8 @@ def marker_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
             f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
         )
     side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
-    return frozenset(min(arc) for arc in restrict(n, side).components)
+    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
+    return side - {v + 1 for v in side}
 
 
 def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:

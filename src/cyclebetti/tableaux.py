@@ -9,7 +9,9 @@ text format writes rows separated by ';' and entries by ',', so the
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from math import factorial
+from operator import ge, itemgetter, le, lt
 
 from .errors import (
     DomainError,
@@ -30,9 +32,9 @@ class Shape:
         object.__setattr__(self, "parts", parts)
         if not parts:
             raise DomainError("partitions need at least one part")
-        if any(type(p) is not int or p < 1 for p in parts):
+        if set(map(type, parts)) != {int} or min(parts) < 1:
             raise DomainError(f"parts must be positive integers, got {parts}")
-        if any(parts[k] < parts[k + 1] for k in range(len(parts) - 1)):
+        if any(map(lt, parts, parts[1:])):
             raise DomainError(f"parts must be weakly decreasing, got {parts}")
 
     @property
@@ -41,7 +43,12 @@ class Shape:
 
     def conjugate(self) -> "Shape":
         """The reflected partition: column lengths become row lengths."""
-        return Shape(tuple(sum(1 for p in self.parts if p > c) for c in range(self.parts[0])))
+        parts, k, cols = self.parts, len(self.parts), []
+        for c in range(parts[0]):
+            while parts[k - 1] <= c:  # k counts the parts longer than c
+                k -= 1
+            cols.append(k)
+        return Shape(tuple(cols))
 
 
 def hook_shape(n: int, j: int) -> Shape:
@@ -69,33 +76,38 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        lengths = tuple(len(row) for row in rows)
-        if not rows or any(length == 0 for length in lengths):
+        lengths = tuple(map(len, rows))
+        if not rows or min(lengths) == 0:
             raise TableauValidationError("tableaux need at least one entry in every row")
-        if any(lengths[k] < lengths[k + 1] for k in range(len(lengths) - 1)):
+        if any(map(lt, lengths, lengths[1:])):
             raise TableauValidationError(f"row lengths must be weakly decreasing, got {lengths}")
         n = sum(lengths)
-        if sorted(v for row in rows for v in row) != list(range(1, n + 1)):
+        if sorted(chain.from_iterable(rows)) != list(range(1, n + 1)):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        for i, row in enumerate(rows):
-            if any(row[c] >= row[c + 1] for c in range(len(row) - 1)):
+        k = len(rows) - lengths.count(1)  # rows of one cell come last
+        for i, row in enumerate(rows[:k]):
+            if any(map(ge, row, row[1:])):
                 raise TableauValidationError(f"row {i + 1} is not strictly increasing: {row}")
-        for i in range(1, len(rows)):
-            for c in range(len(rows[i])):
-                if rows[i][c] <= rows[i - 1][c]:
-                    raise TableauValidationError(
-                        f"column {c + 1} is not strictly increasing at row {i + 1}"
-                    )
+        for i, (above, below) in enumerate(zip(rows, rows[1 : k + 1]), start=2):
+            if any(map(le, below, above)):
+                c = list(map(le, below, above)).index(True)
+                raise TableauValidationError(
+                    f"column {c + 1} is not strictly increasing at row {i}"
+                )
+        column = tuple(chain.from_iterable(rows[k:]))  # column 1 from row k + 1 down
+        if any(map(le, column[1:], column)):
+            i = k + 2 + list(map(le, column[1:], column)).index(True)
+            raise TableauValidationError(f"column 1 is not strictly increasing at row {i}")
 
     @property
     def shape(self) -> Shape:
-        return Shape(tuple(len(row) for row in self.rows))
+        return Shape(tuple(map(len, self.rows)))
 
     @property
     def n(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return sum(map(len, self.rows))
 
     @property
     def reading_word(self) -> tuple[int, ...]:
@@ -122,9 +134,7 @@ class Tableau:
 def transpose(tableau: Tableau) -> Tableau:
     """Reflect across the main diagonal; the shape becomes its conjugate."""
     cols = tableau.shape.conjugate().parts
-    return Tableau(
-        tuple(tuple(tableau.rows[i][c] for i in range(cols[c])) for c in range(len(cols)))
-    )
+    return Tableau(tuple(tuple(map(itemgetter(c), tableau.rows[:k])) for c, k in enumerate(cols)))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:

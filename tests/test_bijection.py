@@ -1,3 +1,4 @@
+import random
 from dataclasses import dataclass
 
 import pytest
@@ -10,7 +11,7 @@ from cyclebetti.bijection import (
     transpose_duality_holds,
     verify_bijection,
 )
-from cyclebetti.cycle import MarkedSubset, marked_subsets
+from cyclebetti.cycle import MarkedSubset, marked_subsets, restrict
 from cyclebetti.errors import (
     DomainError,
     ImpossibleBranchError,
@@ -196,7 +197,12 @@ class TestVerifyBijectionFailures:
     # conjugate shape that the verifier must map forward afresh
     @pytest.mark.parametrize(
         "drift,drift_image",
-        [("1,3;2,4;5", "{1,3}|4"), ("1,2,3;4,5", "{2,3,5}|5")],
+        [
+            ("1,3;2,4;5", "{1,3}|4"),
+            ("1,2,3;4,5", "{2,3,5}|5"),
+            # not a hook-plus-column tableau: mapping it forward raises
+            ("1,2,3,4;5", "error: hook shapes need n >= 4 and 2 <= j <= n-2, got n=5, j=4"),
+        ],
     )
     def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
         inverse = bijection.marked_subset_to_tableau
@@ -242,6 +248,74 @@ class TestVerifyBijectionFailures:
             "tableau round trip drifts: 1,2;3,5;4 -> {2,4}|4 -> 1,2;3,4;5",
             "marked round trip drifts: {2,5}|5 -> {2,4}|4",
         ]
+
+    def test_forward_image_of_wrong_size_is_reported(self, monkeypatch):
+        # {1,3,4}|5 is a valid marked subset, but of size 3: mapping it back
+        # to a (5, 2) tableau raises, and the report must say so
+        forward = bijection.tableau_to_marked_subset
+
+        def oversized(tableau):
+            if format_tableau(tableau) == "1,2;3,4;5":
+                return MarkedSubset(5, frozenset({1, 3, 4}), 5)
+            return forward(tableau)
+
+        monkeypatch.setattr(bijection, "tableau_to_marked_subset", oversized)
+        report = verify_bijection(5, 2)
+        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
+        assert report.injective
+        assert not report.image_matches
+        assert not report.round_trips_ok
+        assert not report.passed
+        assert not report.duality_holds
+        assert report.mismatches == [
+            "image is not a marked subset: {1,3,4}|5",
+            "marked subset never hit: {2,4}|4",
+            "tableau round trip drifts: 1,2;3,4;5 -> {1,3,4}|5 -> "
+            "error: subset [1, 3, 4] has size 3, expected j=2",
+            "marked round trip drifts: {2,4}|4 -> {1,3,4}|5",
+        ]
+
+
+def random_marked_subset(rng, n, j):
+    # a uniform j-subset with at least two arcs and a uniform admissible marker,
+    # the markers being the arc minima on the side that avoids vertex 1
+    everything = frozenset(range(1, n + 1))
+    while True:
+        w = frozenset(rng.sample(range(1, n + 1), j))
+        side = w if 1 not in w else everything - w
+        markers = sorted(min(arc) for arc in restrict(n, side).components)
+        if len(markers) >= 2:
+            return w, rng.choice(markers[1:])
+
+
+def read_hook_tableau(rows, n, j):
+    # test-side reading: check the filling is a standard tableau of shape
+    # (j, 2, 1, ..., 1), then read the subset off the cell at (2, 2)
+    assert tuple(len(row) for row in rows) == (j, 2) + (1,) * (n - j - 2)
+    assert sorted(v for row in rows for v in row) == list(range(1, n + 1))
+    first_column = [row[0] for row in rows]
+    for line in (rows[0], rows[1], first_column):
+        assert all(a < b for a, b in zip(line, line[1:]))
+    marker = rows[1][1]
+    assert marker > rows[0][1]
+    if marker - 1 in rows[0]:
+        return frozenset(rows[0]), marker
+    return frozenset((marker, *rows[0][1:])), marker
+
+
+class TestLargeRoundTrips:
+    # the sizes sampled verification runs at, far past the exhaustive range
+    @pytest.mark.parametrize("n", [2048, 4096])
+    def test_seeded_round_trips(self, n):
+        rng = random.Random(n)
+        everything = frozenset(range(1, n + 1))
+        for j in [2, 3, n // 2, n - 3, n - 2] + rng.sample(range(2, n - 1), 5):
+            w, marker = random_marked_subset(rng, n, j)
+            t = marked_subset_to_tableau(n, j, w, marker)
+            assert read_hook_tableau(t.rows, n, j) == (w, marker)
+            assert tableau_to_marked_subset(t) == MarkedSubset(n, w, marker)
+            assert read_hook_tableau(transpose(t).rows, n, n - j) == (everything - w, marker)
+            assert transpose_duality_holds(t)
 
 
 class TestTransposeDuality:

@@ -9,6 +9,7 @@ from cyclebetti.cycle import (
     marked_subsets,
     marker_set,
     restrict,
+    vertex_set,
 )
 from cyclebetti.errors import (
     DomainError,
@@ -111,6 +112,30 @@ class TestRestrict:
                 )
 
 
+class TestVertexSet:
+    def test_accepts_labels_in_range(self):
+        assert vertex_set(5, [5, 1, 1, 3]) == frozenset({1, 3, 5})
+        assert vertex_set(3) == frozenset()
+
+    @pytest.mark.parametrize(
+        "n,vertices,error,text",
+        [
+            (2, [1], InvalidCycleError, "cycle graphs need n >= 3, got n=2"),
+            (-1, [], InvalidCycleError, "cycle graphs need n >= 3, got n=-1"),
+            (5, [6], VertexRangeError, "vertices [6] fall outside 1..5"),
+            (5, [0], VertexRangeError, "vertices [0] fall outside 1..5"),
+            (5, [3, 9, 0, 5, -2, 9], VertexRangeError, "vertices [-2, 0, 9] fall outside 1..5"),
+            # a label comparing false both ways is out of range too
+            (5, [float("nan")], VertexRangeError, "vertices [nan] fall outside 1..5"),
+            (5, [2, float("nan"), 4], VertexRangeError, "vertices [nan] fall outside 1..5"),
+        ],
+    )
+    def test_rejection_text(self, n, vertices, error, text):
+        with pytest.raises(error) as excinfo:
+            vertex_set(n, vertices)
+        assert str(excinfo.value) == text
+
+
 class TestMarkers:
     def test_known_values_without_vertex_one(self):
         assert marker_set(5, {2, 4}) == frozenset({2, 4})
@@ -118,6 +143,14 @@ class TestMarkers:
 
     def test_known_value_with_vertex_one_uses_complement(self):
         assert marker_set(5, {1, 3}) == frozenset({2, 4})
+
+    def test_matches_arc_minima_of_restriction(self):
+        # reference: the minima of the arcs of the restriction to the side avoiding 1
+        for n in range(3, 13):
+            everything = frozenset(range(1, n + 1))
+            for w in proper_nonempty_subsets(n):
+                side = w if 1 not in w else everything - w
+                assert marker_set(n, w) == {min(arc) for arc in restrict(n, side).components}
 
     def test_admissible_drops_the_minimum(self):
         assert admissible_markers(5, {2, 4}) == frozenset({4})
@@ -222,6 +255,27 @@ class TestMarkedSubsetType:
     def test_rejects_foreign_vertices(self):
         with pytest.raises(InvalidMarkedSubsetError):
             MarkedSubset(5, frozenset({2, 9}), 9)
+
+    @pytest.mark.parametrize(
+        "n,vertices,marker,text",
+        [
+            (5, {2, 4}, 2, "marker 2 is not admissible for [2, 4] on the 5-cycle (admissible: [4])"),
+            (5, {1, 2}, 3, "marker 3 is not admissible for [1, 2] on the 5-cycle (admissible: [])"),
+            (
+                8,
+                {1, 2, 5, 7},
+                5,
+                "marker 5 is not admissible for [1, 2, 5, 7] on the 8-cycle (admissible: [6, 8])",
+            ),
+            (5, set(), 2, "markers need a proper nonempty subset of 1..5, got []"),
+            (5, {2, 9}, 9, "vertices [9] fall outside 1..5"),
+            (2, {1}, 2, "cycle graphs need n >= 3, got n=2"),
+        ],
+    )
+    def test_rejection_text(self, n, vertices, marker, text):
+        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+            MarkedSubset(n, frozenset(vertices), marker)
+        assert str(excinfo.value) == text
 
     def test_accepts_iterable_vertices(self):
         ms = MarkedSubset(5, [2, 4], 4)

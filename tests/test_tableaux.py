@@ -36,6 +36,20 @@ def partitions_of(n, max_part=None):
             yield (first, *rest)
 
 
+def reference_conjugate(parts):
+    # column c holds one cell per part longer than c
+    return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
+
+
+def reference_transpose(rows):
+    # cell by cell: the entry at (i, c) moves to (c, i)
+    columns = {}
+    for row in rows:
+        for c, v in enumerate(row):
+            columns.setdefault(c, []).append(v)
+    return tuple(tuple(columns[c]) for c in sorted(columns))
+
+
 @st.composite
 def standard_tableaux(draw):
     n = draw(st.integers(1, 7))
@@ -49,6 +63,24 @@ class TestShape:
         with pytest.raises(DomainError):
             Shape(parts)
 
+    @pytest.mark.parametrize(
+        "parts,text",
+        [
+            ((), "partitions need at least one part"),
+            ((2, 1.0), "parts must be positive integers, got (2, 1.0)"),
+            (("2",), "parts must be positive integers, got ('2',)"),
+            ((True,), "parts must be positive integers, got (True,)"),
+            ((2, False), "parts must be positive integers, got (2, False)"),
+            ((0,), "parts must be positive integers, got (0,)"),
+            ((3, -1), "parts must be positive integers, got (3, -1)"),
+            ((2, 2, 3, 1), "parts must be weakly decreasing, got (2, 2, 3, 1)"),
+        ],
+    )
+    def test_rejection_text(self, parts, text):
+        with pytest.raises(DomainError) as excinfo:
+            Shape(parts)
+        assert str(excinfo.value) == text
+
     def test_size(self):
         assert Shape((3, 2, 1)).size == 6
 
@@ -56,6 +88,16 @@ class TestShape:
         assert Shape((3, 2, 1)).conjugate() == Shape((3, 2, 1))
         assert Shape((2, 2, 1)).conjugate() == Shape((3, 2))
         assert Shape((4,)).conjugate() == Shape((1, 1, 1, 1))
+
+    def test_conjugate_matches_column_count_formula(self):
+        for n in range(1, 13):
+            for parts in partitions_of(n):
+                assert Shape(parts).conjugate().parts == reference_conjugate(parts)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+    def test_conjugate_matches_column_count_formula_on_random_partitions(self, parts):
+        parts = tuple(sorted(parts, reverse=True))
+        assert Shape(parts).conjugate().parts == reference_conjugate(parts)
 
     def test_conjugate_is_involutive(self):
         for n in range(1, 9):
@@ -100,6 +142,33 @@ class TestTableauValidation:
     def test_row_lengths_must_weakly_decrease(self):
         with pytest.raises(TableauValidationError, match="decreasing"):
             Tableau(((1,), (2, 3)))
+
+    @pytest.mark.parametrize(
+        "rows,text",
+        [
+            ((), "tableaux need at least one entry in every row"),
+            (((1, 2), ()), "tableaux need at least one entry in every row"),
+            (((1,), (2, 3)), "row lengths must be weakly decreasing, got (1, 2)"),
+            (((1, 2), (3,), (4, 5)), "row lengths must be weakly decreasing, got (2, 1, 2)"),
+            (((1, 2), (3, 5)), "entries must be exactly 1..4, each once"),
+            (((1, 2), (2, 3)), "entries must be exactly 1..4, each once"),
+            (((0, 1), (2,)), "entries must be exactly 1..3, each once"),
+            # rows are checked before columns, and the first bad one is named
+            (((1, 2, 3), (5, 4), (7, 6)), "row 2 is not strictly increasing: (5, 4)"),
+            (((1, 3), (4, 2), (5,)), "row 2 is not strictly increasing: (4, 2)"),
+            (((1, 5, 6), (2, 3, 4)), "column 2 is not strictly increasing at row 2"),
+            (((1, 2, 8), (4, 5, 6), (3, 7, 9)), "column 3 is not strictly increasing at row 2"),
+            (((1, 3), (2, 6), (4, 5)), "column 2 is not strictly increasing at row 3"),
+            (((1, 3), (4, 5), (2,)), "column 1 is not strictly increasing at row 3"),
+            (((1, 2), (3,), (5,), (4,)), "column 1 is not strictly increasing at row 4"),
+            (((1, 4), (2, 3), (6,), (5,)), "column 2 is not strictly increasing at row 2"),
+            (((2,), (1,)), "column 1 is not strictly increasing at row 2"),
+        ],
+    )
+    def test_rejection_text(self, rows, text):
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(rows)
+        assert str(excinfo.value) == text
 
     def test_top_left_is_always_one(self):
         for parts in partitions_of(6):
@@ -198,6 +267,12 @@ class TestTranspose:
     @given(standard_tableaux())
     def test_involutive(self, t):
         assert transpose(transpose(t)) == t
+
+    def test_matches_cell_by_cell_reference(self):
+        for n in range(4, 10):
+            for j in range(2, n - 1):
+                for t in enumerate_standard_tableaux(hook_shape(n, j)):
+                    assert transpose(t).rows == reference_transpose(t.rows)
 
     def test_maps_hook_family_onto_conjugate_family(self):
         for n in range(4, 10):

@@ -2,9 +2,11 @@
 
 Subcommands cover the Betti table, both directions of the bijection, the
 exhaustive verifier, and tableau enumeration.  Data goes to stdout in
-text, json, or csv; diagnostics go to stderr.  Exit status is 0 when all
-requested checks pass, 1 when a verification fails, and 2 for usage
-errors.
+text, json, or csv, and _emit alone holds the format rules; the lines
+echoed elsewhere are the single results of map and unmap, the two
+non-grid text outputs of syt, and verify's text summary line.
+Diagnostics go to stderr.  Exit status is 0 when all requested checks
+pass, 1 when a verification fails, and 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -43,23 +45,29 @@ FORMATS = click.Choice(["text", "json", "csv"])
 VERIFY_MAX = 14  # tableau counts explode combinatorially past this (verify and syt)
 
 
-def _emit_text(columns: list[str], records: list[dict[str, Any]], none: str = "-") -> None:
-    grid = [[str(c) for c in columns]]
-    grid.extend(
-        [none if record[c] is None else str(record[c]) for c in columns] for record in records
-    )
-    widths = [max(len(row[k]) for row in grid) for k in range(len(columns))]
-    for row in grid:
-        click.echo("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+def _emit(
+    fmt: str, document: dict[str, Any], columns: list[str], records: list[dict[str, Any]]
+) -> None:
+    """Write one command's data to stdout in the requested format.
 
-
-def _emit_csv(columns: list[str], records: list[dict[str, Any]]) -> None:
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
-    writer.writeheader()
-    for record in records:
-        writer.writerow({c: ("" if record[c] is None else record[c]) for c in columns})
-    click.echo(buffer.getvalue(), nl=False)
+    json is the whole document on one line.  csv is a header, then one row
+    per record with a missing value left empty.  text is a right-aligned
+    grid with a missing value shown as "-".  csv and text take only the
+    named columns of each record.
+    """
+    if fmt == "json":
+        click.echo(json.dumps(document))
+    elif fmt == "csv":
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, columns, extrasaction="ignore", lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(records)  # csv writes None as an empty field
+        click.echo(buffer.getvalue(), nl=False)
+    else:
+        grid = [columns] + [["-" if r[c] is None else str(r[c]) for c in columns] for r in records]
+        widths = [max(map(len, column)) for column in zip(*grid)]
+        for row in grid:
+            click.echo("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
 
 
 @click.group()
@@ -93,13 +101,7 @@ def cmd_table(n: int, fmt: str) -> None:
                 "syt": hook_length_count(hook_shape(n, j)) if on_strand else None,
             }
         )
-    columns = ["i", "j", "betti", "syt"]
-    if fmt == "json":
-        click.echo(json.dumps({"n": n, "entries": records}))
-    elif fmt == "csv":
-        _emit_csv(columns, records)
-    else:
-        _emit_text(columns, records)
+    _emit(fmt, {"n": n, "entries": records}, ["i", "j", "betti", "syt"], records)
 
 
 @main.command(name="map")
@@ -187,12 +189,8 @@ def cmd_verify(size_range: str, fmt: str) -> None:
                 }
             )
     columns = ["n", "j", "tableaux", "marked", "bijection", "duality"]
-    if fmt == "json":
-        click.echo(json.dumps({"results": records, "passed": all_passed}))
-    elif fmt == "csv":
-        _emit_csv(columns, [{c: r[c] for c in columns} for r in records])
-    else:
-        _emit_text(columns, [{c: r[c] for c in columns} for r in records])
+    _emit(fmt, {"results": records, "passed": all_passed}, columns, records)
+    if fmt == "text":
         for record in records:
             for mismatch in record["mismatches"]:
                 click.echo(f"  {mismatch}", err=True)
@@ -221,25 +219,18 @@ def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
         raise click.UsageError(str(exc)) from exc
     tableaux = enumerate_standard_tableaux(shape)
     if count_only:
-        enumerated, closed_form = len(tableaux), hook_length_count(shape)
-        if fmt == "json":
-            click.echo(json.dumps({"n": n, "j": j, "enumerated": enumerated, "hook_length": closed_form}))
-        elif fmt == "csv":
-            _emit_csv(
-                ["enumerated", "hook_length"],
-                [{"enumerated": enumerated, "hook_length": closed_form}],
-            )
-        else:
-            click.echo(f"{enumerated} {closed_form}")
-        return
-    texts = [format_tableau(t) for t in tableaux]
-    if fmt == "json":
-        click.echo(json.dumps({"n": n, "j": j, "tableaux": texts}))
-    elif fmt == "csv":
-        _emit_csv(["tableau"], [{"tableau": text} for text in texts])
+        counts = {"enumerated": len(tableaux), "hook_length": hook_length_count(shape)}
+        document, columns, records = {"n": n, "j": j, **counts}, list(counts), [counts]
+        lines = [f"{counts['enumerated']} {counts['hook_length']}"]
     else:
-        for text in texts:
-            click.echo(text)
+        lines = [format_tableau(t) for t in tableaux]
+        document = {"n": n, "j": j, "tableaux": lines}
+        columns, records = ["tableau"], [{"tableau": text} for text in lines]
+    if fmt == "text":  # neither text output is a grid
+        for line in lines:
+            click.echo(line)
+    else:
+        _emit(fmt, document, columns, records)
 
 
 if __name__ == "__main__":

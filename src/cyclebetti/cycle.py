@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import ge, le
 from typing import Iterable
 
 from .errors import (
@@ -29,13 +28,13 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     """The vertex subset as a frozenset, once n and every label are checked.
 
     This is the one input rule for a subset of the n-cycle: n >= 3, and
-    every vertex lies in 1..n.
+    every vertex is an int (not a float or a bool) in 1..n.
     """
     if n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     vs = frozenset(vertices)
-    if not (all(map(le, itertools.repeat(1), vs)) and all(map(ge, itertools.repeat(n), vs))):
-        bad = sorted(v for v in vs if not 1 <= v <= n)
+    if vs and (set(map(type, vs)) != {int} or min(vs) < 1 or max(vs) > n):
+        bad = sorted(v for v in vs if type(v) is not int or not 1 <= v <= n)
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
     return vs
 
@@ -126,7 +125,7 @@ class MarkedSubset:
             admissible = admissible_markers(self.n, self.vertices)
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from exc
-        if self.marker not in admissible:
+        if type(self.marker) is not int or self.marker not in admissible:
             raise InvalidMarkedSubsetError(
                 f"marker {self.marker} is not admissible for {sorted(self.vertices)} "
                 f"on the {self.n}-cycle (admissible: {sorted(admissible)})"

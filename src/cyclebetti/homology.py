@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cycle import cycle_edges, vertex_set
+from .cycle import cycle_edges, restrict, vertex_set
 from .errors import ImpossibleBranchError, VertexRangeError
 
 
@@ -258,25 +258,13 @@ def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, in
     A graph has no homology above degree 1, so counting components c,
     vertices v, and edges e settles everything: a nonempty restriction has
     (0, c - 1, e - v + c), and the empty one is the irrelevant complex with
-    (1, 0, 0).  This path never builds a matrix, which keeps it independent
-    of the boundary-operator computation it cross-checks.
+    (1, 0, 0).  The components are the arcs cycle.restrict splits the subset
+    into.  This path never builds a matrix, which keeps it independent of
+    the boundary-operator computation it cross-checks.
     """
-    vs = vertex_set(n, vertices)
+    restriction = restrict(n, vertices)
+    vs, components = restriction.vertices, restriction.component_count
     if not vs:
         return (1, 0, 0)
     edge_count = sum(1 for v in vs if v % n + 1 in vs)
-    seen: set[int] = set()
-    components = 0
-    for v in vs:
-        if v in seen:
-            continue
-        components += 1
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in (u % n + 1, (u - 2) % n + 1):
-                if w in vs and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
     return (0, components - 1, edge_count - len(vs) + components)

@@ -84,7 +84,8 @@ class Tableau:
         if any(map(lt, lengths, lengths[1:])):
             raise TableauValidationError(f"row lengths must be weakly decreasing, got {lengths}")
         n = sum(lengths)
-        if sorted(chain.from_iterable(rows)) != list(range(1, n + 1)):
+        entries = list(chain.from_iterable(rows))  # typed before sorting, so sorted() never raises
+        if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
         k = len(rows) - lengths.count(1)  # rows of one cell come last
         for i, row in enumerate(rows[:k]):

@@ -84,6 +84,8 @@ class TestInverse:
             (6, 3, {2, 4, 6}, 2),
             (5, 2, {2, 9}, 9),  # vertex outside the cycle
             (5, 2, {}, 3),
+            (5, 2, {2.5, 4}, 4),  # labels and markers are ints
+            (5, 2, {2, 4}, 4.0),
         ],
     )
     def test_rejects_invalid_marked_subsets(self, n, j, vertices, marker):

@@ -156,6 +156,31 @@ class TestVerify:
             "CHECKS FAILED\n"
         )
 
+    @pytest.mark.parametrize(
+        "fmt,expected",
+        [
+            (
+                "text",
+                "n  j  tableaux  marked  bijection  duality\n"
+                "4  2         2       2       pass     pass\n"
+                "5  2         5       5       pass     pass\n"
+                "5  3         5       5       pass     pass\n"
+                "all checks passed\n",
+            ),
+            (
+                "csv",
+                "n,j,tableaux,marked,bijection,duality\n"
+                "4,2,2,2,pass,pass\n"
+                "5,2,5,5,pass,pass\n"
+                "5,3,5,5,pass,pass\n",
+            ),
+        ],
+    )
+    def test_exact_stdout(self, runner, fmt, expected):
+        result = runner.invoke(main, ["verify", "--n", "4..5", "--format", fmt])
+        assert result.exit_code == 0
+        assert result.stdout == expected
+
     @pytest.mark.parametrize("range_text", ["3", "15", "8..5", "abc", "4..x"])
     def test_bad_ranges_are_usage_errors(self, runner, range_text):
         result = runner.invoke(main, ["verify", "--n", range_text])
@@ -193,6 +218,26 @@ class TestSyt:
             "enumerated": 5,
             "hook_length": 5,
         }
+
+    @pytest.mark.parametrize(
+        "args,expected",
+        [
+            (
+                ["--format", "csv"],
+                'tableau\n"1,2;3,4;5"\n"1,2;3,5;4"\n"1,3;2,4;5"\n"1,3;2,5;4"\n"1,4;2,5;3"\n',
+            ),
+            (
+                ["--format", "json"],
+                '{"n": 5, "j": 2, "tableaux": '
+                '["1,2;3,4;5", "1,2;3,5;4", "1,3;2,4;5", "1,3;2,5;4", "1,4;2,5;3"]}\n',
+            ),
+            (["--count-only", "--format", "csv"], "enumerated,hook_length\n5,5\n"),
+        ],
+    )
+    def test_exact_stdout(self, runner, args, expected):
+        result = runner.invoke(main, ["syt", "--n", "5", "--j", "2", *args])
+        assert result.exit_code == 0
+        assert result.stdout == expected
 
     def test_largest_size_counts(self, runner):
         result = runner.invoke(main, ["syt", "--n", "14", "--j", "2", "--count-only"])

@@ -128,6 +128,10 @@ class TestVertexSet:
             # a label comparing false both ways is out of range too
             (5, [float("nan")], VertexRangeError, "vertices [nan] fall outside 1..5"),
             (5, [2, float("nan"), 4], VertexRangeError, "vertices [nan] fall outside 1..5"),
+            # labels are ints: an equal float or a bool is not a vertex
+            (5, [2.5], VertexRangeError, "vertices [2.5] fall outside 1..5"),
+            (5, [True], VertexRangeError, "vertices [True] fall outside 1..5"),
+            (5, [2, 4.0], VertexRangeError, "vertices [4.0] fall outside 1..5"),
         ],
     )
     def test_rejection_text(self, n, vertices, error, text):
@@ -214,7 +218,7 @@ class TestMarkedSubsets:
             assert keys == sorted(keys)
 
     @pytest.mark.parametrize("n,j", [(5, 1), (5, 4), (5, 0), (5, 7), (3, 2), (4, 3)])
-    def test_out_of_range_size_warns_and_returns_empty(self, n, j):
+    def test_out_of_range_size_raises_domain_error(self, n, j):
         with pytest.raises(DomainError, match="no marked subsets"):
             marked_subsets(n, j)
 
@@ -270,6 +274,14 @@ class TestMarkedSubsetType:
             (5, set(), 2, "markers need a proper nonempty subset of 1..5, got []"),
             (5, {2, 9}, 9, "vertices [9] fall outside 1..5"),
             (2, {1}, 2, "cycle graphs need n >= 3, got n=2"),
+            # labels and markers are ints: an equal float is neither
+            (5, {2.5, 4}, 4, "vertices [2.5] fall outside 1..5"),
+            (
+                5,
+                {2, 4},
+                4.0,
+                "marker 4.0 is not admissible for [2, 4] on the 5-cycle (admissible: [4])",
+            ),
         ],
     )
     def test_rejection_text(self, n, vertices, marker, text):

@@ -163,6 +163,10 @@ class TestTableauValidation:
             (((1, 2), (3,), (5,), (4,)), "column 1 is not strictly increasing at row 4"),
             (((1, 4), (2, 3), (6,), (5,)), "column 2 is not strictly increasing at row 2"),
             (((2,), (1,)), "column 1 is not strictly increasing at row 2"),
+            # entries are ints: an equal float or a bool is not an entry
+            (((True, 2), (3,)), "entries must be exactly 1..3, each once"),
+            (((1, 2.0), (3,)), "entries must be exactly 1..3, each once"),
+            (((1, "2"), ("3",)), "entries must be exactly 1..3, each once"),
         ],
     )
     def test_rejection_text(self, rows, text):

@@ -14,6 +14,7 @@ from .bijection import (
     tableau_to_marked_subset,
     transpose_duality_holds,
     verify_bijection,
+    verify_cycle,
 )
 from .cycle import (
     CycleRestriction,
@@ -117,4 +118,5 @@ __all__ = [
     "transpose",
     "transpose_duality_holds",
     "verify_bijection",
+    "verify_cycle",
 ]

@@ -4,8 +4,10 @@ Standard tableaux of shape (j, 2, 1, ..., 1) on n cells correspond one to
 one with marked subsets of size j on the n-cycle.  The forward direction
 reads the pair off the cell at (2, 2); the inverse rebuilds the filling
 from sorted rows and columns.  Both directions are constructive, and the
-verification helpers check them exhaustively against the independent
-enumerations of each side.
+verifier checks them exhaustively against the independent enumerations of
+each side.  It works on one conjugate pair of shapes, j and n - j, at a
+time: transposing a tableau of one shape gives a tableau of the other, so
+the transpose's marked subset is looked up in the other shape's images.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .tableaux import (
     transpose,
 )
 
+Images = dict[Tableau, MarkedSubset]  # forward images of every tableau of one shape
+
 
 def format_marked_subset(ms: MarkedSubset) -> str:
     """Render as "{2,4,6}|6": the sorted vertices, then the marker."""
@@ -44,16 +48,14 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     its initial cell.  Standardness leaves no third location, so reaching
     one means the tableau is corrupt.
     """
-    shape = tableau.shape
-    n, j = tableau.n, shape.parts[0]
+    lengths = tuple(map(len, tableau.rows))
+    n, j = sum(lengths), lengths[0]
     try:
-        expected = hook_shape(n, j)
+        expected = hook_shape(n, j).parts
     except DomainError as exc:
         raise WrongShapeError(str(exc)) from exc
-    if shape != expected:
-        raise WrongShapeError(
-            f"expected shape {expected.parts} for n={n}, j={j}, got {shape.parts}"
-        )
+    if lengths != expected:
+        raise WrongShapeError(f"expected shape {expected} for n={n}, j={j}, got {lengths}")
     marker = tableau.entry(2, 2)
     row, col = tableau.position_of(marker - 1)
     if row == 1:
@@ -79,11 +81,16 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
     result is validated; a non-standard filling here is unreachable for a
     valid marked subset.
     """
-    ms = MarkedSubset(n, frozenset(vertices), marker)
+    return _rebuild(MarkedSubset(n, frozenset(vertices), marker), j)
+
+
+def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
+    """marked_subset_to_tableau for a marked subset that is already built."""
     if ms.size != j:
         raise InvalidMarkedSubsetError(
             f"subset {sorted(ms.vertices)} has size {ms.size}, expected j={j}"
         )
+    n, marker = ms.n, ms.marker
     inside = sorted(ms.vertices)
     outside = sorted(set(range(1, n + 1)) - ms.vertices)
     if 1 in ms.vertices:
@@ -134,45 +141,65 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
 
     Confirms injectivity over all standard tableaux of the hook-plus-column
     shape, image equality with the enumerated marked subsets, both round
-    trips, and transpose duality.  Each tableau is mapped forward once and
-    each marked subset back once; the round trips reuse those results and
-    call a map afresh only for a value outside the enumerated side.
+    trips, and transpose duality.  The conjugate shape is enumerated and
+    mapped too, so each transpose's marked subset is a lookup.  Every
+    tableau is mapped forward once and every marked subset back once; the
+    round trips call a map afresh only for a value outside the side checked.
     Counterexamples are collected in the report rather than raised, so
     callers can render them.
     """
-    tableaux = enumerate_standard_tableaux(hook_shape(n, j))
+    image = _images(n, j)
+    return _report(n, j, image, image if 2 * j == n else _images(n, n - j))
+
+
+def verify_cycle(n: int) -> list[BijectionReport]:
+    """verify_bijection(n, j) for j = 2..n-2 in order, holding one pair {j, n - j} at a time."""
+    if n < 4:
+        raise DomainError(f"hook shapes need n >= 4, got n={n}")
+    reports = {}
+    for j in range(2, n // 2 + 1):
+        images = {k: _images(n, k) for k in sorted({j, n - j})}
+        reports.update({k: _report(n, k, images[k], images[n - k]) for k in images})
+        del images  # release this pair before the next is built
+    return [reports[j] for j in sorted(reports)]
+
+
+def _images(n: int, j: int) -> Images:
+    """Every standard tableau of shape (j, 2, 1, ..., 1), mapped forward once."""
+    return {t: tableau_to_marked_subset(t) for t in enumerate_standard_tableaux(hook_shape(n, j))}
+
+
+def _report(n: int, j: int, image: Images, conjugate: Images) -> BijectionReport:
+    """The report for (n, j), from the forward images of shape j and of its conjugate."""
     marked = marked_subsets(n, j)
     mismatches: list[str] = []
 
-    image: dict[Tableau, MarkedSubset] = {}
     forward: dict[MarkedSubset, Tableau] = {}
-    duality_holds = True
-    for t in tableaux:
-        ms = image[t] = tableau_to_marked_subset(t)
+    for t, ms in image.items():
         if ms in forward:
             mismatches.append(
                 f"collision: {format_tableau(forward[ms])} and {format_tableau(t)} "
                 f"both map to {format_marked_subset(ms)}"
             )
-        else:
-            forward[ms] = t
-        duality_holds = duality_holds and _transpose_complements(t, ms)
-    injective = len(forward) == len(tableaux)
+        forward.setdefault(ms, t)
+    injective = len(forward) == len(image)
+    duality_holds = all(_transpose_complements(t, ms, conjugate) for t, ms in image.items())
 
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
         return tuple(sorted(ms.vertices)), ms.marker
 
-    image_matches = set(forward) == set(marked)
-    for ms in sorted(set(forward) - set(marked), key=_order):
+    marked_set = set(marked)
+    image_matches = forward.keys() == marked_set
+    for ms in sorted(forward.keys() - marked_set, key=_order):
         mismatches.append(f"image is not a marked subset: {format_marked_subset(ms)}")
-    for ms in sorted(set(marked) - set(forward), key=_order):
+    for ms in sorted(marked_set - forward.keys(), key=_order):
         mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
 
-    preimage = {ms: marked_subset_to_tableau(n, j, ms.vertices, ms.marker) for ms in marked}
+    preimage = {ms: _rebuild(ms, j) for ms in marked}
     round_trips_ok = True
     for t, ms in image.items():
         try:
-            back = preimage.get(ms) or marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
+            back = preimage.get(ms) or _rebuild(ms, j)
             drift = "" if back == t else format_tableau(back)
         except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"
@@ -184,7 +211,7 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
             )
     for ms, t in preimage.items():
         try:
-            back_ms = image[t] if t in image else tableau_to_marked_subset(t)
+            back_ms = image.get(t) or tableau_to_marked_subset(t)
             drift = "" if back_ms == ms else format_marked_subset(back_ms)
         except (InvalidMarkedSubsetError, WrongShapeError) as exc:
             drift = f"error: {exc}"
@@ -195,7 +222,7 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     return BijectionReport(
         n=n,
         j=j,
-        tableau_count=len(tableaux),
+        tableau_count=len(image),
         marked_count=len(marked),
         injective=injective,
         image_matches=image_matches,
@@ -212,11 +239,12 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     hook-plus-column shape, and its marked subset should be the complement
     with the same marker attached.
     """
-    return _transpose_complements(tableau, tableau_to_marked_subset(tableau))
+    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), {})
 
 
-def _transpose_complements(tableau: Tableau, ms: MarkedSubset) -> bool:
-    """Whether transpose(tableau) maps to the complement of ms, the tableau's image."""
-    ms_t = tableau_to_marked_subset(transpose(tableau))
+def _transpose_complements(tableau: Tableau, ms: MarkedSubset, conjugate: Images) -> bool:
+    """Whether transpose(tableau) maps to the complement of ms; conjugate may hold its image."""
+    t = transpose(tableau)
+    ms_t = conjugate.get(t) or tableau_to_marked_subset(t)
     everything = frozenset(range(1, ms.n + 1))
     return ms_t.vertices == everything - ms.vertices and ms_t.marker == ms.marker

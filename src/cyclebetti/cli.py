@@ -23,7 +23,7 @@ from .bijection import (
     format_marked_subset,
     marked_subset_to_tableau,
     tableau_to_marked_subset,
-    verify_bijection,
+    verify_cycle,
 )
 from .errors import (
     DomainError,
@@ -170,29 +170,25 @@ def cmd_verify(size_range: str, fmt: str) -> None:
     Exit status 0 when everything passes, 1 otherwise.
     """
     low, high = _parse_size_range(size_range)
-    records = []
-    all_passed = True
-    for n in range(low, high + 1):
-        for j in range(2, n - 1):
-            report = verify_bijection(n, j)
-            passed = report.passed and report.duality_holds
-            all_passed &= passed
-            records.append(
-                {
-                    "n": n,
-                    "j": j,
-                    "tableaux": report.tableau_count,
-                    "marked": report.marked_count,
-                    "bijection": "pass" if report.passed else "FAIL",
-                    "duality": "pass" if report.duality_holds else "FAIL",
-                    "mismatches": report.mismatches,
-                }
-            )
+    reports = [report for n in range(low, high + 1) for report in verify_cycle(n)]
+    all_passed = all(report.passed and report.duality_holds for report in reports)
+    records = [
+        {
+            "n": report.n,
+            "j": report.j,
+            "tableaux": report.tableau_count,
+            "marked": report.marked_count,
+            "bijection": "pass" if report.passed else "FAIL",
+            "duality": "pass" if report.duality_holds else "FAIL",
+            "mismatches": report.mismatches,
+        }
+        for report in reports
+    ]
     columns = ["n", "j", "tableaux", "marked", "bijection", "duality"]
     _emit(fmt, {"results": records, "passed": all_passed}, columns, records)
     if fmt == "text":
-        for record in records:
-            for mismatch in record["mismatches"]:
+        for report in reports:
+            for mismatch in report.mismatches:
                 click.echo(f"  {mismatch}", err=True)
         click.echo("all checks passed" if all_passed else "CHECKS FAILED")
     if not all_passed:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from numbers import Real
 from typing import Iterable
 
 from .errors import (
@@ -34,7 +35,8 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     vs = frozenset(vertices)
     if vs and (set(map(type, vs)) != {int} or min(vs) < 1 or max(vs) > n):
-        bad = sorted(v for v in vs if type(v) is not int or not 1 <= v <= n)
+        bad = [v for v in vs if type(v) is not int or not 1 <= v <= n]
+        bad.sort(key=lambda v: (0, v) if isinstance(v, Real) else (1, repr(v)))  # never raises
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
     return vs
 

@@ -43,12 +43,17 @@ class Shape:
 
     def conjugate(self) -> "Shape":
         """The reflected partition: column lengths become row lengths."""
-        parts, k, cols = self.parts, len(self.parts), []
-        for c in range(parts[0]):
-            while parts[k - 1] <= c:  # k counts the parts longer than c
-                k -= 1
-            cols.append(k)
-        return Shape(tuple(cols))
+        return Shape(_column_lengths(self.parts))
+
+
+def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
+    """Column lengths of a partition, in one pass with a pointer down its parts."""
+    k, cols = len(parts), []
+    for c in range(parts[0]):
+        while parts[k - 1] <= c:  # k counts the parts longer than c
+            k -= 1
+        cols.append(k)
+    return tuple(cols)
 
 
 def hook_shape(n: int, j: int) -> Shape:
@@ -113,7 +118,7 @@ class Tableau:
     @property
     def reading_word(self) -> tuple[int, ...]:
         """All entries in row-major order; the canonical sort key."""
-        return tuple(v for row in self.rows for v in row)
+        return tuple(chain.from_iterable(self.rows))
 
     def entry(self, i: int, j: int) -> int:
         """The entry in row i, column j (1-based)."""
@@ -134,7 +139,7 @@ class Tableau:
 
 def transpose(tableau: Tableau) -> Tableau:
     """Reflect across the main diagonal; the shape becomes its conjugate."""
-    cols = tableau.shape.conjugate().parts
+    cols = _column_lengths(tuple(map(len, tableau.rows)))  # the rows of a Tableau form a partition
     return Tableau(tuple(tuple(map(itemgetter(c), tableau.rows[:k])) for c, k in enumerate(cols)))
 
 
@@ -152,7 +157,7 @@ def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
 
     def place(value: int) -> None:
         if value > n:
-            found.append(Tableau(tuple(tuple(row) for row in rows)))
+            found.append(Tableau(tuple(map(tuple, rows))))
             return
         for r, part in enumerate(parts):
             filled = len(rows[r])

@@ -10,6 +10,7 @@ from cyclebetti.bijection import (
     tableau_to_marked_subset,
     transpose_duality_holds,
     verify_bijection,
+    verify_cycle,
 )
 from cyclebetti.cycle import MarkedSubset, marked_subsets, restrict
 from cyclebetti.errors import (
@@ -135,6 +136,36 @@ class TestRoundTrips:
                     assert tableau_to_marked_subset(t) == ms
 
 
+def count_verifier_calls(monkeypatch):
+    # counts the verifier's enumerations (and the tableaux they yield), its
+    # forward maps, transposes and inverse rebuilds, and every MarkedSubset built
+    calls = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return wrapper
+
+    def enumerate_counted(shape):
+        found = enumerate_standard_tableaux(shape)
+        calls["enumerate"] = calls.get("enumerate", 0) + 1
+        calls["enumerated"] = calls.get("enumerated", 0) + len(found)
+        return found
+
+    monkeypatch.setattr(
+        bijection, "tableau_to_marked_subset", counted("forward", tableau_to_marked_subset)
+    )
+    monkeypatch.setattr(bijection, "transpose", counted("transpose", transpose))
+    monkeypatch.setattr(bijection, "_rebuild", counted("inverse", bijection._rebuild))
+    monkeypatch.setattr(bijection, "enumerate_standard_tableaux", enumerate_counted)
+    monkeypatch.setattr(
+        MarkedSubset, "__post_init__", counted("MarkedSubset", MarkedSubset.__post_init__)
+    )
+    return calls
+
+
 class TestVerifyBijection:
     @pytest.mark.parametrize("n,j,count", [(4, 2, 2), (5, 2, 5), (6, 3, 16)])
     def test_passing_reports(self, n, j, count):
@@ -158,35 +189,45 @@ class TestVerifyBijection:
                 assert verify_bijection(n, j).duality_holds == expected
 
     def test_maps_each_side_once(self, monkeypatch):
-        # one forward map per tableau and one per transpose, one inverse map
-        # per marked subset, and a single enumeration of the tableaux
-        calls = {"forward": 0, "inverse": 0, "enumerate": 0}
+        # the verifier enumerates the shape and its conjugate once each, maps
+        # every enumerated tableau forward once (a transpose is looked up, not
+        # mapped), rebuilds every marked subset once from the object it holds,
+        # and builds no MarkedSubset beyond the images and the enumerated ones
+        calls = count_verifier_calls(monkeypatch)
+        for n, j, sides in [(8, 4, 1), (8, 3, 2)]:
+            calls.clear()
+            report = verify_bijection(n, j)
+            assert report.passed and report.duality_holds
+            assert calls == {
+                "enumerate": sides,
+                "enumerated": sides * report.tableau_count,
+                "forward": sides * report.tableau_count,
+                "transpose": report.tableau_count,
+                "inverse": report.marked_count,
+                "MarkedSubset": sides * report.tableau_count + report.marked_count,
+            }
 
-        def counted(name, fn):
-            def wrapper(*args):
-                calls[name] += 1
-                return fn(*args)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            bijection, "tableau_to_marked_subset", counted("forward", tableau_to_marked_subset)
-        )
-        monkeypatch.setattr(
-            bijection, "marked_subset_to_tableau", counted("inverse", marked_subset_to_tableau)
-        )
-        monkeypatch.setattr(
-            bijection,
-            "enumerate_standard_tableaux",
-            counted("enumerate", enumerate_standard_tableaux),
-        )
-        report = verify_bijection(8, 4)
-        assert report.passed and report.duality_holds
+    def test_cycle_maps_each_side_once(self, monkeypatch):
+        calls = count_verifier_calls(monkeypatch)
+        reports = verify_cycle(8)
+        tableaux = sum(report.tableau_count for report in reports)
+        marked = sum(report.marked_count for report in reports)
         assert calls == {
-            "forward": 2 * report.tableau_count,
-            "inverse": report.marked_count,
-            "enumerate": 1,
+            "enumerate": len(reports),
+            "enumerated": tableaux,
+            "forward": tableaux,
+            "transpose": tableaux,
+            "inverse": marked,
+            "MarkedSubset": tableaux + marked,
         }
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_cycle_equals_per_size_reports(self, n):
+        assert verify_cycle(n) == [verify_bijection(n, j) for j in range(2, n - 1)]
+
+    def test_cycle_domain_error(self):
+        with pytest.raises(DomainError):
+            verify_cycle(3)
 
     @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4)])
     def test_domain_errors(self, n, j):
@@ -207,14 +248,14 @@ class TestVerifyBijectionFailures:
         ],
     )
     def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
-        inverse = bijection.marked_subset_to_tableau
+        inverse = bijection._rebuild
 
-        def drifting(n, j, vertices, marker):
-            if (frozenset(vertices), marker) == (frozenset({2, 4}), 4):
+        def drifting(ms, j):
+            if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
                 return parse_tableau(drift)
-            return inverse(n, j, vertices, marker)
+            return inverse(ms, j)
 
-        monkeypatch.setattr(bijection, "marked_subset_to_tableau", drifting)
+        monkeypatch.setattr(bijection, "_rebuild", drifting)
         report = verify_bijection(5, 2)
         assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
         assert report.injective

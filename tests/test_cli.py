@@ -156,6 +156,22 @@ class TestVerify:
             "CHECKS FAILED\n"
         )
 
+    def test_duality_failure_on_the_longer_row_side(self, runner, monkeypatch):
+        # stuck on a (5, 3) tableau: (5, 3) must fail on its own transpose,
+        # while (5, 2), whose transposes include that tableau, still passes
+        def stuck(tableau):
+            return tableau if format_tableau(tableau) == "1,2,3;4,5" else transpose(tableau)
+
+        monkeypatch.setattr(bijection, "transpose", stuck)
+        result = runner.invoke(main, ["verify", "--n", "5"])
+        assert result.exit_code == 1
+        assert result.stdout == (
+            "n  j  tableaux  marked  bijection  duality\n"
+            "5  2         5       5       pass     pass\n"
+            "5  3         5       5       pass     FAIL\n"
+            "CHECKS FAILED\n"
+        )
+
     @pytest.mark.parametrize(
         "fmt,expected",
         [

@@ -132,6 +132,14 @@ class TestVertexSet:
             (5, [2.5], VertexRangeError, "vertices [2.5] fall outside 1..5"),
             (5, [True], VertexRangeError, "vertices [True] fall outside 1..5"),
             (5, [2, 4.0], VertexRangeError, "vertices [4.0] fall outside 1..5"),
+            # labels that do not compare with each other: numbers first, then the rest
+            (5, ["a", 2.5], VertexRangeError, "vertices [2.5, 'a'] fall outside 1..5"),
+            (
+                5,
+                [None, 7, "b", 3, 2.5, 1j, 0],
+                VertexRangeError,
+                "vertices [0, 2.5, 7, 'b', 1j, None] fall outside 1..5",
+            ),
         ],
     )
     def test_rejection_text(self, n, vertices, error, text):
@@ -282,6 +290,7 @@ class TestMarkedSubsetType:
                 4.0,
                 "marker 4.0 is not admissible for [2, 4] on the 5-cycle (admissible: [4])",
             ),
+            (5, {"a", 2.5}, 4, "vertices [2.5, 'a'] fall outside 1..5"),
         ],
     )
     def test_rejection_text(self, n, vertices, marker, text):

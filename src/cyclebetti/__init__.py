@@ -42,7 +42,6 @@ from .hochster import (
     betti,
     betti_table,
     linear_strand,
-    rotation_orbits,
 )
 from .homology import (
     IntMatrix,
@@ -113,7 +112,6 @@ __all__ = [
     "reduced_betti_dim",
     "restrict",
     "restriction_complex",
-    "rotation_orbits",
     "tableau_to_marked_subset",
     "transpose",
     "transpose_duality_holds",

@@ -82,9 +82,10 @@ def cmd_table(n: int, fmt: str) -> None:
     """Print the nonzero graded Betti numbers of the n-cycle.
 
     Every cell comes from Hochster's formula, computed on one vertex subset
-    per rotation orbit and weighted by the orbit's size.  Linear strand
-    rows also carry the count of standard tableaux of the matching
-    hook-plus-column shape, which equals the Betti number.
+    per arc type (the partition formed by its arc lengths) and weighted by
+    the number of subsets of that type.  Linear strand rows also carry the
+    count of standard tableaux of the matching hook-plus-column shape,
+    which equals the Betti number.
     """
     try:
         table = betti_table(n)

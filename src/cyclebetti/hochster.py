@@ -2,27 +2,28 @@
 
 The Betti number in homological degree i and internal degree j is the sum,
 over all vertex subsets W of size j, of the dimension of reduced homology
-in degree j - i - 1 of the restriction to W.  Rotations are automorphisms
-of the cycle, so rotated subsets have restrictions with equal homology:
-the full table computes one subset per rotation orbit, weighted by the
-orbit's size, and single cells scan their own subsets.  Every dimension is
-computed from boundary matrices; no vanishing is assumed anywhere, and the
-familiar shape of the answer (two corner entries and one linear strand) is
-something the test suite checks, never an input.
+in degree j - i - 1 of the restriction to W.  A proper nonempty W restricts
+to disjoint paths, so its homology depends only on its arc type: the
+partition of j formed by the arc lengths.  Every sum runs over one subset
+per arc type, weighted by the number of j-subsets of that type.  Every
+dimension is computed from boundary matrices; no vanishing is assumed
+anywhere, and the familiar shape of the answer (two corner entries and one
+linear strand) is something the test suite checks, never an input.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from math import comb, factorial, prod
 from typing import Iterator
 
 from .cycle import restrict
 from .errors import DomainError
 from .homology import cycle_reduced_homology
 
-# A full table visits about 2**n / n rotation orbits, which at this size is
-# a few seconds of exact rank computations.
+# The range the tests verify: every table up to this size is checked
+# against the closed forms of its corners and linear strand, and the arc
+# type counts against the binomials.  Larger cycles would run, unchecked.
 MAX_CYCLE_SIZE = 20
 
 
@@ -31,41 +32,55 @@ def _check_size(n: int, minimum: int) -> None:
         raise DomainError(f"supported cycle sizes are {minimum}..{MAX_CYCLE_SIZE}, got n={n}")
 
 
+def _partitions(total: int, largest: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into at most max_parts parts of size at most largest."""
+    if not total:
+        yield ()
+    elif max_parts:
+        for part in range(min(total, largest), 0, -1):
+            for rest in _partitions(total - part, part, max_parts - 1):
+                yield (part, *rest)
+
+
+def _arc_types(n: int, j: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One j-subset of the n-cycle per arc type, with the number of j-subsets of that type.
+
+    The arc types of a proper nonempty j-subset are the partitions of j into
+    c <= n - j parts, and the representative lays its arcs out in order with
+    one-vertex gaps.  A starting vertex, one of the perms distinct orderings
+    of the arcs and a composition of the n - j gap vertices into c parts
+    give each subset of the type once per choice of its first arc, so the
+    type has n * perms * C(n-j-1, c-1) / c subsets.  The empty subset and
+    the whole cycle are types of their own.
+    """
+    if j in (0, n):
+        yield tuple(range(1, j + 1)), 1
+        return
+    for arcs in _partitions(j, j, n - j):
+        subset, start = [], 1
+        for length in arcs:
+            subset.extend(range(start, start + length))
+            start += length + 1
+        c = len(arcs)
+        orderings = factorial(c) // prod(factorial(arcs.count(a)) for a in set(arcs))
+        yield tuple(subset), n * orderings * comb(n - j - 1, c - 1) // c
+
+
+def _column(n: int, j: int) -> list[int]:
+    """Hochster's sums for internal degree j; entry k is the Betti number (j - k, j)."""
+    column = [0] * (j + 1)
+    for subset, count in _arc_types(n, j):
+        for k, dim in enumerate(cycle_reduced_homology(n, subset)):
+            column[k] += count * dim
+    return column
+
+
 def betti(n: int, i: int, j: int) -> int:
-    """One graded Betti number of the n-cycle, summed over all j-subsets."""
+    """One graded Betti number of the n-cycle, summed over the arc types of size j."""
     _check_size(n, minimum=3)
     if not 0 <= i <= j <= n:
         raise DomainError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
-    degree = (j - i - 1,)
-    return sum(
-        cycle_reduced_homology(n, subset, degree)[0]
-        for subset in itertools.combinations(range(1, n + 1), j)
-    )
-
-
-def rotation_orbits(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """One vertex subset per rotation orbit of the n-cycle, with the orbit's size.
-
-    The subsets are the binary necklaces of length n (vertex v present when
-    bit v is 1), generated by the Fredricksen-Kessler-Maiorana algorithm in
-    the form of Ruskey, Savage and Wang.  A necklace is a Lyndon word of
-    length p repeated n / p times, and its orbit size is that smallest
-    period p.
-    """
-    _check_size(n, minimum=3)
-    word = [0] * (n + 1)  # word[1..n]; word[0] is unused
-    period = 1
-    while True:
-        if n % period == 0:
-            yield tuple(v for v in range(1, n + 1) if word[v]), period
-        period = n
-        while period and word[period]:
-            period -= 1
-        if not period:
-            return
-        word[period] = 1
-        for v in range(period + 1, n + 1):
-            word[v] = word[v - period]
+    return _column(n, j)[j - i]
 
 
 @dataclass
@@ -84,20 +99,10 @@ class BettiTable:
 
 
 def betti_table(n: int) -> BettiTable:
-    """The full table for 0 <= i <= j <= n, in one pass over rotation orbits.
-
-    Each orbit representative W of size j has its reduced homology computed
-    in every degree -1..j-1 at once, and the orbit size times the degree
-    j - i - 1 dimension goes into cell (i, j) for every i = 0..j.
-    """
+    """The full table for 0 <= i <= j <= n, one Hochster column per internal degree j."""
     _check_size(n, minimum=4)
-    entries = {(i, j): 0 for j in range(n + 1) for i in range(j + 1)}
-    for subset, orbit_size in rotation_orbits(n):
-        j = len(subset)
-        dims = cycle_reduced_homology(n, subset, range(-1, j))
-        for i in range(j + 1):
-            entries[i, j] += orbit_size * dims[j - i]
-    return BettiTable(n, entries)
+    columns = [_column(n, j) for j in range(n + 1)]
+    return BettiTable(n, {(i, j): columns[j][j - i] for j in range(n + 1) for i in range(j + 1)})
 
 
 def linear_strand(n: int, j: int) -> int:
@@ -112,6 +117,5 @@ def linear_strand(n: int, j: int) -> int:
     if not 2 <= j <= n - 2:
         raise DomainError(f"the linear strand covers 2 <= j <= n-2, got j={j}, n={n}")
     return sum(
-        restrict(n, subset).component_count - 1
-        for subset in itertools.combinations(range(1, n + 1), j)
+        count * (restrict(n, subset).component_count - 1) for subset, count in _arc_types(n, j)
     )

@@ -200,28 +200,22 @@ def cycle_boundary_matrix(n: int, vertices: Iterable[int], d: int) -> IntMatrix:
     return _cycle_boundary(vs, edges, d)
 
 
-def cycle_reduced_homology(n: int, vertices: Iterable[int], degrees: Iterable[int]) -> list[int]:
-    """Reduced homology dimensions of a cycle restriction, one per requested degree.
+def cycle_reduced_homology(n: int, vertices: Iterable[int]) -> list[int]:
+    """Reduced homology dimensions of a cycle restriction in degrees -1..|W|-1.
 
-    Each is the nullity of the d-th boundary map minus the rank of the
-    (d+1)-st, both maps as cycle_boundary_matrix builds them, so the values
-    equal reduced_betti_dim(restriction_complex(n, vertices), d).  Each rank
-    is computed once, however many requested degrees share it.
+    Entry k is the degree k - 1 dimension: the nullity of that boundary map
+    minus the rank of the next, both maps as cycle_boundary_matrix builds
+    them, so it equals reduced_betti_dim(restriction_complex(n, vertices),
+    k - 1).  Each rank is computed once.
     """
     vs, edges = _cycle_faces(n, vertices)
     face_counts = _face_counts(vs, edges)
-    ranks: dict[int, int] = {}
-
-    def rank(d: int) -> int:
-        if d not in ranks:
-            # a matrix without rows or without columns has rank 0
-            if face_counts.get(d - 1) and face_counts.get(d):
-                ranks[d] = matrix_rank(_cycle_boundary(vs, edges, d))
-            else:
-                ranks[d] = 0
-        return ranks[d]
-
-    return [_homology_dim(face_counts.get(d, 0) - rank(d), rank(d + 1)) for d in degrees]
+    # rank of the d-th boundary map at index d + 1, for d = -1..|W|
+    ranks = [matrix_rank(_cycle_boundary(vs, edges, d)) for d in range(-1, len(vs) + 1)]
+    return [
+        _homology_dim(face_counts.get(d, 0) - ranks[d + 1], ranks[d + 2])
+        for d in range(-1, len(vs))
+    ]
 
 
 def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:

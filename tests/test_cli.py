@@ -58,8 +58,8 @@ class TestTable:
         result = runner.invoke(main, ["table", "--n", n])
         assert result.exit_code == 2
 
-    def test_largest_size_matches_closed_forms(self, runner):
-        n = 20
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_largest_size_matches_closed_forms(self, runner, n):
         result = runner.invoke(main, ["table", "--n", str(n), "--format", "json"])
         assert result.exit_code == 0
         strand = {(j - 1, j): hook_length_count(hook_shape(n, j)) for j in range(2, n - 1)}

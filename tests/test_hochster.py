@@ -1,13 +1,16 @@
 import itertools
+from collections import Counter
 from math import comb
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cyclebetti.hochster as hochster
-from cyclebetti.cycle import marked_subsets
+from cyclebetti.cycle import marked_subsets, restrict
 from cyclebetti.errors import DomainError
-from cyclebetti.hochster import betti, betti_table, linear_strand, rotation_orbits
-from cyclebetti.homology import reduced_betti_dim, restriction_complex
+from cyclebetti.hochster import betti, betti_table, linear_strand
+from cyclebetti.homology import cycle_reduced_homology, reduced_betti_dim, restriction_complex
 from cyclebetti.tableaux import hook_length_count, hook_shape
 
 
@@ -20,6 +23,11 @@ def brute_force_table(n):
             for i in range(j + 1):
                 entries[i, j] += reduced_betti_dim(k, j - i - 1)
     return entries
+
+
+def arc_type(n, w):
+    """The arc lengths of the restriction to w, longest first."""
+    return tuple(sorted(map(len, restrict(n, w).components), reverse=True))
 
 
 class TestBetti:
@@ -47,16 +55,17 @@ class TestBetti:
                 assert betti(n, i, j) == value
 
     def test_scans_only_its_own_subsets(self, monkeypatch):
+        # one homology call per arc type of size j: (3), (2, 1) and (1, 1, 1)
         requests = []
         real = hochster.cycle_reduced_homology
 
-        def spy(n, vertices, degrees):
-            requests.append((len(tuple(vertices)), tuple(degrees)))
-            return real(n, vertices, degrees)
+        def spy(n, vertices):
+            requests.append(tuple(vertices))
+            return real(n, vertices)
 
         monkeypatch.setattr(hochster, "cycle_reduced_homology", spy)
         assert betti(10, 2, 3) == hook_length_count(hook_shape(10, 3))
-        assert requests == [(3, (0,))] * comb(10, 3)
+        assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
 
     @pytest.mark.parametrize("n,i,j", [(5, 3, 2), (5, 0, 6), (5, -1, 2), (2, 0, 0), (21, 0, 0)])
     def test_domain_errors(self, n, i, j):
@@ -87,30 +96,34 @@ class TestBettiTable:
             betti_table(n)
 
 
-class TestRotationOrbits:
-    def test_weights_sum_to_binomials(self):
+class TestArcTypes:
+    def test_counts_match_a_brute_force_tally(self):
+        for n in range(3, 13):
+            for j in range(n + 1):
+                subsets = itertools.combinations(range(1, n + 1), j)
+                tally = Counter(arc_type(n, w) for w in subsets)
+                counts = {arc_type(n, w): count for w, count in hochster._arc_types(n, j)}
+                assert counts == tally
+
+    def test_counts_sum_to_binomials(self):
         for n in range(3, 21):
-            weights = [0] * (n + 1)
-            for subset, orbit_size in rotation_orbits(n):
-                weights[len(subset)] += orbit_size
-            assert weights == [comb(n, j) for j in range(n + 1)]
+            for j in range(n + 1):
+                assert sum(count for _, count in hochster._arc_types(n, j)) == comb(n, j)
 
-    def test_orbits_partition_the_subsets(self):
-        for n in range(3, 11):
-            seen = set()
-            for subset, orbit_size in rotation_orbits(n):
-                orbit = {
-                    frozenset((v + r - 1) % n + 1 for v in subset) for r in range(n)
-                }
-                assert len(orbit) == orbit_size
-                assert seen.isdisjoint(orbit)
-                seen |= orbit
-            assert len(seen) == 2**n
+    def test_each_representative_has_its_own_type(self):
+        for n in range(3, 21):
+            for j in range(n + 1):
+                types = [arc_type(n, w) for w, _ in hochster._arc_types(n, j)]
+                assert len(set(types)) == len(types)
+                assert all(sum(t) == j for t in types)
 
-    @pytest.mark.parametrize("n", [2, 0, -1, 21])
-    def test_rejects_out_of_range_sizes(self, n):
-        with pytest.raises(DomainError):
-            list(rotation_orbits(n))
+    @given(st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+    def test_homology_depends_only_on_arc_type(self, case):
+        # the one assumption the arc-type sums rest on, past the brute-force range
+        n, w = case
+        representatives = {arc_type(n, r): r for r, _ in hochster._arc_types(n, len(w))}
+        representative = representatives[arc_type(n, w)]
+        assert cycle_reduced_homology(n, w) == cycle_reduced_homology(n, representative)
 
 
 class TestLinearStrand:
@@ -126,6 +139,18 @@ class TestLinearStrand:
         for n in range(4, 13):
             for j in range(2, n - 1):
                 assert linear_strand(n, j) == betti(n, j - 1, j)
+
+    def test_arc_count_identity(self):
+        # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets
+        # have c arcs, and each adds c - 1 to the strand
+        for n in range(4, 21):
+            for j in range(2, n - 1):
+                total = 0
+                for c in range(1, min(j, n - j) + 1):
+                    subsets, remainder = divmod(n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1), c)
+                    assert remainder == 0
+                    total += (c - 1) * subsets
+                assert linear_strand(n, j) == total == hook_length_count(hook_shape(n, j))
 
     def test_matches_marked_subsets(self):
         for n in range(4, 10):

@@ -6,8 +6,9 @@ reads the pair off the cell at (2, 2); the inverse rebuilds the filling
 from sorted rows and columns.  Both directions are constructive, and the
 verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
-time: transposing a tableau of one shape gives a tableau of the other, so
-the transpose's marked subset is looked up in the other shape's images.
+time, and validates each object once: every forward image, rebuilt filling
+and transpose is looked up among the enumerated objects, and built afresh
+only when it lies outside them.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ from .tableaux import (
     enumerate_standard_tableaux,
     format_tableau,
     hook_shape,
-    transpose,
+    _transposed_rows,
 )
 
-Images = dict[Tableau, MarkedSubset]  # forward images of every tableau of one shape
+Rows = tuple[tuple[int, ...], ...]
+# one shape's enumerated tableaux by rows, its enumerated marked subsets, and each tableau's image
+Side = tuple[dict[Rows, Tableau], list[MarkedSubset], dict[Tableau, MarkedSubset]]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -48,14 +51,19 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     its initial cell.  Standardness leaves no third location, so reaching
     one means the tableau is corrupt.
     """
-    lengths = tuple(map(len, tableau.rows))
-    n, j = sum(lengths), lengths[0]
     try:
-        expected = hook_shape(n, j).parts
+        parts = hook_shape(tableau.n, len(tableau.rows[0])).parts
     except DomainError as exc:
         raise WrongShapeError(str(exc)) from exc
-    if lengths != expected:
-        raise WrongShapeError(f"expected shape {expected} for n={n}, j={j}, got {lengths}")
+    return MarkedSubset(*_read(tableau, parts))
+
+
+def _read(tableau: Tableau, parts: tuple[int, ...]) -> tuple[int, frozenset[int], int]:
+    """(n, subset, marker) of a tableau whose row lengths must be the hook-plus-column parts."""
+    lengths = tuple(map(len, tableau.rows))
+    if lengths != parts:
+        n, j = sum(lengths), lengths[0]
+        raise WrongShapeError(f"expected shape {parts} for n={n}, j={j}, got {lengths}")
     marker = tableau.entry(2, 2)
     row, col = tableau.position_of(marker - 1)
     if row == 1:
@@ -67,7 +75,7 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
             f"predecessor of the marker sits at ({row}, {col}), "
             "outside both the first row and the first column"
         )
-    return MarkedSubset(n, subset, marker)
+    return sum(parts), subset, marker
 
 
 def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: int) -> Tableau:
@@ -86,7 +94,22 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
 
 def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
     """marked_subset_to_tableau for a marked subset that is already built."""
-    if ms.size != j:
+    rows = _rebuilt_rows(ms, j)
+    try:
+        tableau = Tableau(rows)
+    except TableauValidationError as exc:
+        raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
+    if not tableau.entry(2, 2) > max(tableau.entry(1, 2), tableau.entry(2, 1)):
+        raise ImpossibleBranchError(
+            f"marker {ms.marker} at (2, 2) does not exceed both neighbours in "
+            f"{format_tableau(tableau)}"
+        )
+    return tableau
+
+
+def _rebuilt_rows(ms: MarkedSubset, j: int) -> Rows:
+    """The rows _rebuild validates: the filling of a marked subset whose size must be j."""
+    if type(j) is not int or ms.size != j:
         raise InvalidMarkedSubsetError(
             f"subset {sorted(ms.vertices)} has size {ms.size}, expected j={j}"
         )
@@ -99,18 +122,7 @@ def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
     else:
         first_row = [outside[0]] + [v for v in inside if v != marker]
         column_below = outside[1:]
-    built = [tuple(first_row), (column_below[0], marker)]
-    built.extend((v,) for v in column_below[1:])
-    try:
-        tableau = Tableau(tuple(built))
-    except TableauValidationError as exc:
-        raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
-    if not tableau.entry(2, 2) > max(tableau.entry(1, 2), tableau.entry(2, 1)):
-        raise ImpossibleBranchError(
-            f"marker {marker} at (2, 2) does not exceed both neighbours in "
-            f"{format_tableau(tableau)}"
-        )
-    return tableau
+    return (tuple(first_row), (column_below[0], marker), *((v,) for v in column_below[1:]))
 
 
 @dataclass
@@ -141,37 +153,41 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
 
     Confirms injectivity over all standard tableaux of the hook-plus-column
     shape, image equality with the enumerated marked subsets, both round
-    trips, and transpose duality.  The conjugate shape is enumerated and
-    mapped too, so each transpose's marked subset is a lookup.  Every
-    tableau is mapped forward once and every marked subset back once; the
-    round trips call a map afresh only for a value outside the side checked.
-    Counterexamples are collected in the report rather than raised, so
-    callers can render them.
+    trips, and transpose duality.  The conjugate shape is enumerated too, so
+    each transpose is a lookup.  Every tableau is read forward once and every
+    marked subset rebuilt once; the round trips call a map afresh only for a
+    value outside the side checked.  Counterexamples are collected in the
+    report rather than raised, so callers can render them.
     """
-    image = _images(n, j)
-    return _report(n, j, image, image if 2 * j == n else _images(n, n - j))
+    side = _side(n, j)
+    return _report(n, j, side, side if 2 * j == n else _side(n, n - j))
 
 
 def verify_cycle(n: int) -> list[BijectionReport]:
     """verify_bijection(n, j) for j = 2..n-2 in order, holding one pair {j, n - j} at a time."""
-    if n < 4:
+    if type(n) is not int or n < 4:
         raise DomainError(f"hook shapes need n >= 4, got n={n}")
     reports = {}
     for j in range(2, n // 2 + 1):
-        images = {k: _images(n, k) for k in sorted({j, n - j})}
-        reports.update({k: _report(n, k, images[k], images[n - k]) for k in images})
-        del images  # release this pair before the next is built
+        sides = {k: _side(n, k) for k in sorted({j, n - j})}
+        reports.update({k: _report(n, k, sides[k], sides[n - k]) for k in sides})
+        del sides  # release this pair before the next is built
     return [reports[j] for j in sorted(reports)]
 
 
-def _images(n: int, j: int) -> Images:
-    """Every standard tableau of shape (j, 2, 1, ..., 1), mapped forward once."""
-    return {t: tableau_to_marked_subset(t) for t in enumerate_standard_tableaux(hook_shape(n, j))}
-
-
-def _report(n: int, j: int, image: Images, conjugate: Images) -> BijectionReport:
-    """The report for (n, j), from the forward images of shape j and of its conjugate."""
+def _side(n: int, j: int) -> Side:
+    """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
+    shape = hook_shape(n, j)
+    tableaux = {t.rows: t for t in enumerate_standard_tableaux(shape)}
     marked = marked_subsets(n, j)
+    known = {(ms.vertices, ms.marker): ms for ms in marked}
+    reads = {t: _read(t, shape.parts) for t in tableaux.values()}
+    return tableaux, marked, {t: known.get(r[1:]) or MarkedSubset(*r) for t, r in reads.items()}
+
+
+def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
+    """The report for (n, j), from the enumerations and images of shape j and of its conjugate."""
+    tableaux, marked, image = side
     mismatches: list[str] = []
 
     forward: dict[MarkedSubset, Tableau] = {}
@@ -195,7 +211,7 @@ def _report(n: int, j: int, image: Images, conjugate: Images) -> BijectionReport
     for ms in sorted(marked_set - forward.keys(), key=_order):
         mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
 
-    preimage = {ms: _rebuild(ms, j) for ms in marked}
+    preimage = {ms: tableaux.get(_rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked}
     round_trips_ok = True
     for t, ms in image.items():
         try:
@@ -239,12 +255,14 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     hook-plus-column shape, and its marked subset should be the complement
     with the same marker attached.
     """
-    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), {})
+    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), ({}, [], {}))
 
 
-def _transpose_complements(tableau: Tableau, ms: MarkedSubset, conjugate: Images) -> bool:
-    """Whether transpose(tableau) maps to the complement of ms; conjugate may hold its image."""
-    t = transpose(tableau)
-    ms_t = conjugate.get(t) or tableau_to_marked_subset(t)
+def _transpose_complements(tableau: Tableau, ms: MarkedSubset, conjugate: Side) -> bool:
+    """Whether transpose(tableau) maps to the complement of ms; a lookup if conjugate holds it."""
+    rows = _transposed_rows(tableau.rows)
+    tableaux, _, image = conjugate
+    t = tableaux.get(rows)
+    ms_t = image[t] if t else tableau_to_marked_subset(Tableau(rows))
     everything = frozenset(range(1, ms.n + 1))
     return ms_t.vertices == everything - ms.vertices and ms_t.marker == ms.marker

@@ -28,10 +28,10 @@ from .errors import (
 def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     """The vertex subset as a frozenset, once n and every label are checked.
 
-    This is the one input rule for a subset of the n-cycle: n >= 3, and
-    every vertex is an int (not a float or a bool) in 1..n.
+    This is the one input rule for a subset of the n-cycle: n is an int
+    >= 3, and every vertex is an int in 1..n (never a float or a bool).
     """
-    if n < 3:
+    if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     vs = frozenset(vertices)
     if vs and (set(map(type, vs)) != {int} or min(vs) < 1 or max(vs) > n):
@@ -144,7 +144,7 @@ def marked_subsets(n: int, j: int) -> list[MarkedSubset]:
     Pairs sharing a subset are listed with markers ascending.  A size j
     outside 2..n-2 admits no marked subsets and raises DomainError.
     """
-    if not 2 <= j <= n - 2:
+    if type(n) is not int or type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"no marked subsets of size {j} on the {n}-cycle (need 2 <= j <= n-2)")
     out = []
     for combo in itertools.combinations(range(1, n + 1), j):

@@ -28,7 +28,7 @@ MAX_CYCLE_SIZE = 20
 
 
 def _check_size(n: int, minimum: int) -> None:
-    if not minimum <= n <= MAX_CYCLE_SIZE:
+    if type(n) is not int or not minimum <= n <= MAX_CYCLE_SIZE:
         raise DomainError(f"supported cycle sizes are {minimum}..{MAX_CYCLE_SIZE}, got n={n}")
 
 
@@ -78,7 +78,7 @@ def _column(n: int, j: int) -> list[int]:
 def betti(n: int, i: int, j: int) -> int:
     """One graded Betti number of the n-cycle, summed over the arc types of size j."""
     _check_size(n, minimum=3)
-    if not 0 <= i <= j <= n:
+    if type(i) is not int or type(j) is not int or not 0 <= i <= j <= n:
         raise DomainError(f"need 0 <= i <= j <= n, got i={i}, j={j}, n={n}")
     return _column(n, j)[j - i]
 
@@ -114,7 +114,7 @@ def linear_strand(n: int, j: int) -> int:
     homology sum produces on the strand.
     """
     _check_size(n, minimum=4)
-    if not 2 <= j <= n - 2:
+    if type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"the linear strand covers 2 <= j <= n-2, got j={j}, n={n}")
     return sum(
         count * (restrict(n, subset).component_count - 1) for subset, count in _arc_types(n, j)

@@ -61,10 +61,10 @@ def hook_shape(n: int, j: int) -> Shape:
 
     The first row has length j and the remaining n - j cells hang below it
     in the first column, except for one cell widening the second row.
-    Needs n >= 4 and 2 <= j <= n - 2 so that both the row and the column
+    Needs ints n >= 4 and 2 <= j <= n - 2 so that both the row and the column
     are genuinely there.
     """
-    if n < 4 or not 2 <= j <= n - 2:
+    if type(n) is not int or type(j) is not int or n < 4 or not 2 <= j <= n - 2:
         raise DomainError(f"hook shapes need n >= 4 and 2 <= j <= n-2, got n={n}, j={j}")
     return Shape((j, 2) + (1,) * (n - j - 2))
 
@@ -139,8 +139,13 @@ class Tableau:
 
 def transpose(tableau: Tableau) -> Tableau:
     """Reflect across the main diagonal; the shape becomes its conjugate."""
-    cols = _column_lengths(tuple(map(len, tableau.rows)))  # the rows of a Tableau form a partition
-    return Tableau(tuple(tuple(map(itemgetter(c), tableau.rows[:k])) for c, k in enumerate(cols)))
+    return Tableau(_transposed_rows(tableau.rows))
+
+
+def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The columns of rows whose lengths form a partition, as the rows of the reflection."""
+    cols = _column_lengths(tuple(map(len, rows)))
+    return tuple(tuple(map(itemgetter(c), rows[:k])) for c, k in enumerate(cols))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:

@@ -17,9 +17,11 @@ from cyclebetti.errors import (
     DomainError,
     ImpossibleBranchError,
     InvalidMarkedSubsetError,
+    TableauValidationError,
     WrongShapeError,
 )
 from cyclebetti.tableaux import (
+    Shape,
     Tableau,
     enumerate_standard_tableaux,
     format_tableau,
@@ -87,6 +89,8 @@ class TestInverse:
             (5, 2, {}, 3),
             (5, 2, {2.5, 4}, 4),  # labels and markers are ints
             (5, 2, {2, 4}, 4.0),
+            (6, 3.0, {2, 4, 6}, 6),  # so are the sizes
+            (6.0, 3, {2, 4, 6}, 6),
         ],
     )
     def test_rejects_invalid_marked_subsets(self, n, j, vertices, marker):
@@ -137,8 +141,9 @@ class TestRoundTrips:
 
 
 def count_verifier_calls(monkeypatch):
-    # counts the verifier's enumerations (and the tableaux they yield), its
-    # forward maps, transposes and inverse rebuilds, and every MarkedSubset built
+    # counts the verifier's two enumerations (and the objects each yields),
+    # its forward reads, rebuilt and transposed rows, any call of the public
+    # maps, and every Shape, Tableau and MarkedSubset validated
     calls = {}
 
     def counted(name, fn):
@@ -148,21 +153,26 @@ def count_verifier_calls(monkeypatch):
 
         return wrapper
 
-    def enumerate_counted(shape):
-        found = enumerate_standard_tableaux(shape)
-        calls["enumerate"] = calls.get("enumerate", 0) + 1
-        calls["enumerated"] = calls.get("enumerated", 0) + len(found)
-        return found
+    def enumerated(name, fn):
+        def wrapper(*args):
+            found = fn(*args)
+            calls[f"{name} items"] = calls.get(f"{name} items", 0) + len(found)
+            return found
 
-    monkeypatch.setattr(
-        bijection, "tableau_to_marked_subset", counted("forward", tableau_to_marked_subset)
-    )
-    monkeypatch.setattr(bijection, "transpose", counted("transpose", transpose))
-    monkeypatch.setattr(bijection, "_rebuild", counted("inverse", bijection._rebuild))
-    monkeypatch.setattr(bijection, "enumerate_standard_tableaux", enumerate_counted)
-    monkeypatch.setattr(
-        MarkedSubset, "__post_init__", counted("MarkedSubset", MarkedSubset.__post_init__)
-    )
+        return counted(name, wrapper)
+
+    for name in ("enumerate_standard_tableaux", "marked_subsets"):
+        monkeypatch.setattr(bijection, name, enumerated(name, getattr(bijection, name)))
+    for name in (
+        "_read",
+        "_rebuilt_rows",
+        "_transposed_rows",
+        "tableau_to_marked_subset",
+        "_rebuild",
+    ):
+        monkeypatch.setattr(bijection, name, counted(name, getattr(bijection, name)))
+    for cls in (Shape, Tableau, MarkedSubset):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     return calls
 
 
@@ -189,22 +199,27 @@ class TestVerifyBijection:
                 assert verify_bijection(n, j).duality_holds == expected
 
     def test_maps_each_side_once(self, monkeypatch):
-        # the verifier enumerates the shape and its conjugate once each, maps
-        # every enumerated tableau forward once (a transpose is looked up, not
-        # mapped), rebuilds every marked subset once from the object it holds,
-        # and builds no MarkedSubset beyond the images and the enumerated ones
+        # the verifier enumerates the shape and its conjugate once each, with
+        # their marked subsets, and validates each enumerated object once and
+        # nothing else: every forward image, rebuilt filling and transpose is
+        # found among them by lookup, and no Shape is built per tableau
         calls = count_verifier_calls(monkeypatch)
         for n, j, sides in [(8, 4, 1), (8, 3, 2)]:
             calls.clear()
             report = verify_bijection(n, j)
             assert report.passed and report.duality_holds
+            tableaux, marked = sides * report.tableau_count, sides * report.marked_count
             assert calls == {
-                "enumerate": sides,
-                "enumerated": sides * report.tableau_count,
-                "forward": sides * report.tableau_count,
-                "transpose": report.tableau_count,
-                "inverse": report.marked_count,
-                "MarkedSubset": sides * report.tableau_count + report.marked_count,
+                "enumerate_standard_tableaux": sides,
+                "enumerate_standard_tableaux items": tableaux,
+                "marked_subsets": sides,
+                "marked_subsets items": marked,
+                "_read": tableaux,
+                "_transposed_rows": report.tableau_count,
+                "_rebuilt_rows": report.marked_count,
+                "Shape": sides,
+                "Tableau": tableaux,
+                "MarkedSubset": marked,
             }
 
     def test_cycle_maps_each_side_once(self, monkeypatch):
@@ -213,12 +228,16 @@ class TestVerifyBijection:
         tableaux = sum(report.tableau_count for report in reports)
         marked = sum(report.marked_count for report in reports)
         assert calls == {
-            "enumerate": len(reports),
-            "enumerated": tableaux,
-            "forward": tableaux,
-            "transpose": tableaux,
-            "inverse": marked,
-            "MarkedSubset": tableaux + marked,
+            "enumerate_standard_tableaux": len(reports),
+            "enumerate_standard_tableaux items": tableaux,
+            "marked_subsets": len(reports),
+            "marked_subsets items": marked,
+            "_read": tableaux,
+            "_transposed_rows": tableaux,
+            "_rebuilt_rows": marked,
+            "Shape": len(reports),
+            "Tableau": tableaux,
+            "MarkedSubset": marked,
         }
 
     @pytest.mark.parametrize("n", range(4, 12))
@@ -228,8 +247,10 @@ class TestVerifyBijection:
     def test_cycle_domain_error(self):
         with pytest.raises(DomainError):
             verify_cycle(3)
+        with pytest.raises(DomainError):
+            verify_cycle(6.0)
 
-    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4)])
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (6.0, 3), (6, 3.0)])
     def test_domain_errors(self, n, j):
         with pytest.raises(DomainError):
             verify_bijection(n, j)
@@ -248,14 +269,20 @@ class TestVerifyBijectionFailures:
         ],
     )
     def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
-        inverse = bijection._rebuild
+        # the inverse looks its rebuilt rows up and falls back on _rebuild:
+        # both drift, so a filling without a cell at (2, 2) gets through too
+        def drifting(inverse, drifted):
+            def wrapper(ms, j):
+                if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
+                    return drifted
+                return inverse(ms, j)
 
-        def drifting(ms, j):
-            if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
-                return parse_tableau(drift)
-            return inverse(ms, j)
+            return wrapper
 
-        monkeypatch.setattr(bijection, "_rebuild", drifting)
+        monkeypatch.setattr(
+            bijection, "_rebuilt_rows", drifting(bijection._rebuilt_rows, parse_tableau(drift).rows)
+        )
+        monkeypatch.setattr(bijection, "_rebuild", drifting(bijection._rebuild, parse_tableau(drift)))
         report = verify_bijection(5, 2)
         assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
         assert report.injective
@@ -270,14 +297,14 @@ class TestVerifyBijectionFailures:
 
     def test_colliding_forward_map_is_reported(self, monkeypatch):
         # the tableau of {2,5}|5 is read as {2,4}|4, which another tableau owns
-        forward = bijection.tableau_to_marked_subset
+        read = bijection._read
 
-        def colliding(tableau):
+        def colliding(tableau, parts):
             if format_tableau(tableau) == "1,2;3,5;4":
-                return MarkedSubset(5, frozenset({2, 4}), 4)
-            return forward(tableau)
+                return 5, frozenset({2, 4}), 4
+            return read(tableau, parts)
 
-        monkeypatch.setattr(bijection, "tableau_to_marked_subset", colliding)
+        monkeypatch.setattr(bijection, "_read", colliding)
         report = verify_bijection(5, 2)
         assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
         assert not report.injective
@@ -295,14 +322,14 @@ class TestVerifyBijectionFailures:
     def test_forward_image_of_wrong_size_is_reported(self, monkeypatch):
         # {1,3,4}|5 is a valid marked subset, but of size 3: mapping it back
         # to a (5, 2) tableau raises, and the report must say so
-        forward = bijection.tableau_to_marked_subset
+        read = bijection._read
 
-        def oversized(tableau):
+        def oversized(tableau, parts):
             if format_tableau(tableau) == "1,2;3,4;5":
-                return MarkedSubset(5, frozenset({1, 3, 4}), 5)
-            return forward(tableau)
+                return 5, frozenset({1, 3, 4}), 5
+            return read(tableau, parts)
 
-        monkeypatch.setattr(bijection, "tableau_to_marked_subset", oversized)
+        monkeypatch.setattr(bijection, "_read", oversized)
         report = verify_bijection(5, 2)
         assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
         assert report.injective
@@ -317,6 +344,93 @@ class TestVerifyBijectionFailures:
             "error: subset [1, 3, 4] has size 3, expected j=2",
             "marked round trip drifts: {2,4}|4 -> {1,3,4}|5",
         ]
+
+
+def substitute(monkeypatch, name, first, value):
+    # bijection.<name> returns value when its first argument equals first
+    fn = getattr(bijection, name)
+    monkeypatch.setattr(bijection, name, lambda arg, *rest: value if arg == first else fn(arg, *rest))
+
+
+def validated(monkeypatch, cls):
+    # records every object of cls that passes validation, in order
+    seen = []
+    check = cls.__post_init__
+
+    def recording(self):
+        check(self)
+        seen.append(self)
+
+    monkeypatch.setattr(cls, "__post_init__", recording)
+    return seen
+
+
+class TestVerifierLookupMisses:
+    # a transpose, rebuilt filling or forward image outside the enumerations
+    # is built and validated afresh: a valid one is reported as the maps
+    # themselves would report it, and an invalid one raises as they do
+    def test_transpose_outside_the_conjugate_shape(self, monkeypatch):
+        # 1,2;3,4;5 is "transposed" to itself, a (5, 2) tableau
+        t = parse_tableau("1,2;3,4;5")
+        substitute(monkeypatch, "_transposed_rows", t.rows, t.rows)
+        tableaux = validated(monkeypatch, Tableau)
+        report = verify_bijection(5, 2)
+        assert report.passed and not report.duality_holds and report.mismatches == []
+        assert len(tableaux) == 11 and tableaux[10] == t  # after the 10 enumerated
+
+    def test_non_standard_transpose_raises(self, monkeypatch):
+        bad = ((2, 1), (3, 4), (5,))
+        substitute(monkeypatch, "_transposed_rows", parse_tableau("1,2;3,4;5").rows, bad)
+        with pytest.raises(TableauValidationError) as excinfo:
+            verify_bijection(5, 2)
+        assert str(excinfo.value) == "row 1 is not strictly increasing: (2, 1)"
+
+    def test_rebuilt_filling_outside_the_shape(self, monkeypatch):
+        drift = parse_tableau("1,2,3;4,5")
+        substitute(monkeypatch, "_rebuilt_rows", MarkedSubset(5, frozenset({2, 4}), 4), drift.rows)
+        tableaux = validated(monkeypatch, Tableau)
+        report = verify_bijection(5, 2)
+        assert (report.injective, report.image_matches, report.duality_holds) == (True,) * 3
+        assert not report.round_trips_ok
+        assert report.mismatches == [
+            "tableau round trip drifts: 1,2;3,4;5 -> {2,4}|4 -> 1,2,3;4,5",
+            "marked round trip drifts: {2,4}|4 -> {2,3,5}|5",
+        ]
+        assert len(tableaux) == 11 and tableaux[10] == drift
+
+    def test_non_standard_rebuilt_filling_raises(self, monkeypatch):
+        bad = ((1, 2), (4, 3), (5,))
+        substitute(monkeypatch, "_rebuilt_rows", MarkedSubset(5, frozenset({2, 4}), 4), bad)
+        with pytest.raises(ImpossibleBranchError) as excinfo:
+            verify_bijection(5, 2)
+        assert str(excinfo.value) == (
+            "rebuilt filling is not standard: row 2 is not strictly increasing: (4, 3)"
+        )
+
+    def test_forward_image_outside_the_marked_subsets(self, monkeypatch):
+        # {2,4,6}|6 is valid on the 6-cycle, but of size 3: neither side holds it
+        outside = MarkedSubset(6, frozenset({2, 4, 6}), 6)
+        substitute(monkeypatch, "_read", parse_tableau("1,2;3,4;5;6"), (6, outside.vertices, 6))
+        marked = validated(monkeypatch, MarkedSubset)
+        report = verify_bijection(6, 2)
+        assert (report.injective, report.image_matches, report.round_trips_ok) == (True, False, False)
+        assert not report.duality_holds
+        assert report.mismatches == [
+            "image is not a marked subset: {2,4,6}|6",
+            "marked subset never hit: {2,4}|4",
+            "tableau round trip drifts: 1,2;3,4;5;6 -> {2,4,6}|6 -> "
+            "error: subset [2, 4, 6] has size 3, expected j=2",
+            "marked round trip drifts: {2,4}|4 -> {2,4,6}|6",
+        ]
+        assert len(marked) == 2 * 9 + 1 and marked.count(outside) == 1
+
+    def test_invalid_forward_image_raises(self, monkeypatch):
+        substitute(monkeypatch, "_read", parse_tableau("1,2;3,4;5"), (5, frozenset({2, 4}), 2))
+        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+            verify_bijection(5, 2)
+        assert str(excinfo.value) == (
+            "marker 2 is not admissible for [2, 4] on the 5-cycle (admissible: [4])"
+        )
 
 
 def random_marked_subset(rng, n, j):

@@ -5,7 +5,7 @@ from click.testing import CliRunner
 
 import cyclebetti.bijection as bijection
 from cyclebetti.cli import main
-from cyclebetti.tableaux import format_tableau, hook_length_count, hook_shape, transpose
+from cyclebetti.tableaux import hook_length_count, hook_shape, parse_tableau
 
 
 @pytest.fixture
@@ -120,6 +120,12 @@ class TestMapUnmap:
         assert result.output.strip() == text
 
 
+def stuck_on(text):
+    # the verifier's transposed rows, except that this tableau's stay in place
+    rows, transposed = parse_tableau(text).rows, bijection._transposed_rows
+    return lambda r: r if r == rows else transposed(r)
+
+
 class TestVerify:
     def test_range_passes(self, runner):
         result = runner.invoke(main, ["verify", "--n", "4..6"])
@@ -143,10 +149,7 @@ class TestVerify:
 
     def test_duality_failure_exits_one(self, runner, monkeypatch):
         # a transpose that leaves one tableau in place breaks duality for (5, 2)
-        def stuck(tableau):
-            return tableau if format_tableau(tableau) == "1,2;3,4;5" else transpose(tableau)
-
-        monkeypatch.setattr(bijection, "transpose", stuck)
+        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2;3,4;5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (
@@ -159,10 +162,7 @@ class TestVerify:
     def test_duality_failure_on_the_longer_row_side(self, runner, monkeypatch):
         # stuck on a (5, 3) tableau: (5, 3) must fail on its own transpose,
         # while (5, 2), whose transposes include that tableau, still passes
-        def stuck(tableau):
-            return tableau if format_tableau(tableau) == "1,2,3;4,5" else transpose(tableau)
-
-        monkeypatch.setattr(bijection, "transpose", stuck)
+        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2,3;4,5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (

@@ -43,7 +43,7 @@ class TestCycleEdges:
         assert frozenset({1, 3}) not in edges
         assert frozenset({2, 4}) not in edges
 
-    @pytest.mark.parametrize("n", [-1, 0, 1, 2])
+    @pytest.mark.parametrize("n", [-1, 0, 1, 2, 5.0])
     def test_rejects_small_cycles(self, n):
         with pytest.raises(InvalidCycleError):
             cycle_edges(n)
@@ -140,6 +140,8 @@ class TestVertexSet:
                 VertexRangeError,
                 "vertices [0, 2.5, 7, 'b', 1j, None] fall outside 1..5",
             ),
+            # n is an int too
+            (6.0, [2], InvalidCycleError, "cycle graphs need n >= 3, got n=6.0"),
         ],
     )
     def test_rejection_text(self, n, vertices, error, text):
@@ -225,7 +227,9 @@ class TestMarkedSubsets:
             keys = [(tuple(sorted(ms.vertices)), ms.marker) for ms in out]
             assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("n,j", [(5, 1), (5, 4), (5, 0), (5, 7), (3, 2), (4, 3)])
+    @pytest.mark.parametrize(
+        "n,j", [(5, 1), (5, 4), (5, 0), (5, 7), (3, 2), (4, 3), (6, 3.0), (6.0, 3)]
+    )
     def test_out_of_range_size_raises_domain_error(self, n, j):
         with pytest.raises(DomainError, match="no marked subsets"):
             marked_subsets(n, j)
@@ -291,6 +295,7 @@ class TestMarkedSubsetType:
                 "marker 4.0 is not admissible for [2, 4] on the 5-cycle (admissible: [4])",
             ),
             (5, {"a", 2.5}, 4, "vertices [2.5, 'a'] fall outside 1..5"),
+            (6.0, {2, 4}, 4, "cycle graphs need n >= 3, got n=6.0"),
         ],
     )
     def test_rejection_text(self, n, vertices, marker, text):

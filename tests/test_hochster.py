@@ -67,7 +67,19 @@ class TestBetti:
         assert betti(10, 2, 3) == hook_length_count(hook_shape(10, 3))
         assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
 
-    @pytest.mark.parametrize("n,i,j", [(5, 3, 2), (5, 0, 6), (5, -1, 2), (2, 0, 0), (21, 0, 0)])
+    @pytest.mark.parametrize(
+        "n,i,j",
+        [
+            (5, 3, 2),
+            (5, 0, 6),
+            (5, -1, 2),
+            (2, 0, 0),
+            (21, 0, 0),
+            (5.0, 1, 2),
+            (5, 1, 2.0),
+            (5, 1.0, 2),
+        ],
+    )
     def test_domain_errors(self, n, i, j):
         with pytest.raises(DomainError):
             betti(n, i, j)
@@ -90,7 +102,7 @@ class TestBettiTable:
         for n in range(4, 13):
             assert betti_table(n).entries == brute_force_table(n)
 
-    @pytest.mark.parametrize("n", [3, 2, 21])
+    @pytest.mark.parametrize("n", [3, 2, 21, 6.0])
     def test_rejects_out_of_range_sizes(self, n):
         with pytest.raises(DomainError):
             betti_table(n)
@@ -157,7 +169,7 @@ class TestLinearStrand:
             for j in range(2, n - 1):
                 assert linear_strand(n, j) == len(marked_subsets(n, j))
 
-    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (21, 2)])
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (21, 2), (6, 2.0), (6.0, 2)])
     def test_domain_errors(self, n, j):
         with pytest.raises(DomainError):
             linear_strand(n, j)

@@ -113,7 +113,7 @@ class TestHookShape:
         assert hook_shape(4, 2) == Shape((2, 2))
         assert hook_shape(7, 5) == Shape((5, 2))
 
-    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (4, 3), (4, 1)])
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (4, 3), (4, 1), (6.0, 3), (6, 3.0)])
     def test_rejects_out_of_range(self, n, j):
         with pytest.raises(DomainError):
             hook_shape(n, j)

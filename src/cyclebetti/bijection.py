@@ -14,6 +14,7 @@ only when it lies outside them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable
 
 from .cycle import MarkedSubset, marked_subsets
@@ -64,13 +65,14 @@ def _read(tableau: Tableau, parts: tuple[int, ...]) -> tuple[int, frozenset[int]
     if lengths != parts:
         n, j = sum(lengths), lengths[0]
         raise WrongShapeError(f"expected shape {parts} for n={n}, j={j}, got {lengths}")
+    rows = tableau.rows
     marker = tableau.entry(2, 2)
-    row, col = tableau.position_of(marker - 1)
-    if row == 1:
-        subset = frozenset(tableau.rows[0])
-    elif col == 1:
-        subset = frozenset((marker, *tableau.rows[0][1:]))
+    if marker - 1 in rows[0]:
+        subset = frozenset(rows[0])
+    elif marker - 1 in map(itemgetter(0), rows):
+        subset = frozenset((marker, *rows[0][1:]))
     else:
+        row, col = tableau.position_of(marker - 1)
         raise ImpossibleBranchError(
             f"predecessor of the marker sits at ({row}, {col}), "
             "outside both the first row and the first column"
@@ -117,12 +119,12 @@ def _rebuilt_rows(ms: MarkedSubset, j: int) -> Rows:
     inside = sorted(ms.vertices)
     outside = sorted(set(range(1, n + 1)) - ms.vertices)
     if 1 in ms.vertices:
-        first_row = inside
-        column_below = [v for v in outside if v != marker]
+        first_row, column_below = inside, outside
+        column_below.remove(marker)
     else:
-        first_row = [outside[0]] + [v for v in inside if v != marker]
-        column_below = outside[1:]
-    return (tuple(first_row), (column_below[0], marker), *((v,) for v in column_below[1:]))
+        first_row, column_below = [outside[0], *inside], outside[1:]
+        first_row.remove(marker)
+    return (tuple(first_row), (column_below[0], marker), *zip(column_below[1:]))
 
 
 @dataclass

@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from collections import Counter
 from typing import Any
 
 import click
@@ -132,10 +133,16 @@ def cmd_map(tableau_text: str) -> None:
 @click.option("--a", "marker", type=int, required=True, help="Marker; must be admissible for the subset.")
 def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
     """Rebuild the standard tableau for a marked subset."""
+    tokens = subset_text.replace(" ", "").split(",")
     try:
-        vertices = [int(tok) for tok in subset_text.replace(" ", "").split(",") if tok]
+        vertices = [int(tok) for tok in tokens if tok]
     except ValueError:
         raise click.UsageError(f'--set expects comma-separated integers, got {subset_text!r}')
+    if tokens != [""] and "" in tokens:  # a blank --set is the empty subset, rejected below
+        raise click.UsageError(f"--set has an empty entry, got {subset_text!r}")
+    repeated = sorted(v for v, count in Counter(vertices).items() if count > 1)
+    if repeated:
+        raise click.UsageError(f"--set repeats vertices {repeated}, got {subset_text!r}")
     try:
         tableau = marked_subset_to_tableau(n, j, vertices, marker)
     except (InvalidMarkedSubsetError, DomainError) as exc:

@@ -92,14 +92,20 @@ def marker_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
     complement of W when 1 is in W.  Both sides split into the same number
     of arcs, so either way there is one marker per component.
     """
+    vs = _proper_subset(n, vertices)
+    side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
+    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
+    return side.difference(map((1).__add__, side))
+
+
+def _proper_subset(n: int, vertices: Iterable[int]) -> frozenset[int]:
+    """vertex_set, for a subset that must be proper and nonempty to have markers."""
     vs = vertex_set(n, vertices)
     if not vs or len(vs) == n:
         raise UndefinedMarkerError(
             f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
         )
-    side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
-    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
-    return side - {v + 1 for v in side}
+    return vs
 
 
 def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
@@ -115,6 +121,10 @@ class MarkedSubset:
     The marker must be admissible for the subset, which forces the induced
     restriction into at least two components and pins down the containment
     law: vertex 1 lies in the subset exactly when the marker does not.
+    Admissibility is tested by membership, without building the marker set:
+    the marker must lie on the side avoiding vertex 1, its predecessor must
+    not, and it must not be that side's minimum.  The admissible markers are
+    listed only to word a rejection.
     """
 
     n: int
@@ -124,13 +134,19 @@ class MarkedSubset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", frozenset(self.vertices))
         try:
-            admissible = admissible_markers(self.n, self.vertices)
+            vs = _proper_subset(self.n, self.vertices)
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from exc
-        if type(self.marker) is not int or self.marker not in admissible:
+        n, m, has_one = self.n, self.marker, 1 in vs
+        # the side avoiding vertex 1 is vs, or its complement when 1 is in vs
+        outside = itertools.filterfalse(vs.__contains__, range(2, n + 1))
+        first = next(outside) if has_one else min(vs)
+        if type(m) is not int or not (
+            m <= n and (m in vs) != has_one and (m - 1 in vs) == has_one and m != first
+        ):
             raise InvalidMarkedSubsetError(
-                f"marker {self.marker} is not admissible for {sorted(self.vertices)} "
-                f"on the {self.n}-cycle (admissible: {sorted(admissible)})"
+                f"marker {m} is not admissible for {sorted(vs)} "
+                f"on the {n}-cycle (admissible: {sorted(admissible_markers(n, vs))})"
             )
 
     @property

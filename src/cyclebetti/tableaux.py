@@ -9,9 +9,10 @@ text format writes rows separated by ';' and entries by ',', so the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
 from math import factorial
 from operator import ge, itemgetter, le, lt
+from typing import Iterator
 
 from .errors import (
     DomainError,
@@ -47,13 +48,24 @@ class Shape:
 
 
 def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths of a partition, in one pass with a pointer down its parts."""
-    k, cols = len(parts), []
-    for c in range(parts[0]):
-        while parts[k - 1] <= c:  # k counts the parts longer than c
-            k -= 1
-        cols.append(k)
+    """Column lengths of a partition, one block of equal lengths per distinct part."""
+    cols: list[int] = []
+    for start, end, k in _column_blocks(parts):
+        cols += [k] * (end - start)
     return tuple(cols)
+
+
+def _column_blocks(parts: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
+    """(start, end, k) per distinct part, shortest first: columns start..end-1 hold k cells.
+
+    Column c holds one cell per part longer than c, so the columns between
+    two consecutive distinct parts share a length.
+    """
+    k, start = len(parts), 0
+    for part, run in groupby(reversed(parts)):
+        yield start, part, k
+        k -= len(tuple(run))
+        start = part
 
 
 def hook_shape(n: int, j: int) -> Shape:
@@ -143,9 +155,13 @@ def transpose(tableau: Tableau) -> Tableau:
 
 
 def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The columns of rows whose lengths form a partition, as the rows of the reflection."""
-    cols = _column_lengths(tuple(map(len, rows)))
-    return tuple(tuple(map(itemgetter(c), rows[:k])) for c, k in enumerate(cols))
+    """The columns of rows whose lengths form a partition, as the rows of the reflection.
+
+    Each block of equal-length columns is one zip over the slices of the rows reaching it.
+    """
+    blocks = _column_blocks(tuple(map(len, rows)))
+    columns = (zip(*map(itemgetter(slice(start, end)), rows[:k])) for start, end, k in blocks)
+    return tuple(chain.from_iterable(columns))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:

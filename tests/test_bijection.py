@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -71,6 +72,26 @@ class TestForward:
                     assert (predecessor_row == 1) == (1 in ms.vertices)
 
 
+    def test_read_matches_the_position_of_route(self):
+        for n in range(4, 10):
+            for j in range(2, n - 1):
+                shape = hook_shape(n, j)
+                for t in enumerate_standard_tableaux(shape):
+                    assert bijection._read(t, shape.parts) == read_by_position(t)
+
+
+def read_by_position(t):
+    # the forward read through the cell of the marker's predecessor: the
+    # subset is the first row when that cell is in it, and otherwise the
+    # marker and the first row past its initial cell
+    marker = t.entry(2, 2)
+    row, col = t.position_of(marker - 1)
+    if row == 1:
+        return t.n, frozenset(t.rows[0]), marker
+    assert col == 1
+    return t.n, frozenset((marker, *t.rows[0][1:])), marker
+
+
 class TestInverse:
     @pytest.mark.parametrize("text,vertices,marker", PENTAGON_PAIRS + HEXAGON_PAIRS)
     def test_known_pairs(self, text, vertices, marker):
@@ -138,6 +159,49 @@ class TestRoundTrips:
                 for ms in marked_subsets(n, j):
                     t = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
                     assert tableau_to_marked_subset(t) == ms
+
+
+def traced_lines(fn, *args):
+    # Python line events while fn runs; a loop inside a builtin adds none
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
+
+
+class TestInterpretedWork:
+    # both maps, duality and validation run a fixed number of Python lines
+    # at any n: every per-row, per-column and per-marker loop is a builtin's
+    @pytest.mark.parametrize("fraction", [0.2, 0.5, 0.8])
+    def test_round_trip_lines_do_not_grow_with_n(self, fraction):
+        counts = {n: round_trip_lines(n, round(fraction * n)) for n in (16, 2048)}
+        assert min(counts[16]) > 0
+        assert counts[2048] == counts[16]
+
+
+def round_trip_lines(n, j):
+    # line events of each call on two marked subsets of size j, one without
+    # vertex 1 and one with it, so that both branches of each map run
+    counts = []
+    for vertices, marker in [({2, *range(4, j + 3)}, 4), ({1, *range(3, j + 2)}, j + 2)]:
+        t = marked_subset_to_tableau(n, j, vertices, marker)
+        counts += [
+            traced_lines(MarkedSubset, n, frozenset(vertices), marker),
+            traced_lines(marked_subset_to_tableau, n, j, vertices, marker),
+            traced_lines(tableau_to_marked_subset, t),
+            traced_lines(transpose_duality_holds, t),
+        ]
+    return counts
 
 
 def count_verifier_calls(monkeypatch):

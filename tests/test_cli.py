@@ -109,6 +109,27 @@ class TestMapUnmap:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize(
+        "subset,text",
+        [
+            ("2,,4", "--set has an empty entry, got '2,,4'"),
+            (",2,4", "--set has an empty entry, got ',2,4'"),
+            ("2,4,", "--set has an empty entry, got '2,4,'"),
+            ("2,2,4", "--set repeats vertices [2], got '2,2,4'"),
+            ("4, 2,4,2", "--set repeats vertices [2, 4], got '4, 2,4,2'"),
+        ],
+    )
+    def test_unmap_rejects_empty_and_repeated_entries(self, runner, subset, text):
+        result = runner.invoke(main, ["unmap", "--n", "6", "--j", "2", "--set", subset, "--a", "4"])
+        assert result.exit_code == 2
+        assert f"Error: {text}\n" in combined_output(result)
+
+    @pytest.mark.parametrize("subset", [" 2,4", "2 , 4 ", "  2,  4"])
+    def test_unmap_accepts_surrounding_spaces(self, runner, subset):
+        result = runner.invoke(main, ["unmap", "--n", "6", "--j", "2", "--set", subset, "--a", "4"])
+        assert result.exit_code == 0
+        assert result.output == "1,2;3,4;5;6\n"
+
     @pytest.mark.parametrize("text", ["1,2;3,4;5", "1,3;2,4;5", "1,4;2,5;3"])
     def test_unmap_inverts_map(self, runner, text):
         mapped = runner.invoke(main, ["map", text]).output.strip()

@@ -1,7 +1,10 @@
 import itertools
+import math
+import random
 
 import pytest
 
+import cyclebetti.cycle as cycle
 from cyclebetti.cycle import (
     MarkedSubset,
     admissible_markers,
@@ -249,6 +252,18 @@ class TestMarkedSubsets:
                 for ms in marked_subsets(n, j):
                     assert (1 in ms.vertices) == (ms.marker not in ms.vertices)
 
+    @pytest.mark.parametrize("n,j", [(6, 3), (8, 2), (9, 5)])
+    def test_derives_markers_once_per_subset(self, monkeypatch, n, j):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return marker_set(*args)
+
+        monkeypatch.setattr(cycle, "marker_set", counted)
+        marked_subsets(n, j)
+        assert 0 < len(calls) <= math.comb(n, j)
+
 
 class TestMarkedSubsetType:
     def test_size_property(self):
@@ -306,3 +321,60 @@ class TestMarkedSubsetType:
     def test_accepts_iterable_vertices(self):
         ms = MarkedSubset(5, [2, 4], 4)
         assert ms.vertices == frozenset({2, 4})
+
+    def test_matches_the_set_based_rule(self):
+        # seeded random inputs, valid and invalid: markers drawn from the
+        # admissible set, anywhere from -1 to n + 2 (n + 1 follows n, which is
+        # in the subset half the time) or of the wrong type, labels past n,
+        # and cycle sizes that are too small or not ints
+        rng = random.Random(2015)
+        accepted = 0
+        for _ in range(6000):
+            n = rng.choice([5, 6, 7, 8, 9, 12] * 3 + [2, 3, 4, 6.0])
+            size = int(n)
+            vertices = set(rng.sample(range(1, size + 1), rng.randint(0, size)))
+            if rng.random() < 0.05:
+                vertices.add(rng.choice([0, size + 1, 2.5]))
+            proper = 0 < len(vertices) < size and vertices <= set(range(1, size + 1))
+            admissible = sorted(set_based_admissible(size, vertices)) if proper else []
+            marker = rng.choice(
+                [rng.randint(-1, size + 2), size, size + 1, 1, 2.0, True, None, "4"]
+                + admissible[:1] * 4
+                + admissible[-1:] * 4
+            )
+            expected = set_based_rejection(n, vertices, marker)
+            if expected is None:
+                accepted += 1
+                ms = MarkedSubset(n, frozenset(vertices), marker)
+                assert (ms.n, ms.vertices, ms.marker) == (n, vertices, marker)
+            else:
+                with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+                    MarkedSubset(n, frozenset(vertices), marker)
+                assert str(excinfo.value) == expected
+        assert 1000 < accepted < 5000
+
+
+def set_based_admissible(n, vs):
+    # the markers as first defined: arc starts on the side avoiding vertex 1,
+    # less the smallest
+    side = vs if 1 not in vs else set(range(1, n + 1)) - vs
+    markers = {v for v in side if v - 1 not in side}
+    return markers - {min(markers)}
+
+
+def set_based_rejection(n, vertices, marker):
+    # the rule as first written: build the admissible set, then test
+    # membership; returns the rejection text, or None for a valid marked subset
+    try:
+        vs = vertex_set(n, vertices)
+    except (InvalidCycleError, VertexRangeError) as exc:
+        return str(exc)
+    if not vs or len(vs) == n:
+        return f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
+    admissible = set_based_admissible(n, vs)
+    if type(marker) is int and marker in admissible:
+        return None
+    return (
+        f"marker {marker} is not admissible for {sorted(vs)} on the {n}-cycle "
+        f"(admissible: {sorted(admissible)})"
+    )

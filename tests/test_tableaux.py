@@ -50,6 +50,13 @@ def reference_transpose(rows):
     return tuple(tuple(columns[c]) for c in sorted(columns))
 
 
+def row_major_filling(parts):
+    # rows of the given lengths holding 1..n in reading order (standard, but
+    # the row helpers only move entries, so any distinct values would do)
+    values = iter(range(1, sum(parts) + 1))
+    return tuple(tuple(next(values) for _ in range(part)) for part in parts)
+
+
 @st.composite
 def standard_tableaux(draw):
     n = draw(st.integers(1, 7))
@@ -98,6 +105,20 @@ class TestShape:
     def test_conjugate_matches_column_count_formula_on_random_partitions(self, parts):
         parts = tuple(sorted(parts, reverse=True))
         assert Shape(parts).conjugate().parts == reference_conjugate(parts)
+
+    def test_row_helpers_match_per_column_references(self):
+        for n in range(1, 11):
+            for parts in partitions_of(n):
+                rows = row_major_filling(parts)
+                assert tableaux._column_lengths(parts) == reference_conjugate(parts)
+                assert tableaux._transposed_rows(rows) == reference_transpose(rows)
+
+    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+    def test_row_helpers_match_per_column_references_on_random_partitions(self, parts):
+        parts = tuple(sorted(parts, reverse=True))
+        rows = row_major_filling(parts)
+        assert tableaux._column_lengths(parts) == reference_conjugate(parts)
+        assert tableaux._transposed_rows(rows) == reference_transpose(rows)
 
     def test_conjugate_is_involutive(self):
         for n in range(1, 9):

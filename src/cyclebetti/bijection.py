@@ -8,12 +8,14 @@ verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
 time, and validates each object once: every forward image, rebuilt filling
 and transpose is looked up among the enumerated objects, and built afresh
-only when it lies outside them.
+only when it lies outside them.  Tableaux are keyed by reading word, and
+each shape transposes all of its reading words with one permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -31,11 +33,13 @@ from .tableaux import (
     format_tableau,
     hook_shape,
     _transposed_rows,
+    _word_transposer,
 )
 
 Rows = tuple[tuple[int, ...], ...]
-# one shape's enumerated tableaux by rows, its enumerated marked subsets, and each tableau's image
-Side = tuple[dict[Rows, Tableau], list[MarkedSubset], dict[Tableau, MarkedSubset]]
+Word = tuple[int, ...]
+# per shape: tableaux and images by reading word (same order), marked subsets, word transposer
+Side = tuple[dict[Word, Tableau], list[MarkedSubset], dict[Word, MarkedSubset], itemgetter]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -180,28 +184,35 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
     shape = hook_shape(n, j)
-    tableaux = {t.rows: t for t in enumerate_standard_tableaux(shape)}
+    tableaux = {t.reading_word: t for t in enumerate_standard_tableaux(shape)}
     marked = marked_subsets(n, j)
     known = {(ms.vertices, ms.marker): ms for ms in marked}
-    reads = {t: _read(t, shape.parts) for t in tableaux.values()}
-    return tableaux, marked, {t: known.get(r[1:]) or MarkedSubset(*r) for t, r in reads.items()}
+    reads = {w: _read(t, shape.parts) for w, t in tableaux.items()}
+    image = {w: known.get(r[1:]) or MarkedSubset(*r) for w, r in reads.items()}
+    return tableaux, marked, image, _word_transposer(shape.parts)
+
+
+def _enumerated(tableaux: dict[Word, Tableau], rows: Rows) -> Tableau | None:
+    """The enumerated tableau with exactly these rows, found by their reading word."""
+    t = tableaux.get(tuple(chain.from_iterable(rows)))
+    return t if t and t.rows == rows else None
 
 
 def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     """The report for (n, j), from the enumerations and images of shape j and of its conjugate."""
-    tableaux, marked, image = side
+    tableaux, marked, image, transposed = side
     mismatches: list[str] = []
 
     forward: dict[MarkedSubset, Tableau] = {}
-    for t, ms in image.items():
-        if ms in forward:
+    for t, ms in zip(tableaux.values(), image.values()):
+        if forward.setdefault(ms, t) is not t:
             mismatches.append(
                 f"collision: {format_tableau(forward[ms])} and {format_tableau(t)} "
                 f"both map to {format_marked_subset(ms)}"
             )
-        forward.setdefault(ms, t)
     injective = len(forward) == len(image)
-    duality_holds = all(_transpose_complements(t, ms, conjugate) for t, ms in image.items())
+    transposes = map(conjugate[2].get, map(transposed, image))  # None where the lookup misses
+    duality_holds = all(map(_transpose_complements, tableaux.values(), image.values(), transposes))
 
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
         return tuple(sorted(ms.vertices)), ms.marker
@@ -213,12 +224,12 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     for ms in sorted(marked_set - forward.keys(), key=_order):
         mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
 
-    preimage = {ms: tableaux.get(_rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked}
+    preimage = {ms: _enumerated(tableaux, _rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked}
     round_trips_ok = True
-    for t, ms in image.items():
+    for t, ms in zip(tableaux.values(), image.values()):
         try:
             back = preimage.get(ms) or _rebuild(ms, j)
-            drift = "" if back == t else format_tableau(back)
+            drift = "" if back.rows == t.rows else format_tableau(back)
         except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"
         if drift:
@@ -229,7 +240,8 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
             )
     for ms, t in preimage.items():
         try:
-            back_ms = image.get(t) or tableau_to_marked_subset(t)
+            w = t.reading_word  # enumerated tableaux are the very objects stored by word
+            back_ms = image[w] if tableaux.get(w) is t else tableau_to_marked_subset(t)
             drift = "" if back_ms == ms else format_marked_subset(back_ms)
         except (InvalidMarkedSubsetError, WrongShapeError) as exc:
             drift = f"error: {exc}"
@@ -257,14 +269,11 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     hook-plus-column shape, and its marked subset should be the complement
     with the same marker attached.
     """
-    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), ({}, [], {}))
+    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), None)
 
 
-def _transpose_complements(tableau: Tableau, ms: MarkedSubset, conjugate: Side) -> bool:
-    """Whether transpose(tableau) maps to the complement of ms; a lookup if conjugate holds it."""
-    rows = _transposed_rows(tableau.rows)
-    tableaux, _, image = conjugate
-    t = tableaux.get(rows)
-    ms_t = image[t] if t else tableau_to_marked_subset(Tableau(rows))
+def _transpose_complements(tableau: Tableau, ms: MarkedSubset, ms_t: MarkedSubset | None) -> bool:
+    """Whether transpose(tableau) maps to the complement of ms; ms_t is that image if looked up."""
+    ms_t = ms_t or tableau_to_marked_subset(Tableau(_transposed_rows(tableau.rows)))
     everything = frozenset(range(1, ms.n + 1))
     return ms_t.vertices == everything - ms.vertices and ms_t.marker == ms.marker

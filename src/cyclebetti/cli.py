@@ -133,7 +133,7 @@ def cmd_map(tableau_text: str) -> None:
 @click.option("--a", "marker", type=int, required=True, help="Marker; must be admissible for the subset.")
 def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
     """Rebuild the standard tableau for a marked subset."""
-    tokens = subset_text.replace(" ", "").split(",")
+    tokens = [token.strip() for token in subset_text.split(",")]
     try:
         vertices = [int(tok) for tok in tokens if tok]
     except ValueError:

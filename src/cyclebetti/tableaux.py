@@ -9,9 +9,10 @@ text format writes rows separated by ';' and entries by ',', so the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from bisect import bisect
+from itertools import accumulate, chain, combinations, groupby
 from math import factorial
-from operator import ge, itemgetter, le, lt
+from operator import ge, itemgetter, le, lt, sub
 from typing import Iterator
 
 from .errors import (
@@ -164,31 +165,33 @@ def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     return tuple(chain.from_iterable(columns))
 
 
-def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
-    """All standard tableaux of a shape, sorted by reading word.
+def _word_transposer(parts: tuple[int, ...]) -> itemgetter:
+    """One itemgetter taking reading words of shape parts (two cells or more) to their transposes'.
 
-    Entries 1..n are placed in increasing order; at each step a value may
-    extend any row that is still short of its part and no longer than the
-    row above, which is exactly the condition keeping the filling standard.
+    It is _transposed_rows, applied once to the filling of each cell's own position.
     """
-    parts = shape.parts
-    n = shape.size
-    rows: list[list[int]] = [[] for _ in parts]
-    found: list[Tableau] = []
+    ends = tuple(accumulate(parts))
+    positions = tuple(map(range, map(sub, ends, parts), ends))
+    return itemgetter(*chain.from_iterable(_transposed_rows(positions)))
 
-    def place(value: int) -> None:
-        if value > n:
-            found.append(Tableau(tuple(map(tuple, rows))))
-            return
-        for r, part in enumerate(parts):
-            filled = len(rows[r])
-            if filled < part and (r == 0 or len(rows[r - 1]) > filled):
-                rows[r].append(value)
-                place(value + 1)
-                rows[r].pop()
 
-    place(1)
-    found.sort(key=lambda t: t.reading_word)
+def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
+    """All standard tableaux of a hook-plus-column shape (j, 2, 1, ..., 1), sorted by reading word.
+
+    First rows are 1 and j - 1 of 2..n, in lexicographic order.  The smallest
+    entry left out sits at (2, 1), each one above the entry at (1, 2) in turn
+    at (2, 2), and the rest in the column below.  Each tableau is validated as
+    it is built.  Other shapes raise DomainError.
+    """
+    n, j = shape.size, shape.parts[0]
+    if shape != hook_shape(n, j):
+        raise DomainError(f"only hook-plus-column shapes are enumerated, got {shape.parts}")
+    entries, found = set(range(2, n + 1)), []
+    for rest in combinations(range(2, n + 1), j - 1):
+        low, *others = sorted(entries.difference(rest))
+        for i in range(bisect(others, rest[0]), len(others)):
+            column = zip(others[:i] + others[i + 1 :])
+            found.append(Tableau(((1, *rest), (low, others[i]), *column)))
     return found
 
 

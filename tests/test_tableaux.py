@@ -1,9 +1,12 @@
 import subprocess
 import sys
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference_tableaux import reference_standard_tableaux
 
 import cyclebetti.tableaux as tableaux
 from cyclebetti.errors import (
@@ -61,7 +64,19 @@ def row_major_filling(parts):
 def standard_tableaux(draw):
     n = draw(st.integers(1, 7))
     parts = draw(st.sampled_from([p for p in partitions_of(n)]))
-    return draw(st.sampled_from(enumerate_standard_tableaux(Shape(parts))))
+    return draw(st.sampled_from(reference_standard_tableaux(Shape(parts))))
+
+
+def shuffled_filling(parts, rng):
+    # rows of the given lengths holding 1..n in a random order, with their
+    # reading word: the word transposer only moves entries, so any will do
+    word = rng.sample(range(1, sum(parts) + 1), sum(parts))
+    values = iter(word)
+    return tuple(tuple(next(values) for _ in range(part)) for part in parts), tuple(word)
+
+
+def flattened(rows):
+    return tuple(v for row in rows for v in row)
 
 
 class TestShape:
@@ -119,6 +134,25 @@ class TestShape:
         rows = row_major_filling(parts)
         assert tableaux._column_lengths(parts) == reference_conjugate(parts)
         assert tableaux._transposed_rows(rows) == reference_transpose(rows)
+
+    def test_word_transposer_matches_both_transposes(self):
+        # from two cells on: an itemgetter of one position returns it bare
+        rng = random.Random(10)
+        for n in range(2, 11):
+            for parts in partitions_of(n):
+                transposed = tableaux._word_transposer(parts)
+                for _ in range(3):
+                    rows, word = shuffled_filling(parts, rng)
+                    assert transposed(word) == flattened(tableaux._transposed_rows(rows))
+                    assert transposed(word) == flattened(reference_transpose(rows))
+
+    @given(st.lists(st.integers(1, 40), min_size=2, max_size=40), st.randoms(use_true_random=False))
+    def test_word_transposer_matches_both_transposes_on_random_partitions(self, parts, rng):
+        parts = tuple(sorted(parts, reverse=True))
+        rows, word = shuffled_filling(parts, rng)
+        transposed = tableaux._word_transposer(parts)
+        assert transposed(word) == flattened(tableaux._transposed_rows(rows))
+        assert transposed(word) == flattened(reference_transpose(rows))
 
     def test_conjugate_is_involutive(self):
         for n in range(1, 9):
@@ -197,7 +231,7 @@ class TestTableauValidation:
 
     def test_top_left_is_always_one(self):
         for parts in partitions_of(6):
-            for t in enumerate_standard_tableaux(Shape(parts)):
+            for t in reference_standard_tableaux(Shape(parts)):
                 assert t.entry(1, 1) == 1
 
     def test_entry_and_position(self):
@@ -215,7 +249,7 @@ class TestTableauValidation:
 
 class TestEnumeration:
     def test_single_cell(self):
-        assert enumerate_standard_tableaux(Shape((1,))) == [Tableau(((1,),))]
+        assert reference_standard_tableaux(Shape((1,))) == [Tableau(((1,),))]
 
     def test_shape_221_exact_fillings(self):
         got = [format_tableau(t) for t in enumerate_standard_tableaux(Shape((2, 2, 1)))]
@@ -232,7 +266,7 @@ class TestEnumeration:
 
     def test_canonical_order_and_uniqueness(self):
         for parts in [(2, 2, 1), (3, 2, 1), (3, 3), (4, 1)]:
-            tableaux = enumerate_standard_tableaux(Shape(parts))
+            tableaux = reference_standard_tableaux(Shape(parts))
             words = [t.reading_word for t in tableaux]
             assert words == sorted(words)
             assert len(set(words)) == len(words)
@@ -240,6 +274,29 @@ class TestEnumeration:
     def test_enumerated_tableaux_have_requested_shape(self):
         shape = Shape((3, 2))
         assert all(t.shape == shape for t in enumerate_standard_tableaux(shape))
+
+    def test_hook_shapes_match_the_reference_in_order(self):
+        for n in range(4, 13):
+            for j in range(2, n - 1):
+                shape = hook_shape(n, j)
+                assert enumerate_standard_tableaux(shape) == reference_standard_tableaux(shape)
+
+    @pytest.mark.parametrize(
+        "parts,text",
+        [
+            ((3, 3), "only hook-plus-column shapes are enumerated, got (3, 3)"),
+            ((2, 2, 2), "only hook-plus-column shapes are enumerated, got (2, 2, 2)"),
+            ((3, 2, 2), "only hook-plus-column shapes are enumerated, got (3, 2, 2)"),
+            ((2, 1, 1), "only hook-plus-column shapes are enumerated, got (2, 1, 1)"),
+            ((3, 1), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=4, j=3"),
+            ((5,), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=5, j=5"),
+            ((1,), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=1, j=1"),
+        ],
+    )
+    def test_rejects_other_shapes(self, parts, text):
+        with pytest.raises(DomainError) as excinfo:
+            enumerate_standard_tableaux(Shape(parts))
+        assert str(excinfo.value) == text
 
 
 class TestHookLengthCount:
@@ -258,7 +315,7 @@ class TestHookLengthCount:
         for n in range(1, 13):
             for parts in partitions_of(n):
                 shape = Shape(parts)
-                assert hook_length_count(shape) == len(enumerate_standard_tableaux(shape))
+                assert hook_length_count(shape) == len(reference_standard_tableaux(shape))
 
     def test_indivisible_hook_product_raises(self, monkeypatch):
         # the hook product of (2, 1) is 3; a total of 7 cannot be divided by it

@@ -43,19 +43,7 @@ from .hochster import (
     betti_table,
     linear_strand,
 )
-from .homology import (
-    IntMatrix,
-    SimplicialComplex,
-    boundary_matrix,
-    cycle_boundary_matrix,
-    cycle_complex,
-    cycle_reduced_homology,
-    graph_homology_oracle,
-    matrix_rank,
-    nullity,
-    reduced_betti_dim,
-    restriction_complex,
-)
+from .homology import IntMatrix, cycle_reduced_homology, matrix_rank
 from .tableaux import (
     Shape,
     Tableau,
@@ -81,7 +69,6 @@ __all__ = [
     "MAX_CYCLE_SIZE",
     "MarkedSubset",
     "Shape",
-    "SimplicialComplex",
     "Tableau",
     "TableauParseError",
     "TableauValidationError",
@@ -91,15 +78,11 @@ __all__ = [
     "admissible_markers",
     "betti",
     "betti_table",
-    "boundary_matrix",
-    "cycle_boundary_matrix",
-    "cycle_complex",
     "cycle_edges",
     "cycle_reduced_homology",
     "enumerate_standard_tableaux",
     "format_marked_subset",
     "format_tableau",
-    "graph_homology_oracle",
     "hook_length_count",
     "hook_shape",
     "linear_strand",
@@ -107,11 +90,8 @@ __all__ = [
     "marked_subsets",
     "marker_set",
     "matrix_rank",
-    "nullity",
     "parse_tableau",
-    "reduced_betti_dim",
     "restrict",
-    "restriction_complex",
     "tableau_to_marked_subset",
     "transpose",
     "transpose_duality_holds",

@@ -11,10 +11,12 @@ complex always contains the empty face, whose dimension is -1.  The void
 complex (no faces at all) is distinct from the irrelevant complex (only
 the empty face): reduced homology separates them in degree -1.
 
-Cycle restrictions, the only complexes the Betti computations need, also
-get their boundary maps straight from the sorted vertex list
-(cycle_boundary_matrix, cycle_reduced_homology).  The generic
-SimplicialComplex route stays as the reference they are tested against.
+Cycle restrictions, the only complexes the Betti computations need, get
+their boundary maps straight from the sorted vertex list
+(cycle_reduced_homology, the one route the library runs).  The generic
+route (SimplicialComplex, boundary_matrix, reduced_betti_dim,
+restriction_complex) is not exported: it stays here only as the
+reference the cycle route is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cycle import cycle_edges, restrict, vertex_set
+from .cycle import cycle_edges, vertex_set
 from .errors import ImpossibleBranchError, VertexRangeError
 
 
@@ -75,11 +77,6 @@ def matrix_rank(matrix: IntMatrix) -> int:
         if rank == matrix.nrows:
             break
     return rank
-
-
-def nullity(matrix: IntMatrix) -> int:
-    """Dimension of the kernel: columns minus rank."""
-    return matrix.ncols - matrix_rank(matrix)
 
 
 @dataclass(frozen=True)
@@ -153,11 +150,12 @@ def boundary_matrix(complex_: SimplicialComplex, d: int) -> IntMatrix:
 def reduced_betti_dim(complex_: SimplicialComplex, d: int) -> int:
     """Dimension of the degree-d reduced homology over the rationals.
 
-    Computed as nullity of the d-th boundary map minus rank of the
-    (d+1)-st.  The irrelevant complex has dimension 1 in degree -1 and 0
-    elsewhere; the void complex vanishes in every degree.
+    Computed as nullity (columns minus rank) of the d-th boundary map minus
+    rank of the (d+1)-st.  The irrelevant complex has dimension 1 in degree
+    -1 and 0 elsewhere; the void complex vanishes in every degree.
     """
-    kernel = nullity(boundary_matrix(complex_, d))
+    boundary = boundary_matrix(complex_, d)
+    kernel = boundary.ncols - matrix_rank(boundary)
     image = matrix_rank(boundary_matrix(complex_, d + 1))
     return _homology_dim(kernel, image)
 
@@ -168,11 +166,6 @@ def _homology_dim(kernel: int, image: int) -> int:
             f"boundary image (rank {image}) escapes the kernel (dimension {kernel})"
         )
     return kernel - image
-
-
-def cycle_complex(n: int) -> SimplicialComplex:
-    """The n-cycle as a one-dimensional simplicial complex."""
-    return SimplicialComplex.from_faces(n, cycle_edges(n))
 
 
 def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
@@ -188,25 +181,15 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex.from_faces(n, generators)
 
 
-def cycle_boundary_matrix(n: int, vertices: Iterable[int], d: int) -> IntMatrix:
-    """The d-th boundary map of a cycle restriction, built without a complex.
-
-    Equal to boundary_matrix(restriction_complex(n, vertices), d), with the
-    same face order and signs, but read straight off the sorted vertex list:
-    the augmentation row for d = 0, the vertex-edge incidence matrix for
-    d = 1, and a zero-column matrix of the right shape in every degree above.
-    """
-    vs, edges = _cycle_faces(n, vertices)
-    return _cycle_boundary(vs, edges, d)
-
-
 def cycle_reduced_homology(n: int, vertices: Iterable[int]) -> list[int]:
     """Reduced homology dimensions of a cycle restriction in degrees -1..|W|-1.
 
     Entry k is the degree k - 1 dimension: the nullity of that boundary map
-    minus the rank of the next, both maps as cycle_boundary_matrix builds
-    them, so it equals reduced_betti_dim(restriction_complex(n, vertices),
-    k - 1).  Each rank is computed once.
+    minus the rank of the next.  Each map is read straight off the sorted
+    vertex list (_cycle_boundary) with the same face order and signs as
+    boundary_matrix(restriction_complex(n, vertices), d), so the entry
+    equals reduced_betti_dim(restriction_complex(n, vertices), k - 1).
+    Each rank is computed once.
     """
     vs, edges = _cycle_faces(n, vertices)
     face_counts = _face_counts(vs, edges)
@@ -231,6 +214,7 @@ def _face_counts(vs: list[int], edges: list[tuple[int, int]]) -> dict[int, int]:
 
 
 def _cycle_boundary(vs: list[int], edges: list[tuple[int, int]], d: int) -> IntMatrix:
+    """The d-th boundary map: augmentation row, vertex-edge incidence, or all zero."""
     if d == 0:
         return IntMatrix(1, len(vs), ((1,) * len(vs),))
     if d == 1:
@@ -244,21 +228,3 @@ def _cycle_boundary(vs: list[int], edges: list[tuple[int, int]], d: int) -> IntM
     face_counts = _face_counts(vs, edges)
     nrows, ncols = face_counts.get(d - 1, 0), face_counts.get(d, 0)
     return IntMatrix(nrows, ncols, ((0,) * ncols,) * nrows)
-
-
-def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, int]:
-    """Reduced homology of a cycle restriction in degrees -1, 0, 1, by counting.
-
-    A graph has no homology above degree 1, so counting components c,
-    vertices v, and edges e settles everything: a nonempty restriction has
-    (0, c - 1, e - v + c), and the empty one is the irrelevant complex with
-    (1, 0, 0).  The components are the arcs cycle.restrict splits the subset
-    into.  This path never builds a matrix, which keeps it independent of
-    the boundary-operator computation it cross-checks.
-    """
-    restriction = restrict(n, vertices)
-    vs, components = restriction.vertices, restriction.component_count
-    if not vs:
-        return (1, 0, 0)
-    edge_count = sum(1 for v in vs if v % n + 1 in vs)
-    return (0, components - 1, edge_count - len(vs) + components)

@@ -8,6 +8,7 @@ output section on failure).  Criteria with a stated time budget assert it.
 import time
 
 from chain_checks import composes_to_zero
+from graph_oracle import graph_homology_oracle
 
 from cyclebetti.bijection import (
     marked_subset_to_tableau,
@@ -16,12 +17,7 @@ from cyclebetti.bijection import (
 )
 from cyclebetti.cycle import admissible_markers, marked_subsets
 from cyclebetti.hochster import betti, betti_table
-from cyclebetti.homology import (
-    boundary_matrix,
-    graph_homology_oracle,
-    reduced_betti_dim,
-    restriction_complex,
-)
+from cyclebetti.homology import boundary_matrix, reduced_betti_dim, restriction_complex
 from cyclebetti.tableaux import (
     enumerate_standard_tableaux,
     format_tableau,

@@ -1,0 +1,30 @@
+import types
+
+import cyclebetti
+import cyclebetti.homology as homology
+
+# the generic reference route stays in cyclebetti.homology, unexported
+UNEXPORTED = ["SimplicialComplex", "boundary_matrix", "reduced_betti_dim", "restriction_complex"]
+REMOVED = ["nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle"]
+
+
+def test_every_exported_name_resolves_once():
+    assert all(hasattr(cyclebetti, name) for name in cyclebetti.__all__)
+    assert len(set(cyclebetti.__all__)) == len(cyclebetti.__all__)
+
+
+def test_exports_are_the_public_names_that_are_not_submodules():
+    public = {
+        name
+        for name, value in vars(cyclebetti).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(cyclebetti.__all__) == public
+
+
+def test_reference_route_and_test_helpers_are_not_exported():
+    for name in UNEXPORTED + REMOVED:
+        assert name not in cyclebetti.__all__
+        assert not hasattr(cyclebetti, name)
+    assert all(hasattr(homology, name) for name in UNEXPORTED)
+    assert not any(hasattr(homology, name) for name in REMOVED)

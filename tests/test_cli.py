@@ -209,6 +209,29 @@ class TestVerify:
             "CHECKS FAILED\n"
         )
 
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_round_trip_drift_names_its_mismatches_on_stderr(self, runner, monkeypatch, fmt):
+        # {2,4}|4 is rebuilt as 1,3;2,4;5 (the lookup and _rebuild both read
+        # _rebuilt_rows); csv stdout stays the grid alone, as json keeps its document
+        real = bijection._rebuilt_rows
+
+        def drifting(ms, j):
+            if (ms.n, ms.vertices, ms.marker) == (5, frozenset({2, 4}), 4):
+                return parse_tableau("1,3;2,4;5").rows
+            return real(ms, j)
+
+        monkeypatch.setattr(bijection, "_rebuilt_rows", drifting)
+        result = runner.invoke(main, ["verify", "--n", "5", "--format", fmt])
+        assert result.exit_code == 1
+        assert result.stderr == (
+            "  tableau round trip drifts: 1,2;3,4;5 -> {2,4}|4 -> 1,3;2,4;5\n"
+            "  marked round trip drifts: {2,4}|4 -> {1,3}|4\n"
+        )
+        if fmt == "csv":
+            assert result.stdout == (
+                "n,j,tableaux,marked,bijection,duality\n5,2,5,5,FAIL,pass\n5,3,5,5,pass,pass\n"
+            )
+
     @pytest.mark.parametrize(
         "fmt,expected",
         [

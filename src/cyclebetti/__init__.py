@@ -34,7 +34,6 @@ from .errors import (
     TableauValidationError,
     UndefinedMarkerError,
     VertexRangeError,
-    WrongShapeError,
 )
 from .hochster import (
     MAX_CYCLE_SIZE,
@@ -74,7 +73,6 @@ __all__ = [
     "TableauValidationError",
     "UndefinedMarkerError",
     "VertexRangeError",
-    "WrongShapeError",
     "admissible_markers",
     "betti",
     "betti_table",

@@ -25,7 +25,6 @@ from .errors import (
     ImpossibleBranchError,
     InvalidMarkedSubsetError,
     TableauValidationError,
-    WrongShapeError,
 )
 from .tableaux import (
     Tableau,
@@ -38,8 +37,10 @@ from .tableaux import (
 
 Rows = tuple[tuple[int, ...], ...]
 Word = tuple[int, ...]
-# per shape: tableaux and images by reading word (same order), marked subsets, word transposer
-Side = tuple[dict[Word, Tableau], list[MarkedSubset], dict[Word, MarkedSubset], itemgetter]
+Pair = tuple[frozenset[int], int]
+# per shape: tableaux and images by reading word (same order), marked subsets by
+# (vertices, marker), word transposer
+Side = tuple[dict[Word, Tableau], dict[Pair, MarkedSubset], dict[Word, MarkedSubset], itemgetter]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -56,19 +57,11 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     its initial cell.  Standardness leaves no third location, so reaching
     one means the tableau is corrupt.
     """
-    try:
-        parts = hook_shape(tableau.n, len(tableau.rows[0])).parts
-    except DomainError as exc:
-        raise WrongShapeError(str(exc)) from exc
-    return MarkedSubset(*_read(tableau, parts))
+    return MarkedSubset(*_read(tableau))
 
 
-def _read(tableau: Tableau, parts: tuple[int, ...]) -> tuple[int, frozenset[int], int]:
-    """(n, subset, marker) of a tableau whose row lengths must be the hook-plus-column parts."""
-    lengths = tuple(map(len, tableau.rows))
-    if lengths != parts:
-        n, j = sum(lengths), lengths[0]
-        raise WrongShapeError(f"expected shape {parts} for n={n}, j={j}, got {lengths}")
+def _read(tableau: Tableau) -> tuple[int, frozenset[int], int]:
+    """(n, subset, marker) of a tableau, read off the cell at (2, 2)."""
     rows = tableau.rows
     marker = tableau.entry(2, 2)
     if marker - 1 in rows[0]:
@@ -81,7 +74,7 @@ def _read(tableau: Tableau, parts: tuple[int, ...]) -> tuple[int, frozenset[int]
             f"predecessor of the marker sits at ({row}, {col}), "
             "outside both the first row and the first column"
         )
-    return sum(parts), subset, marker
+    return tableau.n, subset, marker
 
 
 def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: int) -> Tableau:
@@ -185,10 +178,9 @@ def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
     shape = hook_shape(n, j)
     tableaux = {t.reading_word: t for t in enumerate_standard_tableaux(shape)}
-    marked = marked_subsets(n, j)
-    known = {(ms.vertices, ms.marker): ms for ms in marked}
-    reads = {w: _read(t, shape.parts) for w, t in tableaux.items()}
-    image = {w: known.get(r[1:]) or MarkedSubset(*r) for w, r in reads.items()}
+    marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
+    reads = {w: _read(t) for w, t in tableaux.items()}
+    image = {w: marked.get(r[1:]) or MarkedSubset(*r) for w, r in reads.items()}
     return tableaux, marked, image, _word_transposer(shape.parts)
 
 
@@ -217,15 +209,16 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
         return tuple(sorted(ms.vertices)), ms.marker
 
-    marked_set = set(marked)
-    image_matches = forward.keys() == marked_set
+    preimage = {
+        ms: _enumerated(tableaux, _rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked.values()
+    }
+    image_matches = forward.keys() == preimage.keys()
     if not image_matches:  # the set differences hash every marked subset again
-        for ms in sorted(forward.keys() - marked_set, key=_order):
+        for ms in sorted(forward.keys() - preimage.keys(), key=_order):
             mismatches.append(f"image is not a marked subset: {format_marked_subset(ms)}")
-        for ms in sorted(marked_set - forward.keys(), key=_order):
+        for ms in sorted(preimage.keys() - forward.keys(), key=_order):
             mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
 
-    preimage = {ms: _enumerated(tableaux, _rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked}
     round_trips_ok = True
     for t, ms in zip(tableaux.values(), image.values()):
         try:
@@ -244,7 +237,7 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
             w = t.reading_word  # enumerated tableaux are the very objects stored by word
             back_ms = image[w] if tableaux.get(w) is t else tableau_to_marked_subset(t)
             drift = "" if back_ms == ms else format_marked_subset(back_ms)
-        except (InvalidMarkedSubsetError, WrongShapeError) as exc:
+        except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"
         if drift:
             round_trips_ok = False

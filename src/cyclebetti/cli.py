@@ -31,7 +31,6 @@ from .errors import (
     InvalidMarkedSubsetError,
     TableauParseError,
     TableauValidationError,
-    WrongShapeError,
 )
 from .hochster import MAX_CYCLE_SIZE, betti_table
 from .tableaux import (
@@ -116,12 +115,7 @@ def cmd_map(tableau_text: str) -> None:
     """
     try:
         ms = tableau_to_marked_subset(parse_tableau(tableau_text))
-    except (
-        TableauParseError,
-        TableauValidationError,
-        WrongShapeError,
-        InvalidMarkedSubsetError,
-    ) as exc:
+    except (TableauParseError, TableauValidationError, InvalidMarkedSubsetError) as exc:
         raise click.UsageError(str(exc)) from exc
     click.echo(format_marked_subset(ms))
 

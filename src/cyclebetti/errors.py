@@ -25,10 +25,6 @@ class TableauValidationError(ValueError):
     """A filling violates a standard-tableau invariant; the message names it."""
 
 
-class WrongShapeError(ValueError):
-    """A tableau's shape is not the hook-plus-column shape the operation expects."""
-
-
 class InvalidMarkedSubsetError(ValueError):
     """A (vertices, marker) pair is not a valid marked subset."""
 

@@ -1,4 +1,4 @@
-"""Integer partitions, standard Young tableaux, and their text format.
+"""Hook-plus-column shapes, their standard Young tableaux, and the text format.
 
 Tableaux are drawn in English orientation: the longest row on top, rows
 numbered downward, columns rightward, and cells addressed 1-based.  The
@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect
-from itertools import accumulate, chain, combinations, groupby
+from itertools import accumulate, chain, combinations
 from math import factorial
-from operator import ge, itemgetter, le, lt, sub
-from typing import Iterator
+from operator import ge, itemgetter, lt, sub
 
 from .errors import (
     DomainError,
@@ -25,48 +24,30 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Shape:
-    """An integer partition: weakly decreasing positive row lengths."""
+    """A hook-plus-column partition (j, 2, 1, ..., 1) with j >= 2, the only shapes served."""
 
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if not parts:
-            raise DomainError("partitions need at least one part")
-        if set(map(type, parts)) != {int} or min(parts) < 1:
-            raise DomainError(f"parts must be positive integers, got {parts}")
-        if any(map(lt, parts, parts[1:])):
-            raise DomainError(f"parts must be weakly decreasing, got {parts}")
+        if set(map(type, parts)) != {int} or not _is_hook(parts):
+            raise DomainError(
+                f"shapes must be hook-plus-column (j, 2, 1, ..., 1) with j >= 2, got {parts}"
+            )
 
     @property
     def size(self) -> int:
         return sum(self.parts)
 
     def conjugate(self) -> "Shape":
-        """The reflected partition: column lengths become row lengths."""
-        return Shape(_column_lengths(self.parts))
+        """The reflected shape: (j, 2, 1, ..., 1) on n cells becomes (n - j, 2, 1, ..., 1)."""
+        return hook_shape(self.size, self.size - self.parts[0])
 
 
-def _column_lengths(parts: tuple[int, ...]) -> tuple[int, ...]:
-    """Column lengths of a partition, one block of equal lengths per distinct part."""
-    cols: list[int] = []
-    for start, end, k in _column_blocks(parts):
-        cols += [k] * (end - start)
-    return tuple(cols)
-
-
-def _column_blocks(parts: tuple[int, ...]) -> Iterator[tuple[int, int, int]]:
-    """(start, end, k) per distinct part, shortest first: columns start..end-1 hold k cells.
-
-    Column c holds one cell per part longer than c, so the columns between
-    two consecutive distinct parts share a length.
-    """
-    k, start = len(parts), 0
-    for part, run in groupby(reversed(parts)):
-        yield start, part, k
-        k -= len(tuple(run))
-        start = part
+def _is_hook(parts: tuple[int, ...]) -> bool:
+    """Whether parts are (j, 2, 1, ..., 1) with j >= 2."""
+    return parts[:1] >= (2,) and parts[1:] == (2,) + (1,) * (len(parts) - 2)
 
 
 def hook_shape(n: int, j: int) -> Shape:
@@ -84,11 +65,12 @@ def hook_shape(n: int, j: int) -> Shape:
 
 @dataclass(frozen=True)
 class Tableau:
-    """A standard filling: entries 1..n, rows and columns strictly increasing.
+    """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
-    Validation happens at construction, so every Tableau in existence is
-    standard.  Note the smallest entry is forced into the top-left cell by
-    the increase constraints, so entry(1, 1) == 1 always holds.
+    Entries are 1..n, and rows and columns strictly increase.  Validation
+    happens at construction, so every Tableau in existence is standard and
+    of such a shape.  Note the smallest entry is forced into the top-left
+    cell by the increase constraints, so entry(1, 1) == 1 always holds.
     """
 
     rows: tuple[tuple[int, ...], ...]
@@ -97,28 +79,28 @@ class Tableau:
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
         lengths = tuple(map(len, rows))
-        if not rows or min(lengths) == 0:
-            raise TableauValidationError("tableaux need at least one entry in every row")
-        if any(map(lt, lengths, lengths[1:])):
-            raise TableauValidationError(f"row lengths must be weakly decreasing, got {lengths}")
+        if not _is_hook(lengths):
+            raise TableauValidationError(
+                f"tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, "
+                f"got row lengths {lengths}"
+            )
         n = sum(lengths)
         entries = list(chain.from_iterable(rows))  # typed before sorting, so sorted() never raises
         if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        k = len(rows) - lengths.count(1)  # rows of one cell come last
-        for i, row in enumerate(rows[:k]):
+        first, second = rows[0], rows[1]
+        for i, row in ((1, first), (2, second)):
             if any(map(ge, row, row[1:])):
-                raise TableauValidationError(f"row {i + 1} is not strictly increasing: {row}")
-        for i, (above, below) in enumerate(zip(rows, rows[1 : k + 1]), start=2):
-            if any(map(le, below, above)):
-                c = list(map(le, below, above)).index(True)
-                raise TableauValidationError(
-                    f"column {c + 1} is not strictly increasing at row {i}"
-                )
-        column = tuple(chain.from_iterable(rows[k:]))  # column 1 from row k + 1 down
-        if any(map(le, column[1:], column)):
-            i = k + 2 + list(map(le, column[1:], column)).index(True)
-            raise TableauValidationError(f"column 1 is not strictly increasing at row {i}")
+                raise TableauValidationError(f"row {i} is not strictly increasing: {row}")
+        # the cells below row 1 in row-major order, each against the cell above it:
+        # (2, 1), (2, 2), then (3, 1), (4, 1), ...
+        column = tuple(map(itemgetter(0), rows))
+        falls = [second[0] < first[0], second[1] < first[1], *map(lt, column[2:], column[1:])]
+        if True in falls:
+            i = falls.index(True)
+            raise TableauValidationError(
+                f"column {2 if i == 1 else 1} is not strictly increasing at row {max(i, 1) + 1}"
+            )
 
     @property
     def shape(self) -> Shape:
@@ -156,17 +138,15 @@ def transpose(tableau: Tableau) -> Tableau:
 
 
 def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The columns of rows whose lengths form a partition, as the rows of the reflection.
+    """The columns of hook-plus-column rows, as the rows of the reflection.
 
-    Each block of equal-length columns is one zip over the slices of the rows reaching it.
+    Column 1, then column 2, then one row per later cell of row 1.
     """
-    blocks = _column_blocks(tuple(map(len, rows)))
-    columns = (zip(*map(itemgetter(slice(start, end)), rows[:k])) for start, end, k in blocks)
-    return tuple(chain.from_iterable(columns))
+    return (tuple(map(itemgetter(0), rows)), (rows[0][1], rows[1][1]), *zip(rows[0][2:]))
 
 
 def _word_transposer(parts: tuple[int, ...]) -> itemgetter:
-    """One itemgetter taking reading words of shape parts (two cells or more) to their transposes'.
+    """One itemgetter taking reading words of shape parts to their transposes'.
 
     It is _transposed_rows, applied once to the filling of each cell's own position.
     """
@@ -181,11 +161,9 @@ def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
     First rows are 1 and j - 1 of 2..n, in lexicographic order.  The smallest
     entry left out sits at (2, 1), each one above the entry at (1, 2) in turn
     at (2, 2), and the rest in the column below.  Each tableau is validated as
-    it is built.  Other shapes raise DomainError.
+    it is built.
     """
     n, j = shape.size, shape.parts[0]
-    if shape != hook_shape(n, j):
-        raise DomainError(f"only hook-plus-column shapes are enumerated, got {shape.parts}")
     entries, found = set(range(2, n + 1)), []
     for rest in combinations(range(2, n + 1), j - 1):
         low, *others = sorted(entries.difference(rest))
@@ -218,8 +196,9 @@ def parse_tableau(text: str) -> Tableau:
     """Parse "1,2;3,4;5" style text into a validated tableau.
 
     Whitespace around entries is tolerated.  Malformed text raises a parse
-    error; syntactically fine text with a non-standard filling raises a
-    validation error naming the broken invariant.
+    error; syntactically fine text with a non-standard filling, or rows
+    outside the hook-plus-column shapes, raises a validation error naming
+    the broken invariant.
     """
     rows = []
     for row_text in text.split(";"):

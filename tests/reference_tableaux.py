@@ -1,10 +1,10 @@
-"""The generic tableau enumerator, kept for the tests as the reference for every shape."""
+"""The generic tableau enumerator, kept for the tests as the reference: it knows no shape family."""
 
 from cyclebetti.tableaux import Shape, Tableau
 
 
 def reference_standard_tableaux(shape: Shape) -> list[Tableau]:
-    """All standard tableaux of any shape, sorted by reading word.
+    """All standard tableaux of a shape, sorted by reading word.
 
     Entries 1..n are placed in increasing order; at each step a value may
     extend any row that is still short of its part and no longer than the

@@ -19,7 +19,6 @@ from cyclebetti.errors import (
     ImpossibleBranchError,
     InvalidMarkedSubsetError,
     TableauValidationError,
-    WrongShapeError,
 )
 from cyclebetti.tableaux import (
     Shape,
@@ -58,7 +57,8 @@ class TestForward:
         ["1,2,3;4,5,6", "1;2;3", "1,2,3,4,5", "1,2,3;4,5;6,7"],
     )
     def test_rejects_wrong_shapes(self, text):
-        with pytest.raises(WrongShapeError):
+        # no Tableau of another shape exists, so the text is rejected before the map
+        with pytest.raises(TableauValidationError, match="hook-plus-column"):
             tableau_to_marked_subset(parse_tableau(text))
 
     def test_branch_follows_vertex_one(self):
@@ -77,7 +77,7 @@ class TestForward:
             for j in range(2, n - 1):
                 shape = hook_shape(n, j)
                 for t in enumerate_standard_tableaux(shape):
-                    assert bijection._read(t, shape.parts) == read_by_position(t)
+                    assert bijection._read(t) == read_by_position(t)
 
 
 def read_by_position(t):
@@ -276,7 +276,7 @@ class TestVerifyBijection:
         # nothing else: every forward image, rebuilt filling and transpose is
         # found among them by lookup, each shape transposes its reading words
         # with one permutation and never by rows, and only the shape itself
-        # and the enumerator's check of it build a Shape
+        # builds a Shape
         calls = count_verifier_calls(monkeypatch)
         for n, j, sides in [(8, 4, 1), (8, 3, 2)]:
             calls.clear()
@@ -292,7 +292,7 @@ class TestVerifyBijection:
                 "_word_transposer": sides,
                 "_word_transposer words": report.tableau_count,
                 "_rebuilt_rows": report.marked_count,
-                "Shape": 2 * sides,
+                "Shape": sides,
                 "Tableau": tableaux,
                 "MarkedSubset": marked,
             }
@@ -311,7 +311,7 @@ class TestVerifyBijection:
             "_word_transposer": len(reports),
             "_word_transposer words": tableaux,
             "_rebuilt_rows": marked,
-            "Shape": 2 * len(reports),
+            "Shape": len(reports),
             "Tableau": tableaux,
             "MarkedSubset": marked,
         }
@@ -340,13 +340,10 @@ class TestVerifyBijectionFailures:
         [
             ("1,3;2,4;5", "{1,3}|4"),
             ("1,2,3;4,5", "{2,3,5}|5"),
-            # not a hook-plus-column tableau: mapping it forward raises
-            ("1,2,3,4;5", "error: hook shapes need n >= 4 and 2 <= j <= n-2, got n=5, j=4"),
         ],
     )
     def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
-        # the inverse looks its rebuilt rows up and falls back on _rebuild:
-        # both drift, so a filling without a cell at (2, 2) gets through too
+        # the inverse looks its rebuilt rows up and falls back on _rebuild: both drift
         def drifting(inverse, drifted):
             def wrapper(ms, j):
                 if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
@@ -375,10 +372,10 @@ class TestVerifyBijectionFailures:
         # the tableau of {2,5}|5 is read as {2,4}|4, which another tableau owns
         read = bijection._read
 
-        def colliding(tableau, parts):
+        def colliding(tableau):
             if format_tableau(tableau) == "1,2;3,5;4":
                 return 5, frozenset({2, 4}), 4
-            return read(tableau, parts)
+            return read(tableau)
 
         monkeypatch.setattr(bijection, "_read", colliding)
         report = verify_bijection(5, 2)
@@ -400,10 +397,10 @@ class TestVerifyBijectionFailures:
         # to a (5, 2) tableau raises, and the report must say so
         read = bijection._read
 
-        def oversized(tableau, parts):
+        def oversized(tableau):
             if format_tableau(tableau) == "1,2;3,4;5":
                 return 5, frozenset({1, 3, 4}), 5
-            return read(tableau, parts)
+            return read(tableau)
 
         monkeypatch.setattr(bijection, "_read", oversized)
         report = verify_bijection(5, 2)

@@ -88,6 +88,7 @@ class TestMapUnmap:
     def test_map_wrong_shape(self, runner):
         result = runner.invoke(main, ["map", "1,2,3;4,5,6"])
         assert result.exit_code == 2
+        assert "hook-plus-column shape (j, 2, 1, ..., 1)" in result.output
 
     def test_unmap_known(self, runner):
         result = runner.invoke(

@@ -2,6 +2,8 @@ import subprocess
 import sys
 
 import random
+from itertools import permutations
+from math import comb
 
 import pytest
 from hypothesis import given
@@ -27,16 +29,9 @@ from cyclebetti.tableaux import (
 )
 
 
-def partitions_of(n, max_part=None):
-    # independent oracle: all partitions, largest part first
-    if n == 0:
-        yield ()
-        return
-    if max_part is None:
-        max_part = n
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first, *rest)
+def hook_parts(n):
+    # every hook-plus-column shape (j, 2, 1, ..., 1) on n cells, j = 2..n-2
+    return [(j, 2) + (1,) * (n - j - 2) for j in range(2, n - 1)]
 
 
 def reference_conjugate(parts):
@@ -53,17 +48,27 @@ def reference_transpose(rows):
     return tuple(tuple(columns[c]) for c in sorted(columns))
 
 
+def laid_out(parts, word):
+    # rows of the given lengths holding the word in reading order
+    values = iter(word)
+    return tuple(tuple(next(values) for _ in range(part)) for part in parts)
+
+
 def row_major_filling(parts):
     # rows of the given lengths holding 1..n in reading order (standard, but
     # the row helpers only move entries, so any distinct values would do)
-    values = iter(range(1, sum(parts) + 1))
-    return tuple(tuple(next(values) for _ in range(part)) for part in parts)
+    return laid_out(parts, range(1, sum(parts) + 1))
+
+
+@st.composite
+def random_hook_parts(draw, max_n=300):
+    n = draw(st.integers(4, max_n))
+    return draw(st.sampled_from(hook_parts(n)))
 
 
 @st.composite
 def standard_tableaux(draw):
-    n = draw(st.integers(1, 7))
-    parts = draw(st.sampled_from([p for p in partitions_of(n)]))
+    parts = draw(random_hook_parts(max_n=7))
     return draw(st.sampled_from(reference_standard_tableaux(Shape(parts))))
 
 
@@ -71,12 +76,31 @@ def shuffled_filling(parts, rng):
     # rows of the given lengths holding 1..n in a random order, with their
     # reading word: the word transposer only moves entries, so any will do
     word = rng.sample(range(1, sum(parts) + 1), sum(parts))
-    values = iter(word)
-    return tuple(tuple(next(values) for _ in range(part)) for part in parts), tuple(word)
+    return laid_out(parts, word), tuple(word)
 
 
 def flattened(rows):
     return tuple(v for row in rows for v in row)
+
+
+def first_violation(rows):
+    # test-side reference for a filling of a hook-plus-column shape with the
+    # entries 1..n: the rows top down, then the columns in row-major order of
+    # the lower cell; None when every row and column increases
+    for i, row in enumerate(rows, start=1):
+        if any(a >= b for a, b in zip(row, row[1:])):
+            return f"row {i} is not strictly increasing: {row}"
+    for i in range(1, len(rows)):
+        for c in range(len(rows[i])):
+            if rows[i][c] <= rows[i - 1][c]:
+                return f"column {c + 1} is not strictly increasing at row {i + 1}"
+    return None
+
+
+SHAPE_TEXT = "shapes must be hook-plus-column (j, 2, 1, ..., 1) with j >= 2, got "
+ROWS_TEXT = (
+    "tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, got row lengths "
+)
 
 
 class TestShape:
@@ -88,14 +112,25 @@ class TestShape:
     @pytest.mark.parametrize(
         "parts,text",
         [
-            ((), "partitions need at least one part"),
-            ((2, 1.0), "parts must be positive integers, got (2, 1.0)"),
-            (("2",), "parts must be positive integers, got ('2',)"),
-            ((True,), "parts must be positive integers, got (True,)"),
-            ((2, False), "parts must be positive integers, got (2, False)"),
-            ((0,), "parts must be positive integers, got (0,)"),
-            ((3, -1), "parts must be positive integers, got (3, -1)"),
-            ((2, 2, 3, 1), "parts must be weakly decreasing, got (2, 2, 3, 1)"),
+            # the inputs the generic partition checks used to name, then partitions
+            # that are not hook-plus-column, then equal floats and bools
+            ((), SHAPE_TEXT + "()"),
+            ((2, 1.0), SHAPE_TEXT + "(2, 1.0)"),
+            (("2",), SHAPE_TEXT + "('2',)"),
+            ((True,), SHAPE_TEXT + "(True,)"),
+            ((2, False), SHAPE_TEXT + "(2, False)"),
+            ((0,), SHAPE_TEXT + "(0,)"),
+            ((3, -1), SHAPE_TEXT + "(3, -1)"),
+            ((2, 2, 3, 1), SHAPE_TEXT + "(2, 2, 3, 1)"),
+            ((4,), SHAPE_TEXT + "(4,)"),
+            ((1, 1, 1, 1), SHAPE_TEXT + "(1, 1, 1, 1)"),
+            ((3, 1), SHAPE_TEXT + "(3, 1)"),
+            ((3, 3), SHAPE_TEXT + "(3, 3)"),
+            ((2, 2, 2), SHAPE_TEXT + "(2, 2, 2)"),
+            ((3, 2, 2), SHAPE_TEXT + "(3, 2, 2)"),
+            ((1, 2, 1), SHAPE_TEXT + "(1, 2, 1)"),
+            ((3, 2, 1.0), SHAPE_TEXT + "(3, 2, 1.0)"),
+            ((3, 2, True), SHAPE_TEXT + "(3, 2, True)"),
         ],
     )
     def test_rejection_text(self, parts, text):
@@ -109,54 +144,50 @@ class TestShape:
     def test_conjugate_known(self):
         assert Shape((3, 2, 1)).conjugate() == Shape((3, 2, 1))
         assert Shape((2, 2, 1)).conjugate() == Shape((3, 2))
-        assert Shape((4,)).conjugate() == Shape((1, 1, 1, 1))
+        assert Shape((5, 2)).conjugate() == Shape((2, 2, 1, 1, 1))
 
     def test_conjugate_matches_column_count_formula(self):
-        for n in range(1, 13):
-            for parts in partitions_of(n):
+        for n in range(4, 41):
+            for parts in hook_parts(n):
                 assert Shape(parts).conjugate().parts == reference_conjugate(parts)
 
-    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+    @given(random_hook_parts())
     def test_conjugate_matches_column_count_formula_on_random_partitions(self, parts):
-        parts = tuple(sorted(parts, reverse=True))
         assert Shape(parts).conjugate().parts == reference_conjugate(parts)
 
     def test_row_helpers_match_per_column_references(self):
-        for n in range(1, 11):
-            for parts in partitions_of(n):
+        for n in range(4, 21):
+            for parts in hook_parts(n):
                 rows = row_major_filling(parts)
-                assert tableaux._column_lengths(parts) == reference_conjugate(parts)
-                assert tableaux._transposed_rows(rows) == reference_transpose(rows)
+                transposed = tableaux._transposed_rows(rows)
+                assert transposed == reference_transpose(rows)
+                assert tuple(map(len, transposed)) == reference_conjugate(parts)
 
-    @given(st.lists(st.integers(1, 60), min_size=1, max_size=60))
+    @given(random_hook_parts())
     def test_row_helpers_match_per_column_references_on_random_partitions(self, parts):
-        parts = tuple(sorted(parts, reverse=True))
         rows = row_major_filling(parts)
-        assert tableaux._column_lengths(parts) == reference_conjugate(parts)
         assert tableaux._transposed_rows(rows) == reference_transpose(rows)
 
     def test_word_transposer_matches_both_transposes(self):
-        # from two cells on: an itemgetter of one position returns it bare
         rng = random.Random(10)
-        for n in range(2, 11):
-            for parts in partitions_of(n):
+        for n in range(4, 16):
+            for parts in hook_parts(n):
                 transposed = tableaux._word_transposer(parts)
                 for _ in range(3):
                     rows, word = shuffled_filling(parts, rng)
                     assert transposed(word) == flattened(tableaux._transposed_rows(rows))
                     assert transposed(word) == flattened(reference_transpose(rows))
 
-    @given(st.lists(st.integers(1, 40), min_size=2, max_size=40), st.randoms(use_true_random=False))
+    @given(random_hook_parts(), st.randoms(use_true_random=False))
     def test_word_transposer_matches_both_transposes_on_random_partitions(self, parts, rng):
-        parts = tuple(sorted(parts, reverse=True))
         rows, word = shuffled_filling(parts, rng)
         transposed = tableaux._word_transposer(parts)
         assert transposed(word) == flattened(tableaux._transposed_rows(rows))
         assert transposed(word) == flattened(reference_transpose(rows))
 
     def test_conjugate_is_involutive(self):
-        for n in range(1, 9):
-            for parts in partitions_of(n):
+        for n in range(4, 21):
+            for parts in hook_parts(n):
                 shape = Shape(parts)
                 assert shape.conjugate().conjugate() == shape
 
@@ -195,33 +226,41 @@ class TestTableauValidation:
             Tableau(((1, 2), (2, 3)))
 
     def test_row_lengths_must_weakly_decrease(self):
-        with pytest.raises(TableauValidationError, match="decreasing"):
+        with pytest.raises(TableauValidationError, match="hook-plus-column"):
             Tableau(((1,), (2, 3)))
 
     @pytest.mark.parametrize(
         "rows,text",
         [
-            ((), "tableaux need at least one entry in every row"),
-            (((1, 2), ()), "tableaux need at least one entry in every row"),
-            (((1,), (2, 3)), "row lengths must be weakly decreasing, got (1, 2)"),
-            (((1, 2), (3,), (4, 5)), "row lengths must be weakly decreasing, got (2, 1, 2)"),
+            # only hook-plus-column shapes (j, 2, 1, ..., 1) with j >= 2 are tableaux
+            ((), ROWS_TEXT + "()"),
+            (((1, 2), ()), ROWS_TEXT + "(2, 0)"),
+            (((1,), (2, 3)), ROWS_TEXT + "(1, 2)"),
+            (((1, 2), (3,), (4, 5)), ROWS_TEXT + "(2, 1, 2)"),
             (((1, 2), (3, 5)), "entries must be exactly 1..4, each once"),
             (((1, 2), (2, 3)), "entries must be exactly 1..4, each once"),
-            (((0, 1), (2,)), "entries must be exactly 1..3, each once"),
+            (((0, 1), (2, 3)), "entries must be exactly 1..4, each once"),
             # rows are checked before columns, and the first bad one is named
-            (((1, 2, 3), (5, 4), (7, 6)), "row 2 is not strictly increasing: (5, 4)"),
+            (((1, 2, 3), (5, 4), (6,), (7,)), "row 2 is not strictly increasing: (5, 4)"),
             (((1, 3), (4, 2), (5,)), "row 2 is not strictly increasing: (4, 2)"),
-            (((1, 5, 6), (2, 3, 4)), "column 2 is not strictly increasing at row 2"),
-            (((1, 2, 8), (4, 5, 6), (3, 7, 9)), "column 3 is not strictly increasing at row 2"),
-            (((1, 3), (2, 6), (4, 5)), "column 2 is not strictly increasing at row 3"),
+            (((1, 5, 6), (2, 3), (4,)), "column 2 is not strictly increasing at row 2"),
+            (((3, 4), (2, 1), (5,)), "row 2 is not strictly increasing: (2, 1)"),
+            (((2, 3), (1, 5), (4,)), "column 1 is not strictly increasing at row 2"),
             (((1, 3), (4, 5), (2,)), "column 1 is not strictly increasing at row 3"),
-            (((1, 2), (3,), (5,), (4,)), "column 1 is not strictly increasing at row 4"),
+            (((1, 2), (3, 4), (6,), (5,)), "column 1 is not strictly increasing at row 4"),
             (((1, 4), (2, 3), (6,), (5,)), "column 2 is not strictly increasing at row 2"),
-            (((2,), (1,)), "column 1 is not strictly increasing at row 2"),
+            (((2, 3), (1, 4)), "column 1 is not strictly increasing at row 2"),
             # entries are ints: an equal float or a bool is not an entry
-            (((True, 2), (3,)), "entries must be exactly 1..3, each once"),
-            (((1, 2.0), (3,)), "entries must be exactly 1..3, each once"),
-            (((1, "2"), ("3",)), "entries must be exactly 1..3, each once"),
+            (((True, 2), (3, 4)), "entries must be exactly 1..4, each once"),
+            (((1, 2.0), (3, 4)), "entries must be exactly 1..4, each once"),
+            (((1, "2"), ("3", 4)), "entries must be exactly 1..4, each once"),
+            # the shape is checked before the entries
+            (((1, 2, 3), (4, 5, 6)), ROWS_TEXT + "(3, 3)"),
+            (((1, 2), (3,), (4,)), ROWS_TEXT + "(2, 1, 1)"),
+            (((1, 2, 3, 4, 5),), ROWS_TEXT + "(5,)"),
+            (((1,), (2,), (3,), (4,)), ROWS_TEXT + "(1, 1, 1, 1)"),
+            (((1, 2), (3, 4), (5, 6)), ROWS_TEXT + "(2, 2, 2)"),
+            (((1, 2.0), (3,)), ROWS_TEXT + "(2, 1)"),
         ],
     )
     def test_rejection_text(self, rows, text):
@@ -230,9 +269,26 @@ class TestTableauValidation:
         assert str(excinfo.value) == text
 
     def test_top_left_is_always_one(self):
-        for parts in partitions_of(6):
+        for parts in hook_parts(7):
             for t in reference_standard_tableaux(Shape(parts)):
                 assert t.entry(1, 1) == 1
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_accepts_exactly_the_increasing_fillings_with_the_reference_text(self, n):
+        # every permutation of 1..n laid into every hook-plus-column shape
+        accepted = 0
+        for parts in hook_parts(n):
+            for word in permutations(range(1, n + 1)):
+                rows = laid_out(parts, word)
+                text = first_violation(rows)
+                if text is None:
+                    assert Tableau(rows).rows == rows
+                    accepted += 1
+                else:
+                    with pytest.raises(TableauValidationError) as excinfo:
+                        Tableau(rows)
+                    assert str(excinfo.value) == text
+        assert accepted == sum(hook_length_count(Shape(parts)) for parts in hook_parts(n))
 
     def test_entry_and_position(self):
         t = parse_tableau("1,3;2,4;5")
@@ -248,9 +304,6 @@ class TestTableauValidation:
 
 
 class TestEnumeration:
-    def test_single_cell(self):
-        assert reference_standard_tableaux(Shape((1,))) == [Tableau(((1,),))]
-
     def test_shape_221_exact_fillings(self):
         got = [format_tableau(t) for t in enumerate_standard_tableaux(Shape((2, 2, 1)))]
         assert got == [
@@ -265,7 +318,7 @@ class TestEnumeration:
         assert len(enumerate_standard_tableaux(Shape((3, 2, 1)))) == 16
 
     def test_canonical_order_and_uniqueness(self):
-        for parts in [(2, 2, 1), (3, 2, 1), (3, 3), (4, 1)]:
+        for parts in [(2, 2), (2, 2, 1), (3, 2, 1), (4, 2, 1, 1), (5, 2)]:
             tableaux = reference_standard_tableaux(Shape(parts))
             words = [t.reading_word for t in tableaux]
             assert words == sorted(words)
@@ -281,22 +334,12 @@ class TestEnumeration:
                 shape = hook_shape(n, j)
                 assert enumerate_standard_tableaux(shape) == reference_standard_tableaux(shape)
 
-    @pytest.mark.parametrize(
-        "parts,text",
-        [
-            ((3, 3), "only hook-plus-column shapes are enumerated, got (3, 3)"),
-            ((2, 2, 2), "only hook-plus-column shapes are enumerated, got (2, 2, 2)"),
-            ((3, 2, 2), "only hook-plus-column shapes are enumerated, got (3, 2, 2)"),
-            ((2, 1, 1), "only hook-plus-column shapes are enumerated, got (2, 1, 1)"),
-            ((3, 1), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=4, j=3"),
-            ((5,), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=5, j=5"),
-            ((1,), "hook shapes need n >= 4 and 2 <= j <= n-2, got n=1, j=1"),
-        ],
-    )
-    def test_rejects_other_shapes(self, parts, text):
+    @pytest.mark.parametrize("parts", [(3, 3), (2, 2, 2), (3, 2, 2), (2, 1, 1), (3, 1), (5,), (1,)])
+    def test_rejects_other_shapes(self, parts):
+        # no Shape of another partition exists for the enumerator to be given
         with pytest.raises(DomainError) as excinfo:
             enumerate_standard_tableaux(Shape(parts))
-        assert str(excinfo.value) == text
+        assert str(excinfo.value) == SHAPE_TEXT + str(parts)
 
 
 class TestHookLengthCount:
@@ -306,22 +349,36 @@ class TestHookLengthCount:
         assert hook_length_count(Shape((3, 2, 1))) == 16
         assert hook_length_count(Shape((2, 2))) == 2
 
-    @pytest.mark.parametrize("n", [1, 2, 5, 8])
-    def test_single_row_has_one_filling(self, n):
-        assert hook_length_count(Shape((n,))) == 1
-
     def test_matches_enumeration_for_all_partitions(self):
-        # full cross-oracle sweep, not only hook-plus-column shapes
-        for n in range(1, 13):
-            for parts in partitions_of(n):
+        # every partition a Shape can hold, against the generic reference enumerator
+        for n in range(4, 13):
+            for parts in hook_parts(n):
                 shape = Shape(parts)
                 assert hook_length_count(shape) == len(reference_standard_tableaux(shape))
 
+    def test_matches_the_arc_count_identity_past_the_betti_range(self):
+        # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets
+        # have c arcs, and each adds c - 1 to the strand; the Betti route
+        # stops at n = 20, the hook length formula does not
+        def arc_count(n, j):
+            total = 0
+            for c in range(1, min(j, n - j) + 1):
+                subsets, remainder = divmod(n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1), c)
+                assert remainder == 0
+                total += (c - 1) * subsets
+            return total
+
+        rng = random.Random(12)
+        sizes = [(n, j) for n in range(4, 41) for j in range(2, n - 1)]
+        sizes += [(n, j) for n in (64, 128, 300) for j in rng.sample(range(2, n - 1), 12)]
+        for n, j in sizes:
+            assert hook_length_count(hook_shape(n, j)) == arc_count(n, j), (n, j)
+
     def test_indivisible_hook_product_raises(self, monkeypatch):
-        # the hook product of (2, 1) is 3; a total of 7 cannot be divided by it
+        # the hook product of (2, 2) is 3 * 2 * 2 * 1 = 12; a total of 7 cannot be divided by it
         monkeypatch.setattr(tableaux, "factorial", lambda n: 7)
         with pytest.raises(ImpossibleBranchError, match="does not divide"):
-            hook_length_count(Shape((2, 1)))
+            hook_length_count(Shape((2, 2)))
 
     def test_guard_survives_optimized_mode(self):
         # python -O strips assert statements; the guard must still raise
@@ -331,7 +388,7 @@ class TestHookLengthCount:
             "assert False, 'asserts are live, so this is not -O'\n"
             "t.factorial = lambda n: 7\n"
             "try:\n"
-            "    t.hook_length_count(t.Shape((2, 1)))\n"
+            "    t.hook_length_count(t.Shape((2, 2)))\n"
             "except ImpossibleBranchError:\n"
             "    raise SystemExit(0)\n"
             "raise SystemExit(3)\n"
@@ -364,7 +421,7 @@ class TestTranspose:
 
 
 class TestTextFormat:
-    @pytest.mark.parametrize("text", ["1,2;3,4;5", "1,2,4;3,6;5", "1,3;2,4;5", "1"])
+    @pytest.mark.parametrize("text", ["1,2;3,4;5", "1,2,4;3,6;5", "1,3;2,4;5", "1,3,4,5;2,6"])
     def test_round_trip_known_strings(self, text):
         assert format_tableau(parse_tableau(text)) == text
 
@@ -383,7 +440,7 @@ class TestTextFormat:
     def test_non_standard_filling_is_a_validation_error(self):
         with pytest.raises(TableauValidationError, match="increasing"):
             parse_tableau("2,1;3,4;5")
-        with pytest.raises(TableauValidationError, match="decreasing"):
+        with pytest.raises(TableauValidationError, match="hook-plus-column"):
             parse_tableau("1;2,3")
 
     def test_str_matches_format(self):

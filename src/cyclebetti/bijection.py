@@ -8,14 +8,13 @@ verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
 time, and validates each object once: every forward image, rebuilt filling
 and transpose is looked up among the enumerated objects, and built afresh
-only when it lies outside them.  Tableaux are keyed by reading word, and
-each shape transposes all of its reading words with one permutation.
+only when it lies outside them.  Tableaux are keyed by their rows, and
+every transpose comes from _transposed_rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 from typing import Iterable
 
@@ -32,15 +31,12 @@ from .tableaux import (
     format_tableau,
     hook_shape,
     _transposed_rows,
-    _word_transposer,
 )
 
 Rows = tuple[tuple[int, ...], ...]
-Word = tuple[int, ...]
 Pair = tuple[frozenset[int], int]
-# per shape: tableaux and images by reading word (same order), marked subsets by
-# (vertices, marker), word transposer
-Side = tuple[dict[Word, Tableau], dict[Pair, MarkedSubset], dict[Word, MarkedSubset], itemgetter]
+# per shape: tableaux and images by rows (same order), marked subsets by (vertices, marker)
+Side = tuple[dict[Rows, Tableau], dict[Pair, MarkedSubset], dict[Rows, MarkedSubset]]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -176,23 +172,19 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 
 def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
-    shape = hook_shape(n, j)
-    tableaux = {t.reading_word: t for t in enumerate_standard_tableaux(shape)}
+    tableaux = {t.rows: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
     marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
-    reads = {w: _read(t) for w, t in tableaux.items()}
-    image = {w: marked.get(r[1:]) or MarkedSubset(*r) for w, r in reads.items()}
-    return tableaux, marked, image, _word_transposer(shape.parts)
-
-
-def _enumerated(tableaux: dict[Word, Tableau], rows: Rows) -> Tableau | None:
-    """The enumerated tableau with exactly these rows, found by their reading word."""
-    t = tableaux.get(tuple(chain.from_iterable(rows)))
-    return t if t and t.rows == rows else None
+    reads = {rows: _read(t) for rows, t in tableaux.items()}
+    image = {rows: marked.get(r[1:]) or MarkedSubset(*r) for rows, r in reads.items()}
+    return tableaux, marked, image
 
 
 def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
-    """The report for (n, j), from the enumerations and images of shape j and of its conjugate."""
-    tableaux, marked, image, transposed = side
+    """The report for (n, j), from the enumerations and images of shape j and of its conjugate.
+
+    Transposes (by _transposed_rows), rebuilt fillings and preimages' images are found by rows.
+    """
+    tableaux, marked, image = side
     mismatches: list[str] = []
 
     forward: dict[MarkedSubset, Tableau] = {}
@@ -203,15 +195,13 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
                 f"both map to {format_marked_subset(ms)}"
             )
     injective = len(forward) == len(image)
-    transposes = map(conjugate[2].get, map(transposed, image))  # None where the lookup misses
+    transposes = map(conjugate[2].get, map(_transposed_rows, image))  # None where the lookup misses
     duality_holds = all(map(_transpose_complements, tableaux.values(), image.values(), transposes))
 
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
         return tuple(sorted(ms.vertices)), ms.marker
 
-    preimage = {
-        ms: _enumerated(tableaux, _rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked.values()
-    }
+    preimage = {ms: tableaux.get(_rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked.values()}
     image_matches = forward.keys() == preimage.keys()
     if not image_matches:  # the set differences hash every marked subset again
         for ms in sorted(forward.keys() - preimage.keys(), key=_order):
@@ -234,8 +224,7 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
             )
     for ms, t in preimage.items():
         try:
-            w = t.reading_word  # enumerated tableaux are the very objects stored by word
-            back_ms = image[w] if tableaux.get(w) is t else tableau_to_marked_subset(t)
+            back_ms = image.get(t.rows) or tableau_to_marked_subset(t)
             drift = "" if back_ms == ms else format_marked_subset(back_ms)
         except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"

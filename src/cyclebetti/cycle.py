@@ -162,9 +162,11 @@ def marked_subsets(n: int, j: int) -> list[MarkedSubset]:
     """
     if type(n) is not int or type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"no marked subsets of size {j} on the {n}-cycle (need 2 <= j <= n-2)")
-    out = []
+    everything, out = frozenset(range(1, n + 1)), []
     for combo in itertools.combinations(range(1, n + 1), j):
         vs = frozenset(combo)
-        for marker in sorted(admissible_markers(n, vs)):
+        side = vs if 1 not in vs else everything - vs
+        # marker_set's arc starts, minimum dropped; only MarkedSubset checks vs
+        for marker in sorted(side.difference(map((1).__add__, side)))[1:]:
             out.append(MarkedSubset(n, vs, marker))
     return out

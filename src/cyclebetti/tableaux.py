@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from bisect import bisect
-from itertools import accumulate, chain, combinations
+from itertools import chain, combinations
 from math import factorial
-from operator import ge, itemgetter, lt, sub
+from operator import ge, itemgetter, lt
 
 from .errors import (
     DomainError,
@@ -143,16 +143,6 @@ def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...]
     Column 1, then column 2, then one row per later cell of row 1.
     """
     return (tuple(map(itemgetter(0), rows)), (rows[0][1], rows[1][1]), *zip(rows[0][2:]))
-
-
-def _word_transposer(parts: tuple[int, ...]) -> itemgetter:
-    """One itemgetter taking reading words of shape parts to their transposes'.
-
-    It is _transposed_rows, applied once to the filling of each cell's own position.
-    """
-    ends = tuple(accumulate(parts))
-    positions = tuple(map(range, map(sub, ends, parts), ends))
-    return itemgetter(*chain.from_iterable(_transposed_rows(positions)))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:

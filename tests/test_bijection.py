@@ -5,6 +5,7 @@ from dataclasses import dataclass
 import pytest
 
 import cyclebetti.bijection as bijection
+import cyclebetti.cycle as cycle
 from cyclebetti.bijection import (
     format_marked_subset,
     marked_subset_to_tableau,
@@ -206,9 +207,9 @@ def round_trip_lines(n, j):
 
 def count_verifier_calls(monkeypatch):
     # counts the verifier's two enumerations (and the objects each yields),
-    # its forward reads, rebuilt rows, word transposers (and the words each
-    # transposes), any transposed rows, any call of the public maps, and
-    # every Shape, Tableau and MarkedSubset validated
+    # its forward reads, rebuilt rows, transposed rows, any call of the public
+    # maps, every Shape, Tableau and MarkedSubset validated, every vertex set
+    # checked, and any reading word built
     calls = {}
 
     def counted(name, fn):
@@ -217,12 +218,6 @@ def count_verifier_calls(monkeypatch):
             return fn(*args)
 
         return wrapper
-
-    def transposers(fn):
-        def wrapper(parts):
-            return counted("_word_transposer words", fn(parts))
-
-        return counted("_word_transposer", wrapper)
 
     def enumerated(name, fn):
         def wrapper(*args):
@@ -242,7 +237,9 @@ def count_verifier_calls(monkeypatch):
         "_rebuild",
     ):
         monkeypatch.setattr(bijection, name, counted(name, getattr(bijection, name)))
-    monkeypatch.setattr(bijection, "_word_transposer", transposers(bijection._word_transposer))
+    monkeypatch.setattr(cycle, "vertex_set", counted("vertex_set", cycle.vertex_set))
+    word = property(counted("reading_word", Tableau.reading_word.fget))
+    monkeypatch.setattr(Tableau, "reading_word", word)
     for cls in (Shape, Tableau, MarkedSubset):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     return calls
@@ -274,9 +271,10 @@ class TestVerifyBijection:
         # the verifier enumerates the shape and its conjugate once each, with
         # their marked subsets, and validates each enumerated object once and
         # nothing else: every forward image, rebuilt filling and transpose is
-        # found among them by lookup, each shape transposes its reading words
-        # with one permutation and never by rows, and only the shape itself
-        # builds a Shape
+        # found among them by lookup of its rows, each tableau of the shape
+        # has its rows transposed once, no reading word is built, each marked
+        # subset's vertices are checked once, and only the shape itself builds
+        # a Shape
         calls = count_verifier_calls(monkeypatch)
         for n, j, sides in [(8, 4, 1), (8, 3, 2)]:
             calls.clear()
@@ -289,12 +287,12 @@ class TestVerifyBijection:
                 "marked_subsets": sides,
                 "marked_subsets items": marked,
                 "_read": tableaux,
-                "_word_transposer": sides,
-                "_word_transposer words": report.tableau_count,
+                "_transposed_rows": report.tableau_count,
                 "_rebuilt_rows": report.marked_count,
                 "Shape": sides,
                 "Tableau": tableaux,
                 "MarkedSubset": marked,
+                "vertex_set": marked,
             }
 
     def test_cycle_maps_each_side_once(self, monkeypatch):
@@ -308,12 +306,12 @@ class TestVerifyBijection:
             "marked_subsets": len(reports),
             "marked_subsets items": marked,
             "_read": tableaux,
-            "_word_transposer": len(reports),
-            "_word_transposer words": tableaux,
+            "_transposed_rows": tableaux,
             "_rebuilt_rows": marked,
             "Shape": len(reports),
             "Tableau": tableaux,
             "MarkedSubset": marked,
+            "vertex_set": marked,
         }
 
     @pytest.mark.parametrize("n", range(4, 12))
@@ -419,20 +417,6 @@ class TestVerifyBijectionFailures:
         ]
 
 
-def transposed_word_missing(monkeypatch, text):
-    # this tableau's shape sends its reading word to a word no tableau has,
-    # so the verifier must transpose its rows instead
-    t, transposer = parse_tableau(text), bijection._word_transposer
-
-    def missing(parts):
-        transposed = transposer(parts)
-        if parts != t.shape.parts:
-            return transposed
-        return lambda w: () if w == t.reading_word else transposed(w)
-
-    monkeypatch.setattr(bijection, "_word_transposer", missing)
-
-
 def substitute(monkeypatch, name, first, value):
     # bijection.<name> returns value when its first argument equals first
     fn = getattr(bijection, name)
@@ -456,18 +440,9 @@ class TestVerifierLookupMisses:
     # a transpose, rebuilt filling or forward image outside the enumerations
     # is built and validated afresh: a valid one is reported as the maps
     # themselves would report it, and an invalid one raises as they do
-    def test_transpose_miss_falls_back_on_the_rows(self, monkeypatch):
-        # the transpose 1,3,5;2,4 is built from rows, validated, and mapped forward
-        transposed_word_missing(monkeypatch, "1,2;3,4;5")
-        tableaux = validated(monkeypatch, Tableau)
-        report = verify_bijection(5, 2)
-        assert report.passed and report.duality_holds and report.mismatches == []
-        assert len(tableaux) == 11 and tableaux[10] == parse_tableau("1,3,5;2,4")
-
     def test_transpose_outside_the_conjugate_shape(self, monkeypatch):
-        # 1,2;3,4;5 misses, and its rows are "transposed" to themselves, a (5, 2) tableau
+        # 1,2;3,4;5 is "transposed" to itself, a (5, 2) tableau the conjugate lookup misses
         t = parse_tableau("1,2;3,4;5")
-        transposed_word_missing(monkeypatch, "1,2;3,4;5")
         substitute(monkeypatch, "_transposed_rows", t.rows, t.rows)
         tableaux = validated(monkeypatch, Tableau)
         report = verify_bijection(5, 2)
@@ -476,7 +451,6 @@ class TestVerifierLookupMisses:
 
     def test_non_standard_transpose_raises(self, monkeypatch):
         bad = ((2, 1), (3, 4), (5,))
-        transposed_word_missing(monkeypatch, "1,2;3,4;5")
         substitute(monkeypatch, "_transposed_rows", parse_tableau("1,2;3,4;5").rows, bad)
         with pytest.raises(TableauValidationError) as excinfo:
             verify_bijection(5, 2)

@@ -151,17 +151,9 @@ class TestMapUnmap:
 
 
 def stuck_on(text):
-    # the verifier's per-shape word transposer, except that this tableau's
-    # reading word stays in place (the word alone is shared by other shapes)
-    t, transposer = parse_tableau(text), bijection._word_transposer
-
-    def stuck(parts):
-        transposed = transposer(parts)
-        if parts != t.shape.parts:
-            return transposed
-        return lambda w: w if w == t.reading_word else transposed(w)
-
-    return stuck
+    # the verifier's row transposer, except that this tableau's rows stay in place
+    rows, transposed = parse_tableau(text).rows, bijection._transposed_rows
+    return lambda r: r if r == rows else transposed(r)
 
 
 class TestVerify:
@@ -187,7 +179,7 @@ class TestVerify:
 
     def test_duality_failure_exits_one(self, runner, monkeypatch):
         # a transpose that leaves one tableau in place breaks duality for (5, 2)
-        monkeypatch.setattr(bijection, "_word_transposer", stuck_on("1,2;3,4;5"))
+        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2;3,4;5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (
@@ -200,7 +192,7 @@ class TestVerify:
     def test_duality_failure_on_the_longer_row_side(self, runner, monkeypatch):
         # stuck on a (5, 3) tableau: (5, 3) must fail on its own transpose,
         # while (5, 2), whose transposes include that tableau, still passes
-        monkeypatch.setattr(bijection, "_word_transposer", stuck_on("1,2,3;4,5"))
+        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2,3;4,5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (

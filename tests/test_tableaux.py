@@ -72,17 +72,6 @@ def standard_tableaux(draw):
     return draw(st.sampled_from(reference_standard_tableaux(Shape(parts))))
 
 
-def shuffled_filling(parts, rng):
-    # rows of the given lengths holding 1..n in a random order, with their
-    # reading word: the word transposer only moves entries, so any will do
-    word = rng.sample(range(1, sum(parts) + 1), sum(parts))
-    return laid_out(parts, word), tuple(word)
-
-
-def flattened(rows):
-    return tuple(v for row in rows for v in row)
-
-
 def first_violation(rows):
     # test-side reference for a filling of a hook-plus-column shape with the
     # entries 1..n: the rows top down, then the columns in row-major order of
@@ -167,23 +156,6 @@ class TestShape:
     def test_row_helpers_match_per_column_references_on_random_partitions(self, parts):
         rows = row_major_filling(parts)
         assert tableaux._transposed_rows(rows) == reference_transpose(rows)
-
-    def test_word_transposer_matches_both_transposes(self):
-        rng = random.Random(10)
-        for n in range(4, 16):
-            for parts in hook_parts(n):
-                transposed = tableaux._word_transposer(parts)
-                for _ in range(3):
-                    rows, word = shuffled_filling(parts, rng)
-                    assert transposed(word) == flattened(tableaux._transposed_rows(rows))
-                    assert transposed(word) == flattened(reference_transpose(rows))
-
-    @given(random_hook_parts(), st.randoms(use_true_random=False))
-    def test_word_transposer_matches_both_transposes_on_random_partitions(self, parts, rng):
-        rows, word = shuffled_filling(parts, rng)
-        transposed = tableaux._word_transposer(parts)
-        assert transposed(word) == flattened(tableaux._transposed_rows(rows))
-        assert transposed(word) == flattened(reference_transpose(rows))
 
     def test_conjugate_is_involutive(self):
         for n in range(4, 21):

@@ -15,6 +15,7 @@ every transpose comes from _transposed_rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import filterfalse
 from operator import itemgetter
 from typing import Iterable
 
@@ -108,10 +109,10 @@ def _rebuilt_rows(ms: MarkedSubset, j: int) -> Rows:
         raise InvalidMarkedSubsetError(
             f"subset {sorted(ms.vertices)} has size {ms.size}, expected j={j}"
         )
-    n, marker = ms.n, ms.marker
-    inside = sorted(ms.vertices)
-    outside = sorted(set(range(1, n + 1)) - ms.vertices)
-    if 1 in ms.vertices:
+    vs, marker = ms.vertices, ms.marker
+    inside = sorted(vs)
+    outside = list(filterfalse(vs.__contains__, range(1, ms.n + 1)))  # ascending already
+    if 1 in vs:
         first_row, column_below = inside, outside
         column_below.remove(marker)
     else:
@@ -258,5 +259,6 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
 def _transpose_complements(tableau: Tableau, ms: MarkedSubset, ms_t: MarkedSubset | None) -> bool:
     """Whether transpose(tableau) maps to the complement of ms; ms_t is that image if looked up."""
     ms_t = ms_t or tableau_to_marked_subset(Tableau(_transposed_rows(tableau.rows)))
-    everything = frozenset(range(1, ms.n + 1))
-    return ms_t.vertices == everything - ms.vertices and ms_t.marker == ms.marker
+    # both are validated subsets of 1..n, so disjoint with sizes summing to n means complements
+    sizes_fit = ms_t.n == ms.n == ms_t.size + ms.size
+    return sizes_fit and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker

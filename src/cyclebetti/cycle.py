@@ -132,17 +132,19 @@ class MarkedSubset:
     marker: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
+        vs = frozenset(self.vertices)
+        object.__setattr__(self, "vertices", vs)
         try:
-            vs = _proper_subset(self.n, self.vertices)
+            _proper_subset(self.n, vs)  # its frozenset(vs) is vs itself: frozen once
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from exc
         n, m, has_one = self.n, self.marker, 1 in vs
-        # the side avoiding vertex 1 is vs, or its complement when 1 is in vs
-        outside = itertools.filterfalse(vs.__contains__, range(2, n + 1))
-        first = next(outside) if has_one else min(vs)
+        # the side avoiding vertex 1 is vs, or its complement when 1 is in vs; m is that
+        # side's minimum when none of 1..m-1 lies on it (the scan stops at the first that does)
+        side_misses = vs.issuperset if has_one else vs.isdisjoint
         if type(m) is not int or not (
-            m <= n and (m in vs) != has_one and (m - 1 in vs) == has_one and m != first
+            m <= n and (m in vs) != has_one and (m - 1 in vs) == has_one
+            and not side_misses(range(1, m))
         ):
             raise InvalidMarkedSubsetError(
                 f"marker {m} is not admissible for {sorted(vs)} "

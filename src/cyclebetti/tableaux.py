@@ -78,26 +78,30 @@ class Tableau:
     def __post_init__(self) -> None:
         rows = tuple(map(tuple, self.rows))
         object.__setattr__(self, "rows", rows)
-        lengths = tuple(map(len, rows))
-        if not _is_hook(lengths):
+        # the rows under row 2 hold one cell each: as many cells as rows, none empty
+        below = tuple(chain.from_iterable(rows[2:]))
+        if not (
+            len(rows) > 1 and len(rows[0]) > 1 and len(rows[1]) == 2
+            and len(below) == len(rows) - 2 and all(rows[2:])
+        ):
             raise TableauValidationError(
                 f"tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, "
-                f"got row lengths {lengths}"
+                f"got row lengths {tuple(map(len, rows))}"
             )
-        n = sum(lengths)
-        entries = list(chain.from_iterable(rows))  # typed before sorting, so sorted() never raises
+        first, second = rows[0], rows[1]
+        entries = first + second + below
+        n = len(entries)
+        # typed before sorting, so sorted() never raises
         if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        first, second = rows[0], rows[1]
         for i, row in ((1, first), (2, second)):
             if any(map(ge, row, row[1:])):
                 raise TableauValidationError(f"row {i} is not strictly increasing: {row}")
         # the cells below row 1 in row-major order, each against the cell above it:
         # (2, 1), (2, 2), then (3, 1), (4, 1), ...
-        column = tuple(map(itemgetter(0), rows))
-        falls = [second[0] < first[0], second[1] < first[1], *map(lt, column[2:], column[1:])]
-        if True in falls:
-            i = falls.index(True)
+        lower, upper = entries[len(first) :], first[:2] + second[:1] + below
+        if any(map(lt, lower, upper)):
+            i = list(map(lt, lower, upper)).index(True)
             raise TableauValidationError(
                 f"column {2 if i == 1 else 1} is not strictly increasing at row {max(i, 1) + 1}"
             )
@@ -108,7 +112,7 @@ class Tableau:
 
     @property
     def n(self) -> int:
-        return sum(map(len, self.rows))
+        return len(self.rows[0]) + len(self.rows)  # row 2 holds two cells, every later row one
 
     @property
     def reading_word(self) -> tuple[int, ...]:

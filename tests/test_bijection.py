@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 from dataclasses import dataclass
@@ -163,7 +164,9 @@ class TestRoundTrips:
 
 
 def traced_lines(fn, *args):
-    # Python line events while fn runs; a loop inside a builtin adds none
+    # Python line events while fn runs; a loop inside a builtin adds none.
+    # The collector is off meanwhile: a collection inside the call would trace
+    # whatever gc callbacks other modules installed (hypothesis installs one).
     lines = 0
 
     def local(frame, event, arg):
@@ -171,12 +174,15 @@ def traced_lines(fn, *args):
         lines += event == "line"
         return local
 
-    previous = sys.gettrace()
+    previous, collecting = sys.gettrace(), gc.isenabled()
+    gc.disable()
     sys.settrace(lambda frame, event, arg: local)
     try:
         fn(*args)
     finally:
         sys.settrace(previous)
+        if collecting:
+            gc.enable()
     return lines
 
 
@@ -188,6 +194,28 @@ class TestInterpretedWork:
         counts = {n: round_trip_lines(n, round(fraction * n)) for n in (16, 2048)}
         assert min(counts[16]) > 0
         assert counts[2048] == counts[16]
+
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_round_trip_validates_two_tableaux_and_four_marked_subsets(self, n, monkeypatch):
+        # a Tableau for the rebuilt filling and one for its transpose; a
+        # MarkedSubset for the input, one for the reverse map, and one for each
+        # side of the duality check: every object validated, none twice
+        calls = {}
+        for cls in (Tableau, MarkedSubset):
+
+            def counted(self, check=cls.__post_init__, name=cls.__name__):
+                calls[name] = calls.get(name, 0) + 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        j = n // 2
+        for vertices, marker in [({2, *range(4, j + 3)}, 4), ({1, *range(3, j + 2)}, j + 2)]:
+            calls.clear()
+            t = marked_subset_to_tableau(n, j, vertices, marker)
+            back = tableau_to_marked_subset(t)
+            assert transpose_duality_holds(t)
+            assert (back.vertices, back.marker) == (frozenset(vertices), marker)
+            assert calls == {"Tableau": 2, "MarkedSubset": 4}
 
 
 def round_trip_lines(n, j):

@@ -323,6 +323,73 @@ class TestMarkedSubsetType:
             MarkedSubset(n, frozenset(vertices), marker)
         assert str(excinfo.value) == text
 
+    @pytest.mark.parametrize(
+        "vertices,marker,text",
+        [
+            # n = 2048; the evens 2..2000 have admissible markers 4..2000
+            ({0, *range(2, 2001, 2)}, 4, "vertices [0] fall outside 1..2048"),
+            ({*range(2, 2001, 2), 2049}, 4, "vertices [2049] fall outside 1..2048"),
+            (
+                {*range(2, 1000, 2), 1000.0, *range(1002, 2001, 2)},
+                4,
+                "vertices [1000.0] fall outside 1..2048",
+            ),
+            ({True, *range(4, 2001, 2)}, 4, "vertices [True] fall outside 1..2048"),
+            (
+                range(2, 2001, 2),
+                2,
+                f"marker 2 is not admissible for {[*range(2, 2001, 2)]} on the 2048-cycle "
+                f"(admissible: {[*range(4, 2001, 2)]})",
+            ),
+            # the side's minimum found deep in the cycle, with and without vertex 1
+            (
+                range(1500, 2001, 2),
+                1500,
+                f"marker 1500 is not admissible for {[*range(1500, 2001, 2)]} on the 2048-cycle "
+                f"(admissible: {[*range(1502, 2001, 2)]})",
+            ),
+            (
+                {*range(1, 1001), *range(1500, 1601)},
+                1001,
+                f"marker 1001 is not admissible for {[*range(1, 1001), *range(1500, 1601)]} "
+                "on the 2048-cycle (admissible: [1601])",
+            ),
+            (
+                {*range(1, 1001), *range(1500, 1601)},
+                1002,
+                f"marker 1002 is not admissible for {[*range(1, 1001), *range(1500, 1601)]} "
+                "on the 2048-cycle (admissible: [1601])",
+            ),
+            (
+                {*range(1, 1001), *range(1500, 1601)},
+                2049,
+                f"marker 2049 is not admissible for {[*range(1, 1001), *range(1500, 1601)]} "
+                "on the 2048-cycle (admissible: [1601])",
+            ),
+        ],
+    )
+    def test_rejection_text_at_large_n(self, vertices, marker, text):
+        assert set_based_rejection(2048, set(vertices), marker) == text
+        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+            MarkedSubset(2048, frozenset(vertices), marker)
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize(
+        "vertices,marker",
+        [
+            (range(2, 2001, 2), 2000),
+            (range(1500, 2001, 2), 1502),
+            ({2, 2048}, 2048),
+            ({*range(1, 1001), *range(1500, 1601)}, 1601),
+            ({1, *range(3, 1001), 2048}, 1001),
+            ({*range(1, 1501), *range(1700, 1801)}, 1801),
+        ],
+    )
+    def test_accepts_admissible_markers_at_large_n(self, vertices, marker):
+        assert set_based_rejection(2048, set(vertices), marker) is None
+        ms = MarkedSubset(2048, frozenset(vertices), marker)
+        assert (ms.vertices, ms.marker) == (frozenset(vertices), marker)
+
     def test_accepts_iterable_vertices(self):
         ms = MarkedSubset(5, [2, 4], 4)
         assert ms.vertices == frozenset({2, 4})

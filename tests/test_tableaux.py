@@ -233,12 +233,54 @@ class TestTableauValidation:
             (((1,), (2,), (3,), (4,)), ROWS_TEXT + "(1, 1, 1, 1)"),
             (((1, 2), (3, 4), (5, 6)), ROWS_TEXT + "(2, 2, 2)"),
             (((1, 2.0), (3,)), ROWS_TEXT + "(2, 1)"),
+            # the column rows hold as many cells as there are rows, but not one each
+            (((1, 2), (3, 4), (), (5, 6)), ROWS_TEXT + "(2, 2, 0, 2)"),
+            (((1, 2), (3, 4), (5, 6), ()), ROWS_TEXT + "(2, 2, 2, 0)"),
+            (((1, 2), (3, 4), (5,), (6, 7), ()), ROWS_TEXT + "(2, 2, 1, 2, 0)"),
         ],
     )
     def test_rejection_text(self, rows, text):
         with pytest.raises(TableauValidationError) as excinfo:
             Tableau(rows)
         assert str(excinfo.value) == text
+
+    # n = 300, j = 100: row 1 holds 1..100, row 2 holds (101, 102), and the
+    # column below holds 103..300 in rows 3..200
+    @pytest.mark.parametrize(
+        "swap,text",
+        [
+            # the failing checks index deep positions
+            (((190, 1), (191, 1)), "column 1 is not strictly increasing at row 191"),
+            (((199, 1), (200, 1)), "column 1 is not strictly increasing at row 200"),
+            (((3, 1), (4, 1)), "column 1 is not strictly increasing at row 4"),
+            (
+                ((1, 90), (1, 91)),
+                f"row 1 is not strictly increasing: {(*range(1, 90), 91, 90, *range(92, 101))}",
+            ),
+            (
+                ((1, 99), (1, 100)),
+                f"row 1 is not strictly increasing: {(*range(1, 99), 100, 99)}",
+            ),
+            (((2, 2), (1, 100)), "row 2 is not strictly increasing: (101, 100)"),
+        ],
+    )
+    def test_rejection_text_of_a_swap_at_large_n(self, swap, text):
+        rows = [list(row) for row in row_major_filling(hook_shape(300, 100).parts)]
+        (a, b), (c, d) = swap
+        rows[a - 1][b - 1], rows[c - 1][d - 1] = rows[c - 1][d - 1], rows[a - 1][b - 1]
+        rows = tuple(map(tuple, rows))
+        assert first_violation(rows) == text
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(rows)
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize("old,new", [(300, 301), (3, 3.0), (1, True), (150, 0), (200, 199)])
+    def test_rejection_text_of_a_wrong_entry_at_large_n(self, old, new):
+        rows = row_major_filling(hook_shape(300, 100).parts)
+        rows = tuple(tuple(new if v == old else v for v in row) for row in rows)
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(rows)
+        assert str(excinfo.value) == "entries must be exactly 1..300, each once"
 
     def test_top_left_is_always_one(self):
         for parts in hook_parts(7):

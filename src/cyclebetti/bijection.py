@@ -8,15 +8,14 @@ verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
 time, and validates each object once: every forward image, rebuilt filling
 and transpose is looked up among the enumerated objects, and built afresh
-only when it lies outside them.  Tableaux are keyed by their rows, and
-every transpose comes from _transposed_rows.
+only when it lies outside them.  Tableaux are keyed by hook, and transposed by _transposed_hook.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from operator import itemgetter
 from typing import Iterable
 
 from .cycle import MarkedSubset, marked_subsets
@@ -27,17 +26,17 @@ from .errors import (
     TableauValidationError,
 )
 from .tableaux import (
+    Hook,
     Tableau,
     enumerate_standard_tableaux,
     format_tableau,
     hook_shape,
-    _transposed_rows,
+    _transposed_hook,
 )
 
-Rows = tuple[tuple[int, ...], ...]
 Pair = tuple[frozenset[int], int]
-# per shape: tableaux and images by rows (same order), marked subsets by (vertices, marker)
-Side = tuple[dict[Rows, Tableau], dict[Pair, MarkedSubset], dict[Rows, MarkedSubset]]
+# per shape: tableaux and images by hook (same order), marked subsets by (vertices, marker)
+Side = tuple[dict[Hook, Tableau], dict[Pair, MarkedSubset], dict[Hook, MarkedSubset]]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -58,13 +57,13 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
 
 
 def _read(tableau: Tableau) -> tuple[int, frozenset[int], int]:
-    """(n, subset, marker) of a tableau, read off the cell at (2, 2)."""
-    rows = tableau.rows
-    marker = tableau.entry(2, 2)
-    if marker - 1 in rows[0]:
-        subset = frozenset(rows[0])
-    elif marker - 1 in map(itemgetter(0), rows):
-        subset = frozenset((marker, *rows[0][1:]))
+    """(n, subset, marker) of a tableau, read off (2, 2); bisection finds the marker's predecessor."""
+    row, column, marker = tableau.hook
+    i, k = bisect_left(row, marker - 1), bisect_left(column, marker - 1)
+    if row[i : i + 1] == (marker - 1,):
+        subset = frozenset(row)
+    elif column[k : k + 1] == (marker - 1,):
+        subset = frozenset((marker, *row[1:]))
     else:
         row, col = tableau.position_of(marker - 1)
         raise ImpossibleBranchError(
@@ -90,35 +89,27 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
 
 def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
     """marked_subset_to_tableau for a marked subset that is already built."""
-    rows = _rebuilt_rows(ms, j)
     try:
-        tableau = Tableau(rows)
+        tableau = Tableau._from_hook(*_rebuilt_hook(ms, j))
     except TableauValidationError as exc:
         raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
-    if not tableau.entry(2, 2) > max(tableau.entry(1, 2), tableau.entry(2, 1)):
+    if not tableau.corner > max(tableau.row[1], tableau.column[1]):
         raise ImpossibleBranchError(
-            f"marker {ms.marker} at (2, 2) does not exceed both neighbours in "
-            f"{format_tableau(tableau)}"
+            f"marker {ms.marker} at (2, 2) does not exceed both neighbours in {format_tableau(tableau)}"
         )
     return tableau
 
 
-def _rebuilt_rows(ms: MarkedSubset, j: int) -> Rows:
-    """The rows _rebuild validates: the filling of a marked subset whose size must be j."""
+def _rebuilt_hook(ms: MarkedSubset, j: int) -> Hook:
+    """The hook _rebuild validates, for size j: 1 heads row and column, the marker is at (2, 2)."""
+    vs = ms.vertices
     if type(j) is not int or ms.size != j:
-        raise InvalidMarkedSubsetError(
-            f"subset {sorted(ms.vertices)} has size {ms.size}, expected j={j}"
-        )
-    vs, marker = ms.vertices, ms.marker
-    inside = sorted(vs)
-    outside = list(filterfalse(vs.__contains__, range(1, ms.n + 1)))  # ascending already
-    if 1 in vs:
-        first_row, column_below = inside, outside
-        column_below.remove(marker)
-    else:
-        first_row, column_below = [outside[0], *inside], outside[1:]
-        first_row.remove(marker)
-    return (tuple(first_row), (column_below[0], marker), *zip(column_below[1:]))
+        raise InvalidMarkedSubsetError(f"subset {sorted(vs)} has size {ms.size}, expected j={j}")
+    inside, outside = sorted(vs), list(filterfalse(vs.__contains__, range(1, ms.n + 1)))
+    side = outside if 1 in vs else inside  # the side without vertex 1, which holds the marker
+    side.remove(ms.marker)
+    side.insert(0, 1)
+    return tuple(inside), tuple(outside), ms.marker
 
 
 @dataclass
@@ -173,17 +164,17 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 
 def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
-    tableaux = {t.rows: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
+    tableaux = {t.hook: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
     marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
-    reads = {rows: _read(t) for rows, t in tableaux.items()}
-    image = {rows: marked.get(r[1:]) or MarkedSubset(*r) for rows, r in reads.items()}
+    reads = {hook: _read(t) for hook, t in tableaux.items()}
+    image = {hook: marked.get(r[1:]) or MarkedSubset(*r) for hook, r in reads.items()}
     return tableaux, marked, image
 
 
 def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     """The report for (n, j), from the enumerations and images of shape j and of its conjugate.
 
-    Transposes (by _transposed_rows), rebuilt fillings and preimages' images are found by rows.
+    Transposes (by _transposed_hook), rebuilt fillings and preimages' images are found by hook.
     """
     tableaux, marked, image = side
     mismatches: list[str] = []
@@ -196,13 +187,13 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
                 f"both map to {format_marked_subset(ms)}"
             )
     injective = len(forward) == len(image)
-    transposes = map(conjugate[2].get, map(_transposed_rows, image))  # None where the lookup misses
+    transposes = map(conjugate[2].get, map(_transposed_hook, image))  # None where the lookup misses
     duality_holds = all(map(_transpose_complements, tableaux.values(), image.values(), transposes))
 
     def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
         return tuple(sorted(ms.vertices)), ms.marker
 
-    preimage = {ms: tableaux.get(_rebuilt_rows(ms, j)) or _rebuild(ms, j) for ms in marked.values()}
+    preimage = {ms: tableaux.get(_rebuilt_hook(ms, j)) or _rebuild(ms, j) for ms in marked.values()}
     image_matches = forward.keys() == preimage.keys()
     if not image_matches:  # the set differences hash every marked subset again
         for ms in sorted(forward.keys() - preimage.keys(), key=_order):
@@ -214,7 +205,7 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     for t, ms in zip(tableaux.values(), image.values()):
         try:
             back = preimage.get(ms) or _rebuild(ms, j)
-            drift = "" if back.rows == t.rows else format_tableau(back)
+            drift = "" if back.hook == t.hook else format_tableau(back)
         except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"
         if drift:
@@ -225,7 +216,7 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
             )
     for ms, t in preimage.items():
         try:
-            back_ms = image.get(t.rows) or tableau_to_marked_subset(t)
+            back_ms = image.get(t.hook) or tableau_to_marked_subset(t)
             drift = "" if back_ms == ms else format_marked_subset(back_ms)
         except InvalidMarkedSubsetError as exc:
             drift = f"error: {exc}"
@@ -258,7 +249,7 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
 
 def _transpose_complements(tableau: Tableau, ms: MarkedSubset, ms_t: MarkedSubset | None) -> bool:
     """Whether transpose(tableau) maps to the complement of ms; ms_t is that image if looked up."""
-    ms_t = ms_t or tableau_to_marked_subset(Tableau(_transposed_rows(tableau.rows)))
+    ms_t = ms_t or tableau_to_marked_subset(Tableau._from_hook(*_transposed_hook(tableau.hook)))
     # both are validated subsets of 1..n, so disjoint with sizes summing to n means complements
     sizes_fit = ms_t.n == ms.n == ms_t.size + ms.size
     return sizes_fit and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from bisect import bisect
 from itertools import chain, combinations
 from math import factorial
-from operator import ge, itemgetter, lt
+from operator import attrgetter, ge, itemgetter, lt
+from typing import Iterable
 
 from .errors import (
     DomainError,
@@ -63,21 +64,26 @@ def hook_shape(n: int, j: int) -> Shape:
     return Shape((j, 2) + (1,) * (n - j - 2))
 
 
+Hook = tuple[tuple[int, ...], tuple[int, ...], int]  # (first row, first column, corner)
+_transposed_hook = itemgetter(1, 0, 2)  # a reflection's hook: row and column trade places
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
     Entries are 1..n, and rows and columns strictly increase.  Validation
     happens at construction, so every Tableau in existence is standard and
-    of such a shape.  Note the smallest entry is forced into the top-left
-    cell by the increase constraints, so entry(1, 1) == 1 always holds.
+    of such a shape.  Every cell is on the hook, so a Tableau(rows) holds its
+    first row and first column (both from the (1, 1) entry, always 1) and its (2, 2) entry.
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    row: tuple[int, ...]
+    column: tuple[int, ...]
+    corner: int
 
-    def __post_init__(self) -> None:
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+        rows = tuple(map(tuple, rows))
         # the rows under row 2 hold one cell each: as many cells as rows, none empty
         below = tuple(chain.from_iterable(rows[2:]))
         if not (
@@ -88,36 +94,56 @@ class Tableau:
                 f"tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, "
                 f"got row lengths {tuple(map(len, rows))}"
             )
-        first, second = rows[0], rows[1]
-        entries = first + second + below
-        n = len(entries)
-        # typed before sorting, so sorted() never raises
-        if set(map(type, entries)) != {int} or sorted(entries) != list(range(1, n + 1)):
+        vars(self).update(row=rows[0], column=rows[0][:1] + rows[1][:1] + below, corner=rows[1][1])
+        self.__post_init__()
+
+    @classmethod
+    def _from_hook(cls, row: tuple[int, ...], column: tuple[int, ...], corner: int) -> Tableau:
+        """The tableau with this hook, validated as Tableau(rows) is."""
+        tableau = object.__new__(cls)
+        vars(tableau).update(row=row, column=column, corner=corner)
+        tableau.__post_init__()
+        return tableau
+
+    def __post_init__(self) -> None:
+        row, column, corner = self.row, self.column, self.corner
+        if len(row) < 2 or len(column) < 2:
+            raise TableauValidationError(f"hooks need 2 cells each way, got {len(row)} and {len(column)}")
+        n = len(row) + len(column)
+        # (1, 1) is in both row and column; typed before sorting, so sorted() never raises
+        entries, types = row + column[1:] + (corner,), {*map(type, row + column), type(corner)}
+        if types != {int} or sorted(entries) != list(range(1, n + 1)) or column[0] != row[0]:
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        for i, row in ((1, first), (2, second)):
-            if any(map(ge, row, row[1:])):
-                raise TableauValidationError(f"row {i} is not strictly increasing: {row}")
-        # the cells below row 1 in row-major order, each against the cell above it:
-        # (2, 1), (2, 2), then (3, 1), (4, 1), ...
-        lower, upper = entries[len(first) :], first[:2] + second[:1] + below
-        if any(map(lt, lower, upper)):
-            i = list(map(lt, lower, upper)).index(True)
+        if any(map(ge, row, row[1:])):
+            raise TableauValidationError(f"row 1 is not strictly increasing: {row}")
+        if column[1] >= corner:
+            raise TableauValidationError(f"row 2 is not strictly increasing: {(column[1], corner)}")
+        if corner < row[1] or any(map(lt, column[1:], column)):
+            # the first cell below row 1 under a larger one: (2, 1), (2, 2), (3, 1), (4, 1), ...
+            i = [column[1] < column[0], corner < row[1], *map(lt, column[2:], column[1:])].index(True)
             raise TableauValidationError(
                 f"column {2 if i == 1 else 1} is not strictly increasing at row {max(i, 1) + 1}"
             )
 
+    hook = property(attrgetter("row", "column", "corner"), doc="The fields, as one exact key.")
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The rows top down, built from the hook: row 1, (column[1], corner), then one cell each."""
+        return (self.row, (self.column[1], self.corner), *zip(self.column[2:]))
+
     @property
     def shape(self) -> Shape:
-        return Shape(tuple(map(len, self.rows)))
+        return Shape((len(self.row), 2) + (1,) * (len(self.column) - 2))
 
     @property
     def n(self) -> int:
-        return len(self.rows[0]) + len(self.rows)  # row 2 holds two cells, every later row one
+        return len(self.row) + len(self.column)  # (1, 1) is in both, (2, 2) in neither
 
     @property
     def reading_word(self) -> tuple[int, ...]:
         """All entries in row-major order; the canonical sort key."""
-        return tuple(chain.from_iterable(self.rows))
+        return self.row + (self.column[1], self.corner) + self.column[2:]
 
     def entry(self, i: int, j: int) -> int:
         """The entry in row i, column j (1-based)."""
@@ -138,15 +164,7 @@ class Tableau:
 
 def transpose(tableau: Tableau) -> Tableau:
     """Reflect across the main diagonal; the shape becomes its conjugate."""
-    return Tableau(_transposed_rows(tableau.rows))
-
-
-def _transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The columns of hook-plus-column rows, as the rows of the reflection.
-
-    Column 1, then column 2, then one row per later cell of row 1.
-    """
-    return (tuple(map(itemgetter(0), rows)), (rows[0][1], rows[1][1]), *zip(rows[0][2:]))
+    return Tableau._from_hook(*_transposed_hook(tableau.hook))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
@@ -160,10 +178,9 @@ def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
     n, j = shape.size, shape.parts[0]
     entries, found = set(range(2, n + 1)), []
     for rest in combinations(range(2, n + 1), j - 1):
-        low, *others = sorted(entries.difference(rest))
+        row, (low, *others) = (1, *rest), sorted(entries.difference(rest))
         for i in range(bisect(others, rest[0]), len(others)):
-            column = zip(others[:i] + others[i + 1 :])
-            found.append(Tableau(((1, *rest), (low, others[i]), *column)))
+            found.append(Tableau._from_hook(row, (1, low, *others[:i], *others[i + 1 :]), others[i]))
     return found
 
 

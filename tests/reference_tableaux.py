@@ -1,4 +1,5 @@
-"""The generic tableau enumerator, kept for the tests as the reference: it knows no shape family."""
+"""Row-based references for the tests: the generic tableau enumerator, which knows no shape
+family, and the transpose and hook of hook-plus-column rows."""
 
 from cyclebetti.tableaux import Shape, Tableau
 
@@ -29,3 +30,16 @@ def reference_standard_tableaux(shape: Shape) -> list[Tableau]:
     place(1)
     found.sort(key=lambda t: t.reading_word)
     return found
+
+
+def transposed_rows(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The columns of hook-plus-column rows, as the rows of the reflection.
+
+    Column 1, then column 2, then one row per later cell of row 1.
+    """
+    return (tuple(row[0] for row in rows), (rows[0][1], rows[1][1]), *zip(rows[0][2:]))
+
+
+def hook_of(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(first row, first column, entry at (2, 2)) of hook-plus-column rows, unchecked."""
+    return rows[0], tuple(row[0] for row in rows), rows[1][1]

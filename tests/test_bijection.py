@@ -4,6 +4,7 @@ import sys
 from dataclasses import dataclass
 
 import pytest
+from reference_tableaux import hook_of
 
 import cyclebetti.bijection as bijection
 import cyclebetti.cycle as cycle
@@ -81,6 +82,30 @@ class TestForward:
                 for t in enumerate_standard_tableaux(shape):
                     assert bijection._read(t) == read_by_position(t)
 
+    @pytest.mark.parametrize(
+        "n,hook,cell",
+        [
+            # the marker's predecessor (3, then 1000) sits last in a first row that does not increase
+            (7, ((1, 6, 7, 3), (1, 2, 5), 4), (1, 4)),
+            (2048, ((1, *range(1002, 2049), 1000), tuple(range(1, 1000)), 1001), (1, 1049)),
+        ],
+    )
+    def test_predecessor_off_the_bisected_hook_raises(self, n, hook, cell):
+        # an unvalidated subclass lets through a first row out of order, where
+        # bisection finds the predecessor in neither the row nor the column
+        class UncheckedTableau(Tableau):
+            def __post_init__(self):
+                pass
+
+        t = UncheckedTableau._from_hook(*hook)
+        assert t.n == n
+        with pytest.raises(ImpossibleBranchError) as excinfo:
+            tableau_to_marked_subset(t)
+        assert str(excinfo.value) == (
+            f"predecessor of the marker sits at {cell}, "
+            "outside both the first row and the first column"
+        )
+
 
 def read_by_position(t):
     # the forward read through the cell of the marker's predecessor: the
@@ -143,7 +168,7 @@ class TestInverse:
 
         class UncheckedTableau(Tableau):
             def __post_init__(self):
-                object.__setattr__(self, "rows", tuple(tuple(row) for row in self.rows))
+                pass
 
         monkeypatch.setattr(bijection, "MarkedSubset", UncheckedMarkedSubset)
         monkeypatch.setattr(bijection, "Tableau", UncheckedTableau)
@@ -235,7 +260,7 @@ def round_trip_lines(n, j):
 
 def count_verifier_calls(monkeypatch):
     # counts the verifier's two enumerations (and the objects each yields),
-    # its forward reads, rebuilt rows, transposed rows, any call of the public
+    # its forward reads, rebuilt hooks, transposed hooks, any call of the public
     # maps, every Shape, Tableau and MarkedSubset validated, every vertex set
     # checked, and any reading word built
     calls = {}
@@ -259,8 +284,8 @@ def count_verifier_calls(monkeypatch):
         monkeypatch.setattr(bijection, name, enumerated(name, getattr(bijection, name)))
     for name in (
         "_read",
-        "_rebuilt_rows",
-        "_transposed_rows",
+        "_rebuilt_hook",
+        "_transposed_hook",
         "tableau_to_marked_subset",
         "_rebuild",
     ):
@@ -299,8 +324,8 @@ class TestVerifyBijection:
         # the verifier enumerates the shape and its conjugate once each, with
         # their marked subsets, and validates each enumerated object once and
         # nothing else: every forward image, rebuilt filling and transpose is
-        # found among them by lookup of its rows, each tableau of the shape
-        # has its rows transposed once, no reading word is built, each marked
+        # found among them by lookup of its hook, each tableau of the shape
+        # has its hook transposed once, no reading word is built, each marked
         # subset's vertices are checked once, and only the shape itself builds
         # a Shape
         calls = count_verifier_calls(monkeypatch)
@@ -315,8 +340,8 @@ class TestVerifyBijection:
                 "marked_subsets": sides,
                 "marked_subsets items": marked,
                 "_read": tableaux,
-                "_transposed_rows": report.tableau_count,
-                "_rebuilt_rows": report.marked_count,
+                "_transposed_hook": report.tableau_count,
+                "_rebuilt_hook": report.marked_count,
                 "Shape": sides,
                 "Tableau": tableaux,
                 "MarkedSubset": marked,
@@ -334,8 +359,8 @@ class TestVerifyBijection:
             "marked_subsets": len(reports),
             "marked_subsets items": marked,
             "_read": tableaux,
-            "_transposed_rows": tableaux,
-            "_rebuilt_rows": marked,
+            "_transposed_hook": tableaux,
+            "_rebuilt_hook": marked,
             "Shape": len(reports),
             "Tableau": tableaux,
             "MarkedSubset": marked,
@@ -369,7 +394,7 @@ class TestVerifyBijectionFailures:
         ],
     )
     def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
-        # the inverse looks its rebuilt rows up and falls back on _rebuild: both drift
+        # the inverse looks its rebuilt hook up and falls back on _rebuild: both drift
         def drifting(inverse, drifted):
             def wrapper(ms, j):
                 if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
@@ -379,7 +404,7 @@ class TestVerifyBijectionFailures:
             return wrapper
 
         monkeypatch.setattr(
-            bijection, "_rebuilt_rows", drifting(bijection._rebuilt_rows, parse_tableau(drift).rows)
+            bijection, "_rebuilt_hook", drifting(bijection._rebuilt_hook, parse_tableau(drift).hook)
         )
         monkeypatch.setattr(bijection, "_rebuild", drifting(bijection._rebuild, parse_tableau(drift)))
         report = verify_bijection(5, 2)
@@ -471,22 +496,22 @@ class TestVerifierLookupMisses:
     def test_transpose_outside_the_conjugate_shape(self, monkeypatch):
         # 1,2;3,4;5 is "transposed" to itself, a (5, 2) tableau the conjugate lookup misses
         t = parse_tableau("1,2;3,4;5")
-        substitute(monkeypatch, "_transposed_rows", t.rows, t.rows)
+        substitute(monkeypatch, "_transposed_hook", t.hook, t.hook)
         tableaux = validated(monkeypatch, Tableau)
         report = verify_bijection(5, 2)
         assert report.passed and not report.duality_holds and report.mismatches == []
         assert len(tableaux) == 11 and tableaux[10] == t  # after the 10 enumerated
 
     def test_non_standard_transpose_raises(self, monkeypatch):
-        bad = ((2, 1), (3, 4), (5,))
-        substitute(monkeypatch, "_transposed_rows", parse_tableau("1,2;3,4;5").rows, bad)
+        bad = hook_of(((2, 1), (3, 4), (5,)))
+        substitute(monkeypatch, "_transposed_hook", parse_tableau("1,2;3,4;5").hook, bad)
         with pytest.raises(TableauValidationError) as excinfo:
             verify_bijection(5, 2)
         assert str(excinfo.value) == "row 1 is not strictly increasing: (2, 1)"
 
     def test_rebuilt_filling_outside_the_shape(self, monkeypatch):
         drift = parse_tableau("1,2,3;4,5")
-        substitute(monkeypatch, "_rebuilt_rows", MarkedSubset(5, frozenset({2, 4}), 4), drift.rows)
+        substitute(monkeypatch, "_rebuilt_hook", MarkedSubset(5, frozenset({2, 4}), 4), drift.hook)
         tableaux = validated(monkeypatch, Tableau)
         report = verify_bijection(5, 2)
         assert (report.injective, report.image_matches, report.duality_holds) == (True,) * 3
@@ -498,8 +523,8 @@ class TestVerifierLookupMisses:
         assert len(tableaux) == 11 and tableaux[10] == drift
 
     def test_non_standard_rebuilt_filling_raises(self, monkeypatch):
-        bad = ((1, 2), (4, 3), (5,))
-        substitute(monkeypatch, "_rebuilt_rows", MarkedSubset(5, frozenset({2, 4}), 4), bad)
+        bad = hook_of(((1, 2), (4, 3), (5,)))
+        substitute(monkeypatch, "_rebuilt_hook", MarkedSubset(5, frozenset({2, 4}), 4), bad)
         with pytest.raises(ImpossibleBranchError) as excinfo:
             verify_bijection(5, 2)
         assert str(excinfo.value) == (

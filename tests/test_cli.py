@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -151,9 +152,9 @@ class TestMapUnmap:
 
 
 def stuck_on(text):
-    # the verifier's row transposer, except that this tableau's rows stay in place
-    rows, transposed = parse_tableau(text).rows, bijection._transposed_rows
-    return lambda r: r if r == rows else transposed(r)
+    # the verifier's hook transposer, except that this tableau's hook stays in place
+    hook, transposed = parse_tableau(text).hook, bijection._transposed_hook
+    return lambda h: h if h == hook else transposed(h)
 
 
 class TestVerify:
@@ -179,7 +180,7 @@ class TestVerify:
 
     def test_duality_failure_exits_one(self, runner, monkeypatch):
         # a transpose that leaves one tableau in place breaks duality for (5, 2)
-        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2;3,4;5"))
+        monkeypatch.setattr(bijection, "_transposed_hook", stuck_on("1,2;3,4;5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (
@@ -192,7 +193,7 @@ class TestVerify:
     def test_duality_failure_on_the_longer_row_side(self, runner, monkeypatch):
         # stuck on a (5, 3) tableau: (5, 3) must fail on its own transpose,
         # while (5, 2), whose transposes include that tableau, still passes
-        monkeypatch.setattr(bijection, "_transposed_rows", stuck_on("1,2,3;4,5"))
+        monkeypatch.setattr(bijection, "_transposed_hook", stuck_on("1,2,3;4,5"))
         result = runner.invoke(main, ["verify", "--n", "5"])
         assert result.exit_code == 1
         assert result.stdout == (
@@ -205,15 +206,15 @@ class TestVerify:
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_round_trip_drift_names_its_mismatches_on_stderr(self, runner, monkeypatch, fmt):
         # {2,4}|4 is rebuilt as 1,3;2,4;5 (the lookup and _rebuild both read
-        # _rebuilt_rows); csv stdout stays the grid alone, as json keeps its document
-        real = bijection._rebuilt_rows
+        # _rebuilt_hook); csv stdout stays the grid alone, as json keeps its document
+        real = bijection._rebuilt_hook
 
         def drifting(ms, j):
             if (ms.n, ms.vertices, ms.marker) == (5, frozenset({2, 4}), 4):
-                return parse_tableau("1,3;2,4;5").rows
+                return parse_tableau("1,3;2,4;5").hook
             return real(ms, j)
 
-        monkeypatch.setattr(bijection, "_rebuilt_rows", drifting)
+        monkeypatch.setattr(bijection, "_rebuilt_hook", drifting)
         result = runner.invoke(main, ["verify", "--n", "5", "--format", fmt])
         assert result.exit_code == 1
         assert result.stderr == (
@@ -249,6 +250,12 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "--n", "4..5", "--format", fmt])
         assert result.exit_code == 0
         assert result.stdout == expected
+
+    def test_full_range_json_matches_the_golden_bytes(self, runner):
+        # tests/golden/verify-4-14.json pins the whole exhaustive range byte for byte
+        result = runner.invoke(main, ["verify", "--n", "4..14", "--format", "json"])
+        assert result.exit_code == 0
+        assert result.stdout == (Path(__file__).parent / "golden" / "verify-4-14.json").read_text()
 
     @pytest.mark.parametrize("range_text", ["3", "15", "8..5", "abc", "4..x"])
     def test_bad_ranges_are_usage_errors(self, runner, range_text):

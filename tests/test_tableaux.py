@@ -8,7 +8,7 @@ from math import comb
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_tableaux import reference_standard_tableaux
+from reference_tableaux import reference_standard_tableaux, transposed_rows
 
 import cyclebetti.tableaux as tableaux
 from cyclebetti.errors import (
@@ -70,6 +70,24 @@ def random_hook_parts(draw, max_n=300):
 def standard_tableaux(draw):
     parts = draw(random_hook_parts(max_n=7))
     return draw(st.sampled_from(reference_standard_tableaux(Shape(parts))))
+
+
+@st.composite
+def large_standard_tableaux(draw, max_n=2048):
+    # rows drawn directly, without the library's maps: row 1 is 1 and a
+    # (j - 1)-subset of 2..n, (2, 1) the smallest entry left out, (2, 2) any
+    # later one above the entry at (1, 2), and the rest down the column
+    n = draw(st.integers(4, max_n))
+    j = draw(st.integers(2, n - 2))
+    rng = draw(st.randoms(use_true_random=False))
+    while True:
+        rest = sorted(rng.sample(range(2, n + 1), j - 1))
+        low, *others = sorted(set(range(2, n + 1)).difference(rest))
+        above = [v for v in others if v > rest[0]]
+        if above:
+            corner = rng.choice(above)
+            below = [v for v in others if v != corner]
+            return Tableau(((1, *rest), (low, corner), *zip(below)))
 
 
 def first_violation(rows):
@@ -148,14 +166,14 @@ class TestShape:
         for n in range(4, 21):
             for parts in hook_parts(n):
                 rows = row_major_filling(parts)
-                transposed = tableaux._transposed_rows(rows)
+                transposed = transposed_rows(rows)
                 assert transposed == reference_transpose(rows)
                 assert tuple(map(len, transposed)) == reference_conjugate(parts)
 
     @given(random_hook_parts())
     def test_row_helpers_match_per_column_references_on_random_partitions(self, parts):
         rows = row_major_filling(parts)
-        assert tableaux._transposed_rows(rows) == reference_transpose(rows)
+        assert transposed_rows(rows) == reference_transpose(rows)
 
     def test_conjugate_is_involutive(self):
         for n in range(4, 21):
@@ -432,6 +450,60 @@ class TestTranspose:
             for j in range(2, n - 1):
                 image = {transpose(t) for t in enumerate_standard_tableaux(hook_shape(n, j))}
                 assert image == set(enumerate_standard_tableaux(hook_shape(n, n - j)))
+
+
+def check_hook_views(t):
+    # the hook-held tableau against everything derived from its rows
+    rows = t.rows
+    transposed = transpose(t)
+    assert transposed.rows == transposed_rows(rows)
+    assert transpose(transposed) == t
+    again = Tableau(rows)
+    assert again == t and hash(again) == hash(t)
+    assert t.shape == Shape(tuple(map(len, rows)))
+    assert t.n == sum(map(len, rows))
+    assert t.reading_word == tuple(v for row in rows for v in row)
+
+
+class TestHook:
+    # a Tableau holds its first row, first column and (2, 2) entry; its
+    # transpose swaps the row and the column
+    def test_known_hook(self):
+        t = parse_tableau("1,3,6;2,4;5;7")
+        assert (t.row, t.column, t.corner) == ((1, 3, 6), (1, 2, 5, 7), 4)
+        assert t.hook == ((1, 3, 6), (1, 2, 5, 7), 4)
+        assert transpose(t).hook == ((1, 2, 5, 7), (1, 3, 6), 4)
+
+    def test_views_match_the_row_references_exhaustively(self):
+        for n in range(4, 11):
+            for j in range(2, n - 1):
+                for t in enumerate_standard_tableaux(hook_shape(n, j)):
+                    check_hook_views(t)
+
+    @given(large_standard_tableaux())
+    def test_views_match_the_row_references_up_to_2048(self, t):
+        check_hook_views(t)
+
+    @pytest.mark.parametrize(
+        "hook,text",
+        [
+            # the row and the column disagree at (1, 1), or hold it as an equal non-int
+            (((1, 2), (3, 4, 5), 6), "entries must be exactly 1..5, each once"),
+            (((1, 3), (7, 2, 5), 4), "entries must be exactly 1..5, each once"),
+            (((1, 3), (1.0, 2, 5), 4), "entries must be exactly 1..5, each once"),
+            (((2, 3), (1, 4, 5), 6), "entries must be exactly 1..5, each once"),
+            # a hook with no room for the cell (2, 2)
+            (((1,), (1, 2, 3, 4), 5), "hooks need 2 cells each way, got 1 and 4"),
+            (((1, 2, 3, 4), (1,), 5), "hooks need 2 cells each way, got 4 and 1"),
+            # then the checks of Tableau(rows), in its order
+            (((1, 4), (1, 2, 5), 3), "column 2 is not strictly increasing at row 2"),
+            (((1, 2), (1, 3, 6, 5), 4), "column 1 is not strictly increasing at row 4"),
+        ],
+    )
+    def test_private_constructor_rejects_bad_hooks(self, hook, text):
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau._from_hook(*hook)
+        assert str(excinfo.value) == text
 
 
 class TestTextFormat:

@@ -84,7 +84,7 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
     result is validated; a non-standard filling here is unreachable for a
     valid marked subset.
     """
-    return _rebuild(MarkedSubset(n, frozenset(vertices), marker), j)
+    return _rebuild(MarkedSubset(n, vertices, marker), j)
 
 
 def _rebuild(ms: MarkedSubset, j: int) -> Tableau:

@@ -34,7 +34,7 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     vs = frozenset(vertices)
-    if vs and (set(map(type, vs)) != {int} or min(vs) < 1 or max(vs) > n):
+    if vs and (set(map(type, vs)) != {int} or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
         bad = [v for v in vs if type(v) is not int or not 1 <= v <= n]
         bad.sort(key=lambda v: (0, v) if isinstance(v, Real) else (1, repr(v)))  # never raises
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
@@ -114,7 +114,7 @@ def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
     return markers - {min(markers)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MarkedSubset:
     """A vertex subset together with a distinguished non-minimal marker.
 
@@ -132,12 +132,14 @@ class MarkedSubset:
     marker: int
 
     def __post_init__(self) -> None:
-        vs = frozenset(self.vertices)
-        object.__setattr__(self, "vertices", vs)
         try:
+            vs = frozenset(self.vertices)
             _proper_subset(self.n, vs)  # its frozenset(vs) is vs itself: frozen once
+        except TypeError:  # only frozenset raises it: the rest is checked by type first
+            raise InvalidMarkedSubsetError(f"vertices must be an iterable of labels, got {self.vertices!r}") from None
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from exc
+        object.__setattr__(self, "vertices", vs)
         n, m, has_one = self.n, self.marker, 1 in vs
         # the side avoiding vertex 1 is vs, or its complement when 1 is in vs; m is that
         # side's minimum when none of 1..m-1 lies on it (the scan stops at the first that does)

@@ -68,7 +68,7 @@ Hook = tuple[tuple[int, ...], tuple[int, ...], int]  # (first row, first column,
 _transposed_hook = itemgetter(1, 0, 2)  # a reflection's hook: row and column trade places
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tableau:
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
@@ -83,7 +83,10 @@ class Tableau:
     corner: int
 
     def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        rows = tuple(map(tuple, rows))
+        try:
+            rows = tuple(map(tuple, rows))
+        except TypeError:
+            raise TableauValidationError(f"rows must be iterables of entries, got {rows!r}") from None
         # the rows under row 2 hold one cell each: as many cells as rows, none empty
         below = tuple(chain.from_iterable(rows[2:]))
         if not (
@@ -94,14 +97,18 @@ class Tableau:
                 f"tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, "
                 f"got row lengths {tuple(map(len, rows))}"
             )
-        vars(self).update(row=rows[0], column=rows[0][:1] + rows[1][:1] + below, corner=rows[1][1])
+        object.__setattr__(self, "row", rows[0])
+        object.__setattr__(self, "column", rows[0][:1] + rows[1][:1] + below)
+        object.__setattr__(self, "corner", rows[1][1])
         self.__post_init__()
 
     @classmethod
     def _from_hook(cls, row: tuple[int, ...], column: tuple[int, ...], corner: int) -> Tableau:
         """The tableau with this hook, validated as Tableau(rows) is."""
         tableau = object.__new__(cls)
-        vars(tableau).update(row=row, column=column, corner=corner)
+        object.__setattr__(tableau, "row", row)
+        object.__setattr__(tableau, "column", column)
+        object.__setattr__(tableau, "corner", corner)
         tableau.__post_init__()
         return tableau
 
@@ -110,15 +117,21 @@ class Tableau:
         if len(row) < 2 or len(column) < 2:
             raise TableauValidationError(f"hooks need 2 cells each way, got {len(row)} and {len(column)}")
         n = len(row) + len(column)
-        # (1, 1) is in both row and column; typed before sorting, so sorted() never raises
-        entries, types = row + column[1:] + (corner,), {*map(type, row + column), type(corner)}
-        if types != {int} or sorted(entries) != list(range(1, n + 1)) or column[0] != row[0]:
+        # typed before any comparison; both lines rise if each is in order and their n - 1 cells differ
+        types = {*map(type, row), *map(type, column), type(corner)}
+        cells = types == {int} and {*row, *column}
+        both_rise = cells and row[0] == column[0] and len(cells) == n - 1 and sorted(row) == list(row)
+        if both_rise := both_rise and sorted(column) == list(column):  # 1..n if the ends are in it
+            exact = row[0] > 0 and max(row[-1], column[-1]) <= n and 0 < corner <= n and corner not in cells
+        else:  # (1, 1) is in both row and column; cells is a set only once typed
+            exact = cells and column[0] == row[0] and sorted(row + column[1:] + (corner,)) == [*range(1, n + 1)]
+        if not exact:
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        if any(map(ge, row, row[1:])):
+        if not both_rise and any(map(ge, row, row[1:])):
             raise TableauValidationError(f"row 1 is not strictly increasing: {row}")
         if column[1] >= corner:
             raise TableauValidationError(f"row 2 is not strictly increasing: {(column[1], corner)}")
-        if corner < row[1] or any(map(lt, column[1:], column)):
+        if corner < row[1] or not both_rise:
             # the first cell below row 1 under a larger one: (2, 1), (2, 2), (3, 1), (4, 1), ...
             i = [column[1] < column[0], corner < row[1], *map(lt, column[2:], column[1:])].index(True)
             raise TableauValidationError(

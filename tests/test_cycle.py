@@ -394,6 +394,22 @@ class TestMarkedSubsetType:
         ms = MarkedSubset(5, [2, 4], 4)
         assert ms.vertices == frozenset({2, 4})
 
+    @pytest.mark.parametrize(
+        "vertices,text",
+        [
+            (5, "vertices must be an iterable of labels, got 5"),
+            (None, "vertices must be an iterable of labels, got None"),
+            ([[2], [4]], "vertices must be an iterable of labels, got [[2], [4]]"),
+            ([2, {4}], "vertices must be an iterable of labels, got [2, {4}]"),
+        ],
+    )
+    def test_malformed_vertices_raise_the_marked_subset_error(self, vertices, text):
+        # not an iterable of hashable labels: named, never a bare TypeError
+        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+            MarkedSubset(6, vertices, 3)
+        assert str(excinfo.value) == text
+        assert excinfo.value.__cause__ is None
+
     def test_matches_the_set_based_rule(self):
         # seeded random inputs, valid and invalid: markers drawn from the
         # admissible set, anywhere from -1 to n + 2 (n + 1 follows n, which is

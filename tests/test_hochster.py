@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -106,6 +107,39 @@ class TestBettiTable:
     def test_rejects_out_of_range_sizes(self, n):
         with pytest.raises(DomainError):
             betti_table(n)
+
+
+@lru_cache(maxsize=None)
+def table_entries(n):
+    return betti_table(n).entries
+
+
+class TestClosedForms:
+    # identities of the whole table that use neither Hochster's formula nor homology; any one
+    # wrong cell breaks the Hilbert series, and any cell but the middle of an even n's strand
+    # breaks the symmetry
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_hilbert_series(self, n):
+        # C_n has one empty face, n vertices and n edges, so sum (-1)^i b_ij t^j equals
+        # (1-t)^n + n t (1-t)^(n-1) + n t^2 (1-t)^(n-2) (Stanley, Combinatorics and
+        # Commutative Algebra, ch. II; Bruns-Herzog, Cohen-Macaulay Rings, 5.1)
+        expected = [0] * (n + 1)
+        for faces, size in ((1, 0), (n, 1), (n, 2)):
+            for k in range(n - size + 1):
+                expected[size + k] += faces * (-1) ** k * comb(n - size, k)
+        alternating = [0] * (n + 1)
+        for (i, j), value in table_entries(n).items():
+            alternating[j] += (-1) ** i * value
+        assert alternating == expected
+
+    @pytest.mark.parametrize("n", range(4, 21))
+    def test_gorenstein_symmetry(self, n):
+        # C_n is a 1-sphere, so its resolution is self-dual: b_ij = b_(n-2-i, n-j), and a
+        # cell whose dual falls outside 0 <= i <= j is 0 (Stanley, op. cit., II.5)
+        entries = table_entries(n)
+        for (i, j), value in entries.items():
+            assert value == entries.get((n - 2 - i, n - j), 0), (n, i, j)
 
 
 class TestArcTypes:

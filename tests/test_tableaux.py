@@ -1,14 +1,12 @@
 import subprocess
 import sys
-
-import random
 from itertools import permutations
-from math import comb
+from operator import add
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from reference_tableaux import reference_standard_tableaux, transposed_rows
+from reference_tableaux import hook_parts, laid_out, reference_standard_tableaux, transposed_rows
 
 import cyclebetti.tableaux as tableaux
 from cyclebetti.errors import (
@@ -29,11 +27,6 @@ from cyclebetti.tableaux import (
 )
 
 
-def hook_parts(n):
-    # every hook-plus-column shape (j, 2, 1, ..., 1) on n cells, j = 2..n-2
-    return [(j, 2) + (1,) * (n - j - 2) for j in range(2, n - 1)]
-
-
 def reference_conjugate(parts):
     # column c holds one cell per part longer than c
     return tuple(sum(1 for p in parts if p > c) for c in range(parts[0]))
@@ -46,12 +39,6 @@ def reference_transpose(rows):
         for c, v in enumerate(row):
             columns.setdefault(c, []).append(v)
     return tuple(tuple(columns[c]) for c in sorted(columns))
-
-
-def laid_out(parts, word):
-    # rows of the given lengths holding the word in reading order
-    values = iter(word)
-    return tuple(tuple(next(values) for _ in range(part)) for part in parts)
 
 
 def row_major_filling(parts):
@@ -262,6 +249,22 @@ class TestTableauValidation:
             Tableau(rows)
         assert str(excinfo.value) == text
 
+    @pytest.mark.parametrize(
+        "rows,text",
+        [
+            (([1, 2], [3, 4], 5), "rows must be iterables of entries, got ([1, 2], [3, 4], 5)"),
+            ([1, 2], "rows must be iterables of entries, got [1, 2]"),
+            (5, "rows must be iterables of entries, got 5"),
+            (None, "rows must be iterables of entries, got None"),
+        ],
+    )
+    def test_malformed_rows_raise_the_validation_error(self, rows, text):
+        # not an iterable of rows: named, never a bare TypeError
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(rows)
+        assert str(excinfo.value) == text
+        assert excinfo.value.__cause__ is None
+
     # n = 300, j = 100: row 1 holds 1..100, row 2 holds (101, 102), and the
     # column below holds 103..300 in rows 3..200
     @pytest.mark.parametrize(
@@ -389,22 +392,21 @@ class TestHookLengthCount:
                 assert hook_length_count(shape) == len(reference_standard_tableaux(shape))
 
     def test_matches_the_arc_count_identity_past_the_betti_range(self):
-        # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets
-        # have c arcs, and each adds c - 1 to the strand; the Betti route
-        # stops at n = 20, the hook length formula does not
-        def arc_count(n, j):
-            total = 0
-            for c in range(1, min(j, n - j) + 1):
-                subsets, remainder = divmod(n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1), c)
-                assert remainder == 0
-                total += (c - 1) * subsets
-            return total
-
-        rng = random.Random(12)
-        sizes = [(n, j) for n in range(4, 41) for j in range(2, n - 1)]
-        sizes += [(n, j) for n in (64, 128, 300) for j in rng.sample(range(2, n - 1), 12)]
-        for n, j in sizes:
-            assert hook_length_count(hook_shape(n, j)) == arc_count(n, j), (n, j)
+        # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets have c arcs, and
+        # each adds c - 1 to the strand; the Betti route stops at n = 20, the hook length
+        # formula does not.  Every 2 <= j <= n - 2 for n <= 300, binomials from Pascal's rule
+        binomials = [[1]]
+        for _ in range(300):
+            above = binomials[-1]
+            binomials.append([1, *map(add, above, above[1:]), 1])
+        for n in range(4, 301):
+            for j in range(2, n - 1):
+                left, right, total = binomials[j - 1], binomials[n - j - 1], 0
+                for c in range(2, min(j, n - j) + 1):
+                    subsets, remainder = divmod(n * left[c - 1] * right[c - 1], c)
+                    assert remainder == 0
+                    total += (c - 1) * subsets
+                assert hook_length_count(hook_shape(n, j)) == total, (n, j)
 
     def test_indivisible_hook_product_raises(self, monkeypatch):
         # the hook product of (2, 2) is 3 * 2 * 2 * 1 = 12; a total of 7 cannot be divided by it

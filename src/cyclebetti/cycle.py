@@ -114,7 +114,7 @@ def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
     return markers - {min(markers)}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class MarkedSubset:
     """A vertex subset together with a distinguished non-minimal marker.
 
@@ -127,6 +127,7 @@ class MarkedSubset:
     listed only to word a rejection.
     """
 
+    __slots__ = ("n", "vertices", "marker")  # no instance dict; frozen for every name
     n: int
     vertices: frozenset[int]
     marker: int
@@ -156,6 +157,9 @@ class MarkedSubset:
     @property
     def size(self) -> int:
         return len(self.vertices)
+
+    def __reduce__(self) -> tuple:
+        return MarkedSubset, (self.n, self.vertices, self.marker)  # unpickled through the same checks
 
 
 def marked_subsets(n: int, j: int) -> list[MarkedSubset]:

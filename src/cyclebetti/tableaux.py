@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from bisect import bisect
 from itertools import chain, combinations
 from math import factorial
-from operator import attrgetter, ge, itemgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import Iterable
 
 from .errors import (
@@ -68,7 +68,7 @@ Hook = tuple[tuple[int, ...], tuple[int, ...], int]  # (first row, first column,
 _transposed_hook = itemgetter(1, 0, 2)  # a reflection's hook: row and column trade places
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class Tableau:
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
@@ -78,6 +78,7 @@ class Tableau:
     first row and first column (both from the (1, 1) entry, always 1) and its (2, 2) entry.
     """
 
+    __slots__ = ("row", "column", "corner")  # no instance dict; frozen for every name
     row: tuple[int, ...]
     column: tuple[int, ...]
     corner: int
@@ -117,21 +118,18 @@ class Tableau:
         if len(row) < 2 or len(column) < 2:
             raise TableauValidationError(f"hooks need 2 cells each way, got {len(row)} and {len(column)}")
         n = len(row) + len(column)
-        # typed before any comparison; both lines rise if each is in order and their n - 1 cells differ
-        types = {*map(type, row), *map(type, column), type(corner)}
-        cells = types == {int} and {*row, *column}
-        both_rise = cells and row[0] == column[0] and len(cells) == n - 1 and sorted(row) == list(row)
-        if both_rise := both_rise and sorted(column) == list(column):  # 1..n if the ends are in it
-            exact = row[0] > 0 and max(row[-1], column[-1]) <= n and 0 < corner <= n and corner not in cells
-        else:  # (1, 1) is in both row and column; cells is a set only once typed
-            exact = cells and column[0] == row[0] and sorted(row + column[1:] + (corner,)) == [*range(1, n + 1)]
-        if not exact:
+        # typed before any comparison; (1, 1) is in both lines, so their n - 1 cells differ when
+        # their set has n - 1 members, and then n distinct ints in 1..n are exactly 1..n
+        if typed := {*map(type, row), *map(type, column), type(corner)} == {int}:
+            srow, scol, cells = sorted(row), sorted(column), {*row, *column}
+        if not (typed and row[0] == column[0] and len(cells) == n - 1 and 0 < min(srow[0], scol[0])
+                and max(srow[-1], scol[-1]) <= n and 0 < corner <= n and corner not in cells):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
-        if not both_rise and any(map(ge, row, row[1:])):
+        if srow != list(row):  # the entries differ, so in order means strictly increasing
             raise TableauValidationError(f"row 1 is not strictly increasing: {row}")
         if column[1] >= corner:
             raise TableauValidationError(f"row 2 is not strictly increasing: {(column[1], corner)}")
-        if corner < row[1] or not both_rise:
+        if corner < row[1] or scol != list(column):
             # the first cell below row 1 under a larger one: (2, 1), (2, 2), (3, 1), (4, 1), ...
             i = [column[1] < column[0], corner < row[1], *map(lt, column[2:], column[1:])].index(True)
             raise TableauValidationError(
@@ -139,6 +137,9 @@ class Tableau:
             )
 
     hook = property(attrgetter("row", "column", "corner"), doc="The fields, as one exact key.")
+
+    def __reduce__(self) -> tuple:
+        return Tableau._from_hook, self.hook  # unpickled and copied through the same checks
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:

@@ -22,7 +22,6 @@ from .cycle import (
     admissible_markers,
     cycle_edges,
     marked_subsets,
-    marker_set,
     restrict,
 )
 from .errors import (
@@ -86,7 +85,6 @@ __all__ = [
     "linear_strand",
     "marked_subset_to_tableau",
     "marked_subsets",
-    "marker_set",
     "matrix_rank",
     "parse_tableau",
     "restrict",

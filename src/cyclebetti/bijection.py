@@ -90,7 +90,7 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
 def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
     """marked_subset_to_tableau for a marked subset that is already built."""
     try:
-        tableau = Tableau._from_hook(*_rebuilt_hook(ms, j))
+        tableau = Tableau(*_rebuilt_hook(ms, j))
     except TableauValidationError as exc:
         raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
     if not tableau.corner > max(tableau.row[1], tableau.column[1]):
@@ -249,7 +249,7 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
 
 def _transpose_complements(tableau: Tableau, ms: MarkedSubset, ms_t: MarkedSubset | None) -> bool:
     """Whether transpose(tableau) maps to the complement of ms; ms_t is that image if looked up."""
-    ms_t = ms_t or tableau_to_marked_subset(Tableau._from_hook(*_transposed_hook(tableau.hook)))
+    ms_t = ms_t or tableau_to_marked_subset(Tableau(*_transposed_hook(tableau.hook)))
     # both are validated subsets of 1..n, so disjoint with sizes summing to n means complements
     sizes_fit = ms_t.n == ms.n == ms_t.size + ms.size
     return sizes_fit and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker

@@ -30,13 +30,19 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
 
     This is the one input rule for a subset of the n-cycle: n is an int
     >= 3, and every vertex is an int in 1..n (never a float or a bool).
+    The labels are typed as given, before the frozenset merges equal ones
+    (1, 1.0 and True), so their order never matters.
     """
+    labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
+    vs = frozenset(labels)
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
-    vs = frozenset(vertices)
-    if vs and (set(map(type, vs)) != {int} or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
-        bad = [v for v in vs if type(v) is not int or not 1 <= v <= n]
-        bad.sort(key=lambda v: (0, v) if isinstance(v, Real) else (1, repr(v)))  # never raises
+    # with no label repeated, none was merged into vs, and typing vs (the cheaper pass) types them all
+    typed = vs if len(vs) == len(labels) else labels
+    if vs and (set(map(type, typed)) != {int} or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
+        # each bad label once, numbers first; an equal float, bool or int stays apart
+        bad = {(type(v), v): v for v in labels if type(v) is not int or not 1 <= v <= n}.values()
+        bad = sorted(bad, key=lambda v: (0, v, repr(v)) if isinstance(v, Real) else (1, repr(v)))
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
     return vs
 
@@ -84,20 +90,6 @@ def restrict(n: int, vertices: Iterable[int]) -> CycleRestriction:
     return CycleRestriction(n, vs, tuple(arcs))
 
 
-def marker_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
-    """Arc minima of the restriction, taken on the side avoiding vertex 1.
-
-    For a proper nonempty subset W this is the set of component minima of
-    the restriction to W when 1 is not in W, and of the restriction to the
-    complement of W when 1 is in W.  Both sides split into the same number
-    of arcs, so either way there is one marker per component.
-    """
-    vs = _proper_subset(n, vertices)
-    side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
-    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
-    return side.difference(map((1).__add__, side))
-
-
 def _proper_subset(n: int, vertices: Iterable[int]) -> frozenset[int]:
     """vertex_set, for a subset that must be proper and nonempty to have markers."""
     vs = vertex_set(n, vertices)
@@ -109,8 +101,16 @@ def _proper_subset(n: int, vertices: Iterable[int]) -> frozenset[int]:
 
 
 def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
-    """Markers other than the smallest; the valid choices for a marked subset."""
-    markers = marker_set(n, vertices)
+    """Markers other than the smallest; the valid choices for a marked subset.
+
+    The markers are the arc minima on the side avoiding vertex 1: a proper
+    nonempty subset W, or its complement when 1 is in W.  Both sides split
+    into as many arcs, so either way there is one marker per component.
+    """
+    vs = _proper_subset(n, vertices)
+    side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
+    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
+    markers = side.difference(map((1).__add__, side))
     return markers - {min(markers)}
 
 
@@ -134,9 +134,8 @@ class MarkedSubset:
 
     def __post_init__(self) -> None:
         try:
-            vs = frozenset(self.vertices)
-            _proper_subset(self.n, vs)  # its frozenset(vs) is vs itself: frozen once
-        except TypeError:  # only frozenset raises it: the rest is checked by type first
+            vs = _proper_subset(self.n, self.vertices)
+        except TypeError:  # only reading or freezing the labels raises it, before any other check
             raise InvalidMarkedSubsetError(f"vertices must be an iterable of labels, got {self.vertices!r}") from None
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from exc
@@ -174,7 +173,7 @@ def marked_subsets(n: int, j: int) -> list[MarkedSubset]:
     for combo in itertools.combinations(range(1, n + 1), j):
         vs = frozenset(combo)
         side = vs if 1 not in vs else everything - vs
-        # marker_set's arc starts, minimum dropped; only MarkedSubset checks vs
+        # the arc starts of admissible_markers, minimum dropped; only MarkedSubset checks vs
         for marker in sorted(side.difference(map((1).__add__, side)))[1:]:
             out.append(MarkedSubset(n, vs, marker))
     return out

@@ -32,7 +32,7 @@ class Shape:
     def __post_init__(self) -> None:
         parts = tuple(self.parts)
         object.__setattr__(self, "parts", parts)
-        if set(map(type, parts)) != {int} or not _is_hook(parts):
+        if set(map(type, parts)) != {int} or parts[:1] < (2,) or parts[1:] != (2,) + (1,) * (len(parts) - 2):
             raise DomainError(
                 f"shapes must be hook-plus-column (j, 2, 1, ..., 1) with j >= 2, got {parts}"
             )
@@ -44,11 +44,6 @@ class Shape:
     def conjugate(self) -> "Shape":
         """The reflected shape: (j, 2, 1, ..., 1) on n cells becomes (n - j, 2, 1, ..., 1)."""
         return hook_shape(self.size, self.size - self.parts[0])
-
-
-def _is_hook(parts: tuple[int, ...]) -> bool:
-    """Whether parts are (j, 2, 1, ..., 1) with j >= 2."""
-    return parts[:1] >= (2,) and parts[1:] == (2,) + (1,) * (len(parts) - 2)
 
 
 def hook_shape(n: int, j: int) -> Shape:
@@ -72,10 +67,12 @@ _transposed_hook = itemgetter(1, 0, 2)  # a reflection's hook: row and column tr
 class Tableau:
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
-    Entries are 1..n, and rows and columns strictly increase.  Validation
-    happens at construction, so every Tableau in existence is standard and
-    of such a shape.  Every cell is on the hook, so a Tableau(rows) holds its
-    first row and first column (both from the (1, 1) entry, always 1) and its (2, 2) entry.
+    Entries are 1..n, and rows and columns strictly increase.  Every cell is
+    on the hook, so a tableau is its first row and first column (both from the
+    (1, 1) entry, always 1) and its (2, 2) entry: Tableau(row, column, corner),
+    by position or keyword, validates them at construction, so every Tableau
+    in existence is standard and of such a shape.  from_rows reads the hook off
+    the rows.
     """
 
     __slots__ = ("row", "column", "corner")  # no instance dict; frozen for every name
@@ -83,7 +80,9 @@ class Tableau:
     column: tuple[int, ...]
     corner: int
 
-    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
+    @classmethod
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> Tableau:
+        """The tableau with these rows, once they have a hook-plus-column shape."""
         try:
             rows = tuple(map(tuple, rows))
         except TypeError:
@@ -98,23 +97,14 @@ class Tableau:
                 f"tableaux must have a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2, "
                 f"got row lengths {tuple(map(len, rows))}"
             )
-        object.__setattr__(self, "row", rows[0])
-        object.__setattr__(self, "column", rows[0][:1] + rows[1][:1] + below)
-        object.__setattr__(self, "corner", rows[1][1])
-        self.__post_init__()
-
-    @classmethod
-    def _from_hook(cls, row: tuple[int, ...], column: tuple[int, ...], corner: int) -> Tableau:
-        """The tableau with this hook, validated as Tableau(rows) is."""
-        tableau = object.__new__(cls)
-        object.__setattr__(tableau, "row", row)
-        object.__setattr__(tableau, "column", column)
-        object.__setattr__(tableau, "corner", corner)
-        tableau.__post_init__()
-        return tableau
+        return cls(rows[0], rows[0][:1] + rows[1][:1] + below, rows[1][1])
 
     def __post_init__(self) -> None:
         row, column, corner = self.row, self.column, self.corner
+        if type(row) is not tuple or type(column) is not tuple:  # held as given: a list is unhashable
+            raise TableauValidationError(
+                f"row and column must be tuples, got {type(row).__name__} and {type(column).__name__}"
+            )
         if len(row) < 2 or len(column) < 2:
             raise TableauValidationError(f"hooks need 2 cells each way, got {len(row)} and {len(column)}")
         n = len(row) + len(column)
@@ -139,7 +129,7 @@ class Tableau:
     hook = property(attrgetter("row", "column", "corner"), doc="The fields, as one exact key.")
 
     def __reduce__(self) -> tuple:
-        return Tableau._from_hook, self.hook  # unpickled and copied through the same checks
+        return Tableau, self.hook  # unpickled and copied through the same checks
 
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
@@ -159,12 +149,6 @@ class Tableau:
         """All entries in row-major order; the canonical sort key."""
         return self.row + (self.column[1], self.corner) + self.column[2:]
 
-    def entry(self, i: int, j: int) -> int:
-        """The entry in row i, column j (1-based)."""
-        if not (1 <= i <= len(self.rows) and 1 <= j <= len(self.rows[i - 1])):
-            raise ValueError(f"no cell at ({i}, {j})")
-        return self.rows[i - 1][j - 1]
-
     def position_of(self, value: int) -> tuple[int, int]:
         """The (row, column) cell holding a value, 1-based."""
         for i, row in enumerate(self.rows):
@@ -178,7 +162,7 @@ class Tableau:
 
 def transpose(tableau: Tableau) -> Tableau:
     """Reflect across the main diagonal; the shape becomes its conjugate."""
-    return Tableau._from_hook(*_transposed_hook(tableau.hook))
+    return Tableau(*_transposed_hook(tableau.hook))
 
 
 def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
@@ -194,7 +178,7 @@ def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
     for rest in combinations(range(2, n + 1), j - 1):
         row, (low, *others) = (1, *rest), sorted(entries.difference(rest))
         for i in range(bisect(others, rest[0]), len(others)):
-            found.append(Tableau._from_hook(row, (1, low, *others[:i], *others[i + 1 :]), others[i]))
+            found.append(Tableau(row, (1, low, *others[:i], *others[i + 1 :]), others[i]))
     return found
 
 
@@ -203,17 +187,16 @@ def hook_length_count(shape: Shape) -> int:
 
     The hook of a cell covers the cell, everything to its right, and
     everything below; the count is n! divided by the product of all hook
-    lengths.  Serves as the closed-form cross-check for the enumeration.
+    lengths.  On (j, 2, 1, ..., 1) the hooks are n - 1 at (1, 1), j at (1, 2)
+    and n - j at (2, 1), then j - 2, ..., 1 along the rest of row 1, 1 at
+    (2, 2) and n - j - 2, ..., 1 down the rest of column 1.  Serves as the
+    closed-form cross-check for the enumeration.
     """
-    parts = shape.parts
-    cols = shape.conjugate().parts
-    product = 1
-    for i, part in enumerate(parts):
-        for c in range(part):
-            product *= (part - c) + (cols[c] - i) - 1
-    total = factorial(shape.size)
+    n, j = shape.size, shape.parts[0]
+    product = (n - 1) * j * factorial(j - 2) * (n - j) * factorial(n - j - 2)
+    total = factorial(n)
     if total % product:
-        raise ImpossibleBranchError(f"hook product {product} does not divide {shape.size}!")
+        raise ImpossibleBranchError(f"hook product {product} does not divide {n}!")
     return total // product
 
 
@@ -234,7 +217,7 @@ def parse_tableau(text: str) -> Tableau:
             rows.append(tuple(int(cell) for cell in cells))
         except ValueError as exc:
             raise TableauParseError(f"non-integer entry in row {row_text!r}") from exc
-    return Tableau(tuple(rows))
+    return Tableau.from_rows(rows)
 
 
 def format_tableau(tableau: Tableau) -> str:

@@ -1,7 +1,8 @@
 """Row-based references for the tests: the generic tableau enumerator, which knows no shape
 family, and the transpose and hook of hook-plus-column rows.  Also the sorting validators:
 Tableau's, which sorts all n entries, and vertex_set's and MarkedSubset's, which read the range
-by min and max.  The library's checks must give the same verdict, rejection by rejection."""
+by min and max, and which type every label as given.  The library's checks must give the same
+verdict, rejection by rejection."""
 
 from itertools import chain
 from numbers import Real
@@ -32,7 +33,7 @@ def reference_standard_tableaux(shape: Shape) -> list[Tableau]:
 
     def place(value: int) -> None:
         if value > n:
-            found.append(Tableau(tuple(map(tuple, rows))))
+            found.append(Tableau.from_rows(rows))
             return
         for r, part in enumerate(parts):
             filled = len(rows[r])
@@ -71,7 +72,7 @@ def hook_of(rows: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], tuple[i
 
 
 def reference_tableau_rows(rows):
-    """The hook that Tableau(rows) holds, checked in the sorting validator's order."""
+    """The hook that Tableau.from_rows(rows) holds, checked in the sorting validator's order."""
     rows = tuple(map(tuple, rows))
     below = tuple(chain.from_iterable(rows[2:]))
     if not (
@@ -108,22 +109,32 @@ def reference_tableau_hook(row, column, corner):
 
 
 def reference_vertex_set(n, vertices=()):
-    """vertex_set, with its range read by min and max."""
+    """vertex_set, with its range read by min and max.
+
+    Every label is typed as given: an equal float or bool beside an int (1.0 or True beside 1)
+    is rejected in either order, before the frozenset would merge it with the int.
+    """
+    labels = list(vertices)
+    vs = frozenset(labels)
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
-    vs = frozenset(vertices)
-    if vs and (set(map(type, vs)) != {int} or min(vs) < 1 or max(vs) > n):
-        bad = [v for v in vs if type(v) is not int or not 1 <= v <= n]
-        bad.sort(key=lambda v: (0, v) if isinstance(v, Real) else (1, repr(v)))  # never raises
+    if any(type(v) is not int for v in labels) or (vs and (min(vs) < 1 or max(vs) > n)):
+        bad = []
+        for v in labels:  # each once, where an int and an equal float or bool are two labels
+            if (type(v) is not int or not 1 <= v <= n) and not any(
+                type(b) is type(v) and (b is v or b == v) for b in bad
+            ):
+                bad.append(v)
+        # numbers first, ties between equal numbers by repr; never raises
+        bad.sort(key=lambda v: (0, v, repr(v)) if isinstance(v, Real) else (1, repr(v)))
         raise VertexRangeError(f"vertices {bad} fall outside 1..{n}")
     return vs
 
 
 def reference_marked_subset(n, vertices, marker):
     """(n, vertices, marker) of MarkedSubset(n, vertices, marker), checked in the same order."""
-    vs = frozenset(vertices)
     try:
-        reference_vertex_set(n, vs)
+        vs = reference_vertex_set(n, vertices)
         if not vs or len(vs) == n:
             raise UndefinedMarkerError(
                 f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"

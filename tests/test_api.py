@@ -1,11 +1,12 @@
 import types
 
 import cyclebetti
+import cyclebetti.cycle as cycle
 import cyclebetti.homology as homology
 
 # the generic reference route stays in cyclebetti.homology, unexported
 UNEXPORTED = ["SimplicialComplex", "boundary_matrix", "reduced_betti_dim", "restriction_complex"]
-REMOVED = ["nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle"]
+REMOVED = ["nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle", "marker_set"]
 
 
 def test_every_exported_name_resolves_once():
@@ -28,3 +29,15 @@ def test_reference_route_and_test_helpers_are_not_exported():
         assert not hasattr(cyclebetti, name)
     assert all(hasattr(homology, name) for name in UNEXPORTED)
     assert not any(hasattr(homology, name) for name in REMOVED)
+
+
+def test_one_tableau_constructor_and_no_entry_lookup():
+    # Tableau(row, column, corner) and Tableau.from_rows build every tableau; cells are read
+    # off row, column and corner
+    assert not hasattr(cyclebetti.Tableau, "_from_hook")
+    assert not hasattr(cyclebetti.Tableau, "entry")
+    assert callable(cyclebetti.Tableau.from_rows)
+
+
+def test_marker_set_is_folded_into_admissible_markers():
+    assert not hasattr(cycle, "marker_set")

@@ -71,7 +71,7 @@ class TestForward:
             for j in range(2, n - 1):
                 for t in enumerate_standard_tableaux(hook_shape(n, j)):
                     ms = tableau_to_marked_subset(t)
-                    predecessor_row = t.position_of(t.entry(2, 2) - 1)[0]
+                    predecessor_row = t.position_of(t.corner - 1)[0]
                     assert (predecessor_row == 1) == (1 in ms.vertices)
 
 
@@ -97,7 +97,7 @@ class TestForward:
             def __post_init__(self):
                 pass
 
-        t = UncheckedTableau._from_hook(*hook)
+        t = UncheckedTableau(*hook)
         assert t.n == n
         with pytest.raises(ImpossibleBranchError) as excinfo:
             tableau_to_marked_subset(t)
@@ -111,7 +111,7 @@ def read_by_position(t):
     # the forward read through the cell of the marker's predecessor: the
     # subset is the first row when that cell is in it, and otherwise the
     # marker and the first row past its initial cell
-    marker = t.entry(2, 2)
+    marker = t.corner
     row, col = t.position_of(marker - 1)
     if row == 1:
         return t.n, frozenset(t.rows[0]), marker
@@ -150,8 +150,8 @@ class TestInverse:
             for j in range(2, n - 1):
                 for ms in marked_subsets(n, j):
                     t = marked_subset_to_tableau(n, j, ms.vertices, ms.marker)
-                    assert t.entry(2, 2) > t.entry(1, 2)
-                    assert t.entry(2, 2) > t.entry(2, 1)
+                    assert t.corner > t.row[1]  # the entries at (2, 2) and (1, 2)
+                    assert t.corner > t.column[1]  # and at (2, 1)
 
     def test_misplaced_marker_raises(self, monkeypatch):
         # with both validations switched off, the inadmissible marker 2 for

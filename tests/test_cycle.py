@@ -9,7 +9,6 @@ from cyclebetti.cycle import (
     admissible_markers,
     cycle_edges,
     marked_subsets,
-    marker_set,
     restrict,
     vertex_set,
 )
@@ -153,20 +152,22 @@ class TestVertexSet:
 
 
 class TestMarkers:
+    # the markers are the admissible ones and the smallest arc minimum on the side avoiding 1
     def test_known_values_without_vertex_one(self):
-        assert marker_set(5, {2, 4}) == frozenset({2, 4})
-        assert marker_set(6, {2, 4, 6}) == frozenset({2, 4, 6})
+        assert admissible_markers(5, {2, 4}) | {min(restrict(5, {2, 4}).components[0])} == {2, 4}
+        assert admissible_markers(6, {2, 4, 6}) | {min(restrict(6, {2, 4, 6}).components[0])} == {2, 4, 6}
 
     def test_known_value_with_vertex_one_uses_complement(self):
-        assert marker_set(5, {1, 3}) == frozenset({2, 4})
+        assert admissible_markers(5, {1, 3}) | {min(restrict(5, {2, 4, 5}).components[0])} == {2, 4}
 
     def test_matches_arc_minima_of_restriction(self):
-        # reference: the minima of the arcs of the restriction to the side avoiding 1
+        # reference: the minima of the arcs of the restriction to the side avoiding 1, less the smallest
         for n in range(3, 13):
             everything = frozenset(range(1, n + 1))
             for w in proper_nonempty_subsets(n):
                 side = w if 1 not in w else everything - w
-                assert marker_set(n, w) == {min(arc) for arc in restrict(n, side).components}
+                minima = {min(arc) for arc in restrict(n, side).components}
+                assert admissible_markers(n, w) == minima - {min(minima)}
 
     def test_admissible_drops_the_minimum(self):
         assert admissible_markers(5, {2, 4}) == frozenset({4})
@@ -180,12 +181,13 @@ class TestMarkers:
     @pytest.mark.parametrize("bad", [(), (1, 2, 3, 4, 5)])
     def test_undefined_for_empty_and_full(self, bad):
         with pytest.raises(UndefinedMarkerError):
-            marker_set(5, bad)
+            admissible_markers(5, bad)
 
     def test_marker_count_equals_component_count(self):
+        # one marker per component of w itself, whichever side the markers lie on
         for n in range(3, 11):
             for w in proper_nonempty_subsets(n):
-                assert len(marker_set(n, w)) == restrict(n, w).component_count
+                assert len(admissible_markers(n, w)) + 1 == restrict(n, w).component_count
 
     def test_admissible_nonempty_iff_disconnected(self):
         for n in range(3, 11):
@@ -196,7 +198,7 @@ class TestMarkers:
     def test_marker_side_depends_on_vertex_one(self):
         for n in range(3, 11):
             for w in proper_nonempty_subsets(n):
-                markers = marker_set(n, w)
+                markers = admissible_markers(n, w)
                 if 1 in w:
                     assert not markers & w
                 else:
@@ -264,7 +266,7 @@ class TestMarkedSubsets:
 
             return wrapper
 
-        for name in ("marker_set", "admissible_markers", "vertex_set"):
+        for name in ("admissible_markers", "vertex_set"):
             monkeypatch.setattr(cycle, name, counted(name, getattr(cycle, name)))
         found = marked_subsets(n, j)
         assert 0 < len(found) and calls == ["vertex_set"] * len(found)

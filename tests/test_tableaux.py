@@ -74,7 +74,7 @@ def large_standard_tableaux(draw, max_n=2048):
         if above:
             corner = rng.choice(above)
             below = [v for v in others if v != corner]
-            return Tableau(((1, *rest), (low, corner), *zip(below)))
+            return Tableau.from_rows(((1, *rest), (low, corner), *zip(below)))
 
 
 def first_violation(rows):
@@ -190,21 +190,21 @@ class TestHookShape:
 class TestTableauValidation:
     def test_row_must_increase(self):
         with pytest.raises(TableauValidationError, match="row 1"):
-            Tableau(((2, 1), (3, 4), (5,)))
+            Tableau.from_rows(((2, 1), (3, 4), (5,)))
 
     def test_column_must_increase(self):
         with pytest.raises(TableauValidationError, match="column"):
-            Tableau(((1, 4), (2, 3)))
+            Tableau.from_rows(((1, 4), (2, 3)))
 
     def test_entries_must_cover_range(self):
         with pytest.raises(TableauValidationError, match="exactly"):
-            Tableau(((1, 2), (3, 5)))
+            Tableau.from_rows(((1, 2), (3, 5)))
         with pytest.raises(TableauValidationError, match="exactly"):
-            Tableau(((1, 2), (2, 3)))
+            Tableau.from_rows(((1, 2), (2, 3)))
 
     def test_row_lengths_must_weakly_decrease(self):
         with pytest.raises(TableauValidationError, match="hook-plus-column"):
-            Tableau(((1,), (2, 3)))
+            Tableau.from_rows(((1,), (2, 3)))
 
     @pytest.mark.parametrize(
         "rows,text",
@@ -246,7 +246,7 @@ class TestTableauValidation:
     )
     def test_rejection_text(self, rows, text):
         with pytest.raises(TableauValidationError) as excinfo:
-            Tableau(rows)
+            Tableau.from_rows(rows)
         assert str(excinfo.value) == text
 
     @pytest.mark.parametrize(
@@ -261,7 +261,7 @@ class TestTableauValidation:
     def test_malformed_rows_raise_the_validation_error(self, rows, text):
         # not an iterable of rows: named, never a bare TypeError
         with pytest.raises(TableauValidationError) as excinfo:
-            Tableau(rows)
+            Tableau.from_rows(rows)
         assert str(excinfo.value) == text
         assert excinfo.value.__cause__ is None
 
@@ -292,7 +292,7 @@ class TestTableauValidation:
         rows = tuple(map(tuple, rows))
         assert first_violation(rows) == text
         with pytest.raises(TableauValidationError) as excinfo:
-            Tableau(rows)
+            Tableau.from_rows(rows)
         assert str(excinfo.value) == text
 
     @pytest.mark.parametrize("old,new", [(300, 301), (3, 3.0), (1, True), (150, 0), (200, 199)])
@@ -300,13 +300,13 @@ class TestTableauValidation:
         rows = row_major_filling(hook_shape(300, 100).parts)
         rows = tuple(tuple(new if v == old else v for v in row) for row in rows)
         with pytest.raises(TableauValidationError) as excinfo:
-            Tableau(rows)
+            Tableau.from_rows(rows)
         assert str(excinfo.value) == "entries must be exactly 1..300, each once"
 
     def test_top_left_is_always_one(self):
         for parts in hook_parts(7):
             for t in reference_standard_tableaux(Shape(parts)):
-                assert t.entry(1, 1) == 1
+                assert t.row[0] == t.column[0] == 1
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_accepts_exactly_the_increasing_fillings_with_the_reference_text(self, n):
@@ -317,23 +317,19 @@ class TestTableauValidation:
                 rows = laid_out(parts, word)
                 text = first_violation(rows)
                 if text is None:
-                    assert Tableau(rows).rows == rows
+                    assert Tableau.from_rows(rows).rows == rows
                     accepted += 1
                 else:
                     with pytest.raises(TableauValidationError) as excinfo:
-                        Tableau(rows)
+                        Tableau.from_rows(rows)
                     assert str(excinfo.value) == text
         assert accepted == sum(hook_length_count(Shape(parts)) for parts in hook_parts(n))
 
     def test_entry_and_position(self):
         t = parse_tableau("1,3;2,4;5")
-        assert t.entry(1, 2) == 3
-        assert t.entry(2, 2) == 4
-        assert t.entry(3, 1) == 5
+        assert (t.row[1], t.corner, t.column[2]) == (3, 4, 5)  # the entries at (1, 2), (2, 2), (3, 1)
         assert t.position_of(4) == (2, 2)
         assert t.position_of(5) == (3, 1)
-        with pytest.raises(ValueError):
-            t.entry(3, 2)
         with pytest.raises(ValueError):
             t.position_of(9)
 
@@ -460,8 +456,10 @@ def check_hook_views(t):
     transposed = transpose(t)
     assert transposed.rows == transposed_rows(rows)
     assert transpose(transposed) == t
-    again = Tableau(rows)
+    again = Tableau.from_rows(rows)
     assert again == t and hash(again) == hash(t)
+    assert Tableau(*t.hook) == t == Tableau(row=t.row, column=t.column, corner=t.corner)
+    assert eval(repr(t), {"Tableau": Tableau}) == t
     assert t.shape == Shape(tuple(map(len, rows)))
     assert t.n == sum(map(len, rows))
     assert t.reading_word == tuple(v for row in rows for v in row)
@@ -497,15 +495,53 @@ class TestHook:
             # a hook with no room for the cell (2, 2)
             (((1,), (1, 2, 3, 4), 5), "hooks need 2 cells each way, got 1 and 4"),
             (((1, 2, 3, 4), (1,), 5), "hooks need 2 cells each way, got 4 and 1"),
-            # then the checks of Tableau(rows), in its order
+            # then the checks of Tableau.from_rows(rows), in its order
             (((1, 4), (1, 2, 5), 3), "column 2 is not strictly increasing at row 2"),
             (((1, 2), (1, 3, 6, 5), 4), "column 1 is not strictly increasing at row 4"),
         ],
     )
     def test_private_constructor_rejects_bad_hooks(self, hook, text):
+        # Tableau(row, column, corner) itself: the name dates from when it was a private classmethod
         with pytest.raises(TableauValidationError) as excinfo:
-            Tableau._from_hook(*hook)
+            Tableau(*hook)
         assert str(excinfo.value) == text
+
+    def test_repr_is_the_constructor_call(self):
+        # check_hook_views evaluates the repr of every enumerated tableau back to it
+        assert repr(parse_tableau("1,2;3,4;5")) == "Tableau(row=(1, 2), column=(1, 3, 5), corner=4)"
+
+    @pytest.mark.parametrize(
+        "fields,text",
+        [
+            ({"row": (1, 2), "column": (1, 3, 5), "corner": 2}, "entries must be exactly 1..5, each once"),
+            ({"row": (1, 3), "column": (1, 2, 5), "corner": 3}, "entries must be exactly 1..5, each once"),
+            ({"row": (1, 2), "column": (1, 4, 5), "corner": 3}, "row 2 is not strictly increasing: (4, 3)"),
+            ({"row": (1,), "column": (1, 2), "corner": 3}, "hooks need 2 cells each way, got 1 and 2"),
+        ],
+    )
+    def test_keyword_construction_is_validated(self, fields, text):
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(**fields)
+        assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize(
+        "hook,text",
+        [
+            (([1, 2], (1, 3, 5), 4), "row and column must be tuples, got list and tuple"),
+            (((1, 2), [1, 3, 5], 4), "row and column must be tuples, got tuple and list"),
+            (((1, 2), range(1, 4), 4), "row and column must be tuples, got tuple and range"),
+            ((None, None, 4), "row and column must be tuples, got NoneType and NoneType"),
+        ],
+    )
+    def test_lines_must_be_tuples(self, hook, text):
+        # the fields are held as given, and a tableau is hashed by them
+        with pytest.raises(TableauValidationError) as excinfo:
+            Tableau(*hook)
+        assert str(excinfo.value) == text
+
+    def test_from_rows_builds_the_hook(self):
+        assert Tableau.from_rows([[1, 3, 6], [2, 4], [5], [7]]) == Tableau((1, 3, 6), (1, 2, 5, 7), 4)
+        assert Tableau.from_rows(iter([(1, 2), (3, 4), (5,)])) == parse_tableau("1,2;3,4;5")
 
 
 class TestTextFormat:

@@ -7,6 +7,7 @@ the same order.  No input may leak a TypeError.
 
 import copy
 import pickle
+from array import array
 from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations, product
 
@@ -22,8 +23,9 @@ from reference_tableaux import (
     reference_vertex_set,
 )
 
+from cyclebetti.bijection import marked_subset_to_tableau
 from cyclebetti.cycle import MarkedSubset, vertex_set
-from cyclebetti.errors import InvalidMarkedSubsetError, TableauValidationError
+from cyclebetti.errors import InvalidMarkedSubsetError, TableauValidationError, VertexRangeError
 from cyclebetti.tableaux import Tableau, parse_tableau
 
 
@@ -36,13 +38,13 @@ def verdict(fn, *args):
 
 
 def same_tableau_verdict(rows):
-    got = verdict(lambda: Tableau(rows).hook)
+    got = verdict(lambda: Tableau.from_rows(rows).hook)
     assert got == verdict(reference_tableau_rows, rows)
     assert got[0] in ("ok", TableauValidationError)
 
 
 def same_hook_verdict(row, column, corner):
-    got = verdict(lambda: Tableau._from_hook(row, column, corner).hook)
+    got = verdict(lambda: Tableau(row, column, corner).hook)
     assert got == verdict(reference_tableau_hook, row, column, corner)
     assert got[0] in ("ok", TableauValidationError)
 
@@ -134,9 +136,12 @@ def rows_of(row, column, corner):
 def damaged_marked_subsets(draw):
     n = draw(st.one_of(st.integers(3, 12), st.integers(13, 300), st.sampled_from([2, 0, True, 5.0])))
     size = n if type(n) is int and n > 0 else 5
-    vertices = set(draw(st.sets(st.integers(1, size), max_size=size)))
+    # labels in any order, repeats and equal floats (2.0 beside 2) included, in any container
+    labels = draw(st.lists(st.integers(1, size), max_size=size))
     for _ in range(draw(st.integers(0, 2))):
-        vertices.add(draw(st.one_of(ODD_ENTRIES, st.integers(size + 1, size + 3))))
+        odd = st.one_of(ODD_ENTRIES, st.integers(size + 1, size + 3), st.builds(float, st.integers(1, size)))
+        labels.append(draw(odd))
+    vertices = draw(st.sampled_from([list, tuple, frozenset]))(draw(st.permutations(labels)))
     marker = draw(st.one_of(st.integers(-1, size + 2), ODD_ENTRIES))
     return n, vertices, marker
 
@@ -150,6 +155,16 @@ class TestDamaged:
     @given(damaged_marked_subsets())
     def test_marked_subsets(self, case):
         same_marked_verdict(*case)
+
+    @given(damaged_marked_subsets(), st.randoms(use_true_random=False))
+    def test_label_order_never_changes_a_verdict(self, case, rng):
+        n, vertices, marker = case
+        shuffled = list(vertices)
+        rng.shuffle(shuffled)
+        assert verdict(vertex_set, n, shuffled) == verdict(vertex_set, n, vertices)
+        assert verdict(lambda: astuple(MarkedSubset(n, shuffled, marker))) == verdict(
+            lambda: astuple(MarkedSubset(n, vertices, marker))
+        )
 
     @pytest.mark.parametrize("n", [362, 2048])
     def test_each_damage_at_large_n(self, n):
@@ -167,6 +182,45 @@ class TestDamaged:
                 hook = tuple(damaged[:j]), (damaged[0], damaged[j], *damaged[j + 2 :]), damaged[j + 1]
                 same_hook_verdict(*hook)
                 same_tableau_verdict(rows_of(*hook))
+
+
+class TestLabelOrder:
+    # a float or bool equal to an int label is typed before the frozenset merges the two, so it
+    # is rejected on either side of the int, with one text
+    @pytest.mark.parametrize(
+        "labels,text",
+        [
+            ([1, 1.0], "vertices [1.0] fall outside 1..5"),
+            ([1, True], "vertices [True] fall outside 1..5"),
+            ([2, 4, 4.0], "vertices [4.0] fall outside 1..5"),
+            ([1, 1.0, True, 2.0, 2], "vertices [1.0, True, 2.0] fall outside 1..5"),
+            ([7, 7, 7.0, 0], "vertices [0, 7, 7.0] fall outside 1..5"),
+        ],
+    )
+    @pytest.mark.parametrize("order", [list, lambda labels: labels[::-1], iter], ids=["given", "reversed", "iterator"])
+    def test_either_order_is_rejected(self, labels, text, order):
+        with pytest.raises(VertexRangeError) as excinfo:
+            vertex_set(5, order(labels))
+        assert str(excinfo.value) == text
+        assert verdict(vertex_set, 5, labels) == verdict(reference_vertex_set, 5, labels)
+
+    @pytest.mark.parametrize(
+        "vertices,text",
+        [
+            ([2, 4, 4.0], "vertices [4.0] fall outside 1..5"),
+            ([4.0, 2, 4], "vertices [4.0] fall outside 1..5"),
+            (array("d", [2, 4, 4]), "vertices [2.0, 4.0] fall outside 1..5"),
+        ],
+    )
+    def test_marked_subsets_and_the_inverse_map_reject_either_order(self, vertices, text):
+        for build in (MarkedSubset, lambda n, vs, m: marked_subset_to_tableau(n, 2, vs, m)):
+            with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+                build(5, vertices, 4)
+            assert str(excinfo.value) == text
+
+    def test_repeated_ints_and_arrays_are_accepted(self):
+        assert vertex_set(5, [4, 2, 4]) == vertex_set(5, array("H", [2, 4])) == frozenset({2, 4})
+        assert MarkedSubset(5, array("H", [4, 2, 4]), 4).vertices == frozenset({2, 4})
 
 
 class TestLayout:

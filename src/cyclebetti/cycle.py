@@ -28,13 +28,17 @@ from .errors import (
 def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     """The vertex subset as a frozenset, once n and every label are checked.
 
-    This is the one input rule for a subset of the n-cycle: n is an int
-    >= 3, and every vertex is an int in 1..n (never a float or a bool).
-    The labels are typed as given, before the frozenset merges equal ones
-    (1, 1.0 and True), so their order never matters.
+    This is the one input rule for a subset of the n-cycle: the vertices
+    are an iterable of hashable labels, n is an int >= 3, and every vertex
+    is an int in 1..n (never a float or a bool).  The labels are typed as
+    given, before the frozenset merges equal ones (1, 1.0 and True), so
+    their order never matters.
     """
-    labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
-    vs = frozenset(labels)
+    try:  # only reading or freezing the labels raises TypeError
+        labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
+        vs = frozenset(labels)
+    except TypeError:
+        raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     # with no label repeated, none was merged into vs, and typing vs (the cheaper pass) types them all
@@ -107,11 +111,17 @@ def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
     nonempty subset W, or its complement when 1 is in W.  Both sides split
     into as many arcs, so either way there is one marker per component.
     """
-    vs = _proper_subset(n, vertices)
-    side = vs if 1 not in vs else frozenset(range(1, n + 1)) - vs
-    # The side avoids 1, so no arc wraps past n and each arc starts at its minimum.
-    markers = side.difference(map((1).__add__, side))
-    return markers - {min(markers)}
+    return frozenset(_admissible(n, _proper_subset(n, vertices)))
+
+
+def _admissible(n: int, vs: frozenset[int]) -> list[int]:
+    """admissible_markers of a checked subset, ascending."""
+    # The side avoids 1, so no arc wraps past n and the arcs start where the side starts after a
+    # gap: at a vertex of vs right after a non-member, or, when 1 is in vs and the side is its
+    # complement, at a non-member up to n right after a vertex of vs.
+    if 1 in vs:
+        return sorted(v + 1 for v in vs if v < n and v + 1 not in vs)[1:]
+    return sorted(vs.difference(map((1).__add__, vs)))[1:]
 
 
 @dataclass(frozen=True)
@@ -135,10 +145,8 @@ class MarkedSubset:
     def __post_init__(self) -> None:
         try:
             vs = _proper_subset(self.n, self.vertices)
-        except TypeError:  # only reading or freezing the labels raises it, before any other check
-            raise InvalidMarkedSubsetError(f"vertices must be an iterable of labels, got {self.vertices!r}") from None
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
-            raise InvalidMarkedSubsetError(str(exc)) from exc
+            raise InvalidMarkedSubsetError(str(exc)) from None  # the same text; a chain only repeats it
         object.__setattr__(self, "vertices", vs)
         n, m, has_one = self.n, self.marker, 1 in vs
         # the side avoiding vertex 1 is vs, or its complement when 1 is in vs; m is that
@@ -169,11 +177,8 @@ def marked_subsets(n: int, j: int) -> list[MarkedSubset]:
     """
     if type(n) is not int or type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"no marked subsets of size {j} on the {n}-cycle (need 2 <= j <= n-2)")
-    everything, out = frozenset(range(1, n + 1)), []
-    for combo in itertools.combinations(range(1, n + 1), j):
-        vs = frozenset(combo)
-        side = vs if 1 not in vs else everything - vs
-        # the arc starts of admissible_markers, minimum dropped; only MarkedSubset checks vs
-        for marker in sorted(side.difference(map((1).__add__, side)))[1:]:
-            out.append(MarkedSubset(n, vs, marker))
-    return out
+    return [
+        MarkedSubset(n, vs, marker)  # only MarkedSubset checks vs
+        for vs in map(frozenset, itertools.combinations(range(1, n + 1), j))
+        for marker in _admissible(n, vs)
+    ]

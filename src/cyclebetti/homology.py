@@ -11,10 +11,12 @@ complex always contains the empty face, whose dimension is -1.  The void
 complex (no faces at all) is distinct from the irrelevant complex (only
 the empty face): reduced homology separates them in degree -1.
 
-Cycle restrictions, the only complexes the Betti computations need, get
-their boundary maps straight from the sorted vertex list
-(cycle_reduced_homology, the one route the library runs).  The generic
-route (SimplicialComplex, boundary_matrix, reduced_betti_dim,
+Cycle restrictions, the only complexes the Betti computations need, are
+graphs, so only two of their boundary maps have faces on both sides: the
+augmentation row and the vertex-edge incidence.  cycle_reduced_homology,
+the one route the library runs, ranks just those two, read straight off
+the sorted vertex list; every other map has an empty side and rank 0.
+The generic route (SimplicialComplex, boundary_matrix, reduced_betti_dim,
 restriction_complex) is not exported: it stays here only as the
 reference the cycle route is tested against.
 """
@@ -33,9 +35,10 @@ from .errors import ImpossibleBranchError, VertexRangeError
 class IntMatrix:
     """Dense integer matrix carrying its shape explicitly.
 
-    Zero-row and zero-column matrices come up constantly as boundary maps
-    in degenerate degrees, so the shape cannot be inferred from the data.
-    Rows are stored as given, so callers pass tuples of tuples.
+    Zero-row and zero-column matrices come up as boundary maps (the empty
+    restriction has no vertices), so the shape cannot be inferred from the
+    data.  Rows are stored as given, so they must be a tuple of tuples of
+    ints: elimination is exact on ints only, and the value stays hashable.
     """
 
     nrows: int
@@ -43,7 +46,11 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if len(self.rows) != self.nrows or any(len(row) != self.ncols for row in self.rows):
+        rows = self.rows
+        tuples = type(rows) is tuple and {*map(type, rows)} <= {tuple}
+        if not tuples or not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
+            raise ValueError(f"rows must be a tuple of tuples of ints (no bools or floats), got {rows!r}")
+        if len(rows) != self.nrows or any(len(row) != self.ncols for row in rows):
             raise ValueError(
                 f"row data does not match declared shape {self.nrows}x{self.ncols}"
             )
@@ -185,20 +192,19 @@ def cycle_reduced_homology(n: int, vertices: Iterable[int]) -> list[int]:
     """Reduced homology dimensions of a cycle restriction in degrees -1..|W|-1.
 
     Entry k is the degree k - 1 dimension: the nullity of that boundary map
-    minus the rank of the next.  Each map is read straight off the sorted
-    vertex list (_cycle_boundary) with the same face order and signs as
-    boundary_matrix(restriction_complex(n, vertices), d), so the entry
-    equals reduced_betti_dim(restriction_complex(n, vertices), k - 1).
-    Each rank is computed once.
+    minus the rank of the next.  Only the maps in degrees 0 and 1 have faces
+    on both sides (_cycle_boundaries builds them with the face order and
+    signs of boundary_matrix(restriction_complex(n, vertices), d)); every
+    other map has rank 0.  So entry k equals
+    reduced_betti_dim(restriction_complex(n, vertices), k - 1).
     """
     vs, edges = _cycle_faces(n, vertices)
-    face_counts = _face_counts(vs, edges)
-    # rank of the d-th boundary map at index d + 1, for d = -1..|W|
-    ranks = [matrix_rank(_cycle_boundary(vs, edges, d)) for d in range(-1, len(vs) + 1)]
-    return [
-        _homology_dim(face_counts.get(d, 0) - ranks[d + 1], ranks[d + 2])
-        for d in range(-1, len(vs))
-    ]
+    augmentation, incidence = _cycle_boundaries(vs, edges)
+    padding = (0,) * (len(vs) - 1)
+    # by degree d = -1..|W|, at index d + 1: the number of d-faces and the rank of the d-th map
+    faces = (1, len(vs), len(edges), *padding)
+    ranks = (0, matrix_rank(augmentation), matrix_rank(incidence), *padding)
+    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(len(vs) + 1)]
 
 
 def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
@@ -208,23 +214,11 @@ def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple
     return sorted(vs), edges
 
 
-def _face_counts(vs: list[int], edges: list[tuple[int, int]]) -> dict[int, int]:
-    """Number of faces by dimension; dimensions not listed have none."""
-    return {-1: 1, 0: len(vs), 1: len(edges)}
-
-
-def _cycle_boundary(vs: list[int], edges: list[tuple[int, int]], d: int) -> IntMatrix:
-    """The d-th boundary map: augmentation row, vertex-edge incidence, or all zero."""
-    if d == 0:
-        return IntMatrix(1, len(vs), ((1,) * len(vs),))
-    if d == 1:
-        row_of = {v: r for r, v in enumerate(vs)}
-        entries = [[0] * len(edges) for _ in vs]
-        for c, (a, b) in enumerate(edges):
-            entries[row_of[a]][c] = -1
-            entries[row_of[b]][c] = 1
-        return IntMatrix(len(vs), len(edges), tuple(tuple(row) for row in entries))
-    # every other degree has no faces on at least one side
-    face_counts = _face_counts(vs, edges)
-    nrows, ncols = face_counts.get(d - 1, 0), face_counts.get(d, 0)
-    return IntMatrix(nrows, ncols, ((0,) * ncols,) * nrows)
+def _cycle_boundaries(vs: list[int], edges: list[tuple[int, int]]) -> tuple[IntMatrix, IntMatrix]:
+    """The boundary maps in degrees 0 and 1: the augmentation row and the vertex-edge incidence."""
+    row_of = {v: r for r, v in enumerate(vs)}
+    entries = [[0] * len(edges) for _ in vs]
+    for c, (a, b) in enumerate(edges):
+        entries[row_of[a]][c], entries[row_of[b]][c] = -1, 1
+    incidence = IntMatrix(len(vs), len(edges), tuple(map(tuple, entries)))
+    return IntMatrix(1, len(vs), ((1,) * len(vs),)), incidence

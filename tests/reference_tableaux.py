@@ -112,10 +112,14 @@ def reference_vertex_set(n, vertices=()):
     """vertex_set, with its range read by min and max.
 
     Every label is typed as given: an equal float or bool beside an int (1.0 or True beside 1)
-    is rejected in either order, before the frozenset would merge it with the int.
+    is rejected in either order, before the frozenset would merge it with the int.  A
+    non-iterable or unhashable argument is named before n is checked.
     """
-    labels = list(vertices)
-    vs = frozenset(labels)
+    try:
+        labels = list(vertices)
+        vs = frozenset(labels)
+    except TypeError:
+        raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     if any(type(v) is not int for v in labels) or (vs and (min(vs) < 1 or max(vs) > n)):
@@ -140,7 +144,7 @@ def reference_marked_subset(n, vertices, marker):
                 f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
             )
     except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
-        raise InvalidMarkedSubsetError(str(exc)) from exc
+        raise InvalidMarkedSubsetError(str(exc)) from None
     m, has_one = marker, 1 in vs
     side_misses = vs.issuperset if has_one else vs.isdisjoint
     if type(m) is not int or not (

@@ -19,6 +19,7 @@ from cyclebetti.errors import (
     UndefinedMarkerError,
     VertexRangeError,
 )
+from cyclebetti.homology import cycle_reduced_homology
 
 
 def all_subsets(n):
@@ -149,6 +150,14 @@ class TestVertexSet:
         with pytest.raises(error) as excinfo:
             vertex_set(n, vertices)
         assert str(excinfo.value) == text
+
+    @pytest.mark.parametrize("vertices", [5, None, [[1]], [2, {4}]], ids=repr)
+    @pytest.mark.parametrize("caller", [restrict, cycle_reduced_homology, admissible_markers, vertex_set])
+    def test_malformed_vertices_are_named(self, caller, vertices):
+        # not an iterable of hashable labels: named, never a bare TypeError
+        with pytest.raises(VertexRangeError) as excinfo:
+            caller(5, vertices)
+        assert str(excinfo.value) == f"vertices must be an iterable of labels, got {vertices!r}"
 
 
 class TestMarkers:

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import cyclebetti.hochster as hochster
+import cyclebetti.homology as homology
 from cyclebetti.cycle import marked_subsets, restrict
 from cyclebetti.errors import DomainError
 from cyclebetti.hochster import betti, betti_table, linear_strand
@@ -107,6 +108,14 @@ class TestBettiTable:
     def test_rejects_out_of_range_sizes(self, n):
         with pytest.raises(DomainError):
             betti_table(n)
+
+    def test_ranks_two_maps_per_arc_type(self, monkeypatch):
+        # 628 arc types at n = 20, each a graph with two maps that have faces on both sides
+        calls = []
+        rank = homology.matrix_rank
+        monkeypatch.setattr(homology, "matrix_rank", lambda m: calls.append(m) or rank(m))
+        betti_table(20)
+        assert len(calls) == 2 * sum(1 for j in range(21) for _ in hochster._arc_types(20, j)) == 1256
 
 
 @lru_cache(maxsize=None)

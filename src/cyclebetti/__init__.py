@@ -20,7 +20,6 @@ from .cycle import (
     CycleRestriction,
     MarkedSubset,
     admissible_markers,
-    cycle_edges,
     marked_subsets,
     restrict,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "admissible_markers",
     "betti",
     "betti_table",
-    "cycle_edges",
     "cycle_reduced_homology",
     "enumerate_standard_tableaux",
     "format_marked_subset",

@@ -51,12 +51,6 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     return vs
 
 
-def cycle_edges(n: int) -> set[frozenset[int]]:
-    """Edge set of the cycle graph on vertices 1..n, as unordered pairs."""
-    vertex_set(n)
-    return {frozenset((i, i % n + 1)) for i in range(1, n + 1)}
-
-
 @dataclass(frozen=True)
 class CycleRestriction:
     """A vertex subset of a cycle, decomposed into contiguous arcs.
@@ -158,7 +152,7 @@ class MarkedSubset:
         ):
             raise InvalidMarkedSubsetError(
                 f"marker {m} is not admissible for {sorted(vs)} "
-                f"on the {n}-cycle (admissible: {sorted(admissible_markers(n, vs))})"
+                f"on the {n}-cycle (admissible: {_admissible(n, vs)})"
             )
 
     @property

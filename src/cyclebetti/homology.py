@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .cycle import cycle_edges, vertex_set
+from .cycle import vertex_set
 from .errors import ImpossibleBranchError, VertexRangeError
 
 
@@ -46,14 +46,14 @@ class IntMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = self.rows
+        nrows, ncols, rows = self.nrows, self.ncols, self.rows
+        if type(nrows) is not int or type(ncols) is not int or nrows < 0 or ncols < 0:
+            raise ValueError(f"nrows and ncols must be ints >= 0 (no bools or floats), got {nrows!r}, {ncols!r}")
         tuples = type(rows) is tuple and {*map(type, rows)} <= {tuple}
         if not tuples or not {*map(type, itertools.chain.from_iterable(rows))} <= {int}:
             raise ValueError(f"rows must be a tuple of tuples of ints (no bools or floats), got {rows!r}")
-        if len(rows) != self.nrows or any(len(row) != self.ncols for row in rows):
-            raise ValueError(
-                f"row data does not match declared shape {self.nrows}x{self.ncols}"
-            )
+        if len(rows) != nrows or any(len(row) != ncols for row in rows):
+            raise ValueError(f"row data does not match declared shape {nrows}x{ncols}")
 
 
 def matrix_rank(matrix: IntMatrix) -> int:
@@ -124,11 +124,6 @@ class SimplicialComplex:
                 closed.update(frozenset(sub) for sub in itertools.combinations(face, k))
         return cls(vertex_count, frozenset(closed))
 
-    @property
-    def max_dim(self) -> int:
-        """Largest face dimension; -1 for the irrelevant complex, -2 for the void one."""
-        return max((len(face) - 1 for face in self.faces), default=-2)
-
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         """The d-dimensional faces as sorted tuples, in lexicographic order."""
         return sorted(tuple(sorted(face)) for face in self.faces if len(face) == d + 1)
@@ -178,13 +173,14 @@ def _homology_dim(kernel: int, image: int) -> int:
 def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     """Faces of the n-cycle contained in the given vertex subset.
 
-    The empty face is always included, so the empty subset yields the
-    irrelevant complex rather than the void complex.
+    The cycle's edges are the n pairs {i, i mod n + 1}; those inside the
+    subset are kept.  The empty face is always included, so the empty subset
+    yields the irrelevant complex rather than the void complex.
     """
     vs = vertex_set(n, vertices)
     generators: list[frozenset[int]] = [frozenset()]
     generators.extend(frozenset((v,)) for v in vs)
-    generators.extend(edge for edge in cycle_edges(n) if edge <= vs)
+    generators.extend(edge for i in range(1, n + 1) if (edge := frozenset((i, i % n + 1))) <= vs)
     return SimplicialComplex.from_faces(n, generators)
 
 

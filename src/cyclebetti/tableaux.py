@@ -30,9 +30,14 @@ class Shape:
     parts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        parts = tuple(self.parts)
+        try:
+            parts = tuple(self.parts)
+        except TypeError:  # not an iterable of parts: rejected below, as given
+            parts = self.parts
         object.__setattr__(self, "parts", parts)
-        if set(map(type, parts)) != {int} or parts[:1] < (2,) or parts[1:] != (2,) + (1,) * (len(parts) - 2):
+        if type(parts) is not tuple or set(map(type, parts)) != {int} or parts[:1] < (2,) or (
+            parts[1:] != (2,) + (1,) * (len(parts) - 2)
+        ):
             raise DomainError(
                 f"shapes must be hook-plus-column (j, 2, 1, ..., 1) with j >= 2, got {parts}"
             )
@@ -137,17 +142,8 @@ class Tableau:
         return (self.row, (self.column[1], self.corner), *zip(self.column[2:]))
 
     @property
-    def shape(self) -> Shape:
-        return Shape((len(self.row), 2) + (1,) * (len(self.column) - 2))
-
-    @property
     def n(self) -> int:
         return len(self.row) + len(self.column)  # (1, 1) is in both, (2, 2) in neither
-
-    @property
-    def reading_word(self) -> tuple[int, ...]:
-        """All entries in row-major order; the canonical sort key."""
-        return self.row + (self.column[1], self.corner) + self.column[2:]
 
     def position_of(self, value: int) -> tuple[int, int]:
         """The (row, column) cell holding a value, 1-based."""
@@ -155,9 +151,6 @@ class Tableau:
             if value in row:
                 return i + 1, row.index(value) + 1
         raise ValueError(f"{value} does not appear in the tableau")
-
-    def __str__(self) -> str:
-        return format_tableau(self)
 
 
 def transpose(tableau: Tableau) -> Tableau:

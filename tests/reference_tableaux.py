@@ -43,8 +43,13 @@ def reference_standard_tableaux(shape: Shape) -> list[Tableau]:
                 rows[r].pop()
 
     place(1)
-    found.sort(key=lambda t: t.reading_word)
+    found.sort(key=reading_word)
     return found
+
+
+def reading_word(t: Tableau) -> tuple[int, ...]:
+    """All entries of a tableau in row-major order, read off its rows; the canonical sort key."""
+    return tuple(chain.from_iterable(t.rows))
 
 
 def hook_parts(n):

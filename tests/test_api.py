@@ -6,7 +6,9 @@ import cyclebetti.homology as homology
 
 # the generic reference route stays in cyclebetti.homology, unexported
 UNEXPORTED = ["SimplicialComplex", "boundary_matrix", "reduced_betti_dim", "restriction_complex"]
-REMOVED = ["nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle", "marker_set"]
+REMOVED = [
+    "nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle", "marker_set", "cycle_edges"
+]
 
 
 def test_every_exported_name_resolves_once():
@@ -41,3 +43,11 @@ def test_one_tableau_constructor_and_no_entry_lookup():
 
 def test_marker_set_is_folded_into_admissible_markers():
     assert not hasattr(cycle, "marker_set")
+
+
+def test_members_only_tests_called_are_gone():
+    # the same values come from a restriction's faces, rows, hook_shape and format_tableau
+    assert not hasattr(cycle, "cycle_edges")
+    assert not any(hasattr(cyclebetti.Tableau, name) for name in ("reading_word", "shape"))
+    assert "__str__" not in vars(cyclebetti.Tableau)
+    assert not hasattr(homology.SimplicialComplex, "max_dim")

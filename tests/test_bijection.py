@@ -262,7 +262,7 @@ def count_verifier_calls(monkeypatch):
     # counts the verifier's two enumerations (and the objects each yields),
     # its forward reads, rebuilt hooks, transposed hooks, any call of the public
     # maps, every Shape, Tableau and MarkedSubset validated, every vertex set
-    # checked, and any reading word built
+    # checked
     calls = {}
 
     def counted(name, fn):
@@ -291,8 +291,6 @@ def count_verifier_calls(monkeypatch):
     ):
         monkeypatch.setattr(bijection, name, counted(name, getattr(bijection, name)))
     monkeypatch.setattr(cycle, "vertex_set", counted("vertex_set", cycle.vertex_set))
-    word = property(counted("reading_word", Tableau.reading_word.fget))
-    monkeypatch.setattr(Tableau, "reading_word", word)
     for cls in (Shape, Tableau, MarkedSubset):
         monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
     return calls

@@ -7,7 +7,6 @@ import cyclebetti.cycle as cycle
 from cyclebetti.cycle import (
     MarkedSubset,
     admissible_markers,
-    cycle_edges,
     marked_subsets,
     restrict,
     vertex_set,
@@ -19,7 +18,7 @@ from cyclebetti.errors import (
     UndefinedMarkerError,
     VertexRangeError,
 )
-from cyclebetti.homology import cycle_reduced_homology
+from cyclebetti.homology import cycle_reduced_homology, restriction_complex
 
 
 def all_subsets(n):
@@ -31,24 +30,28 @@ def proper_nonempty_subsets(n):
     return (w for w in all_subsets(n) if 0 < len(w) < n)
 
 
+def cycle_edges(n):
+    """The edges of the whole n-cycle, as the reference complex holds them."""
+    return restriction_complex(n, range(1, n + 1)).faces_of_dim(1)
+
+
 class TestCycleEdges:
     def test_triangle_is_complete(self):
-        assert cycle_edges(3) == {frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})}
+        assert cycle_edges(3) == [(1, 2), (1, 3), (2, 3)]
 
     def test_pentagon(self):
-        expected = {frozenset(e) for e in [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]}
-        assert cycle_edges(5) == expected
+        assert cycle_edges(5) == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
 
     def test_square_has_no_diagonals(self):
         edges = cycle_edges(4)
         assert len(edges) == 4
-        assert frozenset({1, 3}) not in edges
-        assert frozenset({2, 4}) not in edges
+        assert (1, 3) not in edges
+        assert (2, 4) not in edges
 
     @pytest.mark.parametrize("n", [-1, 0, 1, 2, 5.0])
     def test_rejects_small_cycles(self, n):
         with pytest.raises(InvalidCycleError):
-            cycle_edges(n)
+            restriction_complex(n, ())
 
 
 class TestRestrict:
@@ -302,6 +305,15 @@ class TestMarkedSubsetType:
     def test_rejects_foreign_vertices(self):
         with pytest.raises(InvalidMarkedSubsetError):
             MarkedSubset(5, frozenset({2, 9}), 9)
+
+    def test_rejection_checks_the_vertices_once(self, monkeypatch):
+        # the admissible markers named in the text come from the subset already checked
+        calls = []
+        check = cycle.vertex_set
+        monkeypatch.setattr(cycle, "vertex_set", lambda *args: calls.append(args) or check(*args))
+        with pytest.raises(InvalidMarkedSubsetError, match=r"\(admissible: \[4\]\)"):
+            MarkedSubset(5, {2, 4}, 2)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize(
         "n,vertices,marker,text",

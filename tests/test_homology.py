@@ -8,7 +8,6 @@ from graph_oracle import graph_homology_oracle
 from hypothesis import strategies as st
 
 import cyclebetti.homology as homology
-from cyclebetti.cycle import cycle_edges
 from cyclebetti.errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
 from cyclebetti.homology import (
     IntMatrix,
@@ -23,7 +22,7 @@ from cyclebetti.homology import (
 
 def cycle_complex(n):
     """The n-cycle as a one-dimensional simplicial complex."""
-    return SimplicialComplex.from_faces(n, cycle_edges(n))
+    return SimplicialComplex.from_faces(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
 def cycle_boundary_matrix(n, vertices, d):
@@ -96,6 +95,21 @@ class TestMatrixRank:
         with pytest.raises(ValueError, match="rows must be a tuple of tuples of ints"):
             IntMatrix(nrows, ncols, rows)
 
+    @pytest.mark.parametrize(
+        "nrows,ncols,rows",
+        [
+            # floats, which matrix_rank cannot range over, a negative size and bools
+            (1.0, 1, ((1,),)),
+            (0, 2.5, ()),
+            (0, -1, ()),
+            (True, 1, ((1,),)),
+            (1, False, ((),)),
+        ],
+    )
+    def test_shape_must_be_non_negative_ints(self, nrows, ncols, rows):
+        with pytest.raises(ValueError, match=r"nrows and ncols must be ints >= 0 \(no bools or floats\)"):
+            IntMatrix(nrows, ncols, rows)
+
 
 class TestSimplicialComplex:
     def test_from_faces_closes_downward(self):
@@ -116,8 +130,8 @@ class TestSimplicialComplex:
         void = SimplicialComplex(0, frozenset())
         irrelevant = SimplicialComplex.from_faces(0, [()])
         assert void != irrelevant
-        assert void.max_dim == -2
-        assert irrelevant.max_dim == -1
+        assert void.faces == frozenset()
+        assert irrelevant.faces == {frozenset()}
 
     def test_faces_of_dim_sorted(self):
         k = cycle_complex(4)
@@ -163,7 +177,7 @@ class TestBoundaryMatrix:
             SimplicialComplex.from_faces(4, [{1, 2, 3, 4}]),
         ]
         for k in samples:
-            for d in range(-1, k.max_dim + 2):
+            for d in range(-1, max(map(len, k.faces)) + 1):  # up to one past the top dimension
                 assert composes_to_zero(boundary_matrix(k, d), boundary_matrix(k, d + 1))
 
 
@@ -264,7 +278,7 @@ class TestCycleReducedHomology:
         rank = homology.matrix_rank
         monkeypatch.setattr(homology, "matrix_rank", lambda m: shapes.append((m.nrows, m.ncols)) or rank(m))
         cycle_reduced_homology(n, w)
-        edges = sum(1 for e in cycle_edges(n) if e <= set(w))
+        edges = sum(1 for i in range(1, n + 1) if {i, i % n + 1} <= set(w))
         assert shapes == [(1, len(set(w))), (len(set(w)), edges)]
 
     def test_rejects_bad_input(self):

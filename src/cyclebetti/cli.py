@@ -81,10 +81,10 @@ def main() -> None:
 def cmd_table(n: int, fmt: str) -> None:
     """Print the nonzero graded Betti numbers of the n-cycle.
 
-    Every cell comes from Hochster's formula, computed on one vertex subset
-    per arc type (the partition formed by its arc lengths) and weighted by
-    the number of subsets of that type.  Linear strand rows also carry the
-    count of standard tableaux of the matching hook-plus-column shape,
+    Every cell comes from Hochster's formula, summed over the subsets by
+    their number of arcs and the ranks of those arcs' path incidences, each
+    class weighted by its number of subsets.  Linear strand rows also carry
+    the count of standard tableaux of the matching hook-plus-column shape,
     which equals the Betti number.
     """
     try:

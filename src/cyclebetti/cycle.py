@@ -65,10 +65,6 @@ class CycleRestriction:
     vertices: frozenset[int]
     components: tuple[tuple[int, ...], ...]
 
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
 
 def restrict(n: int, vertices: Iterable[int]) -> CycleRestriction:
     """Decompose the subgraph of the n-cycle induced on a vertex subset."""

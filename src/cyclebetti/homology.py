@@ -13,12 +13,12 @@ the empty face): reduced homology separates them in degree -1.
 
 Cycle restrictions, the only complexes the Betti computations need, are
 graphs, so only two of their boundary maps have faces on both sides: the
-augmentation row and the vertex-edge incidence.  cycle_reduced_homology,
-the one route the library runs, ranks just those two, read straight off
-the sorted vertex list; every other map has an empty side and rank 0.
-The generic route (SimplicialComplex, boundary_matrix, reduced_betti_dim,
-restriction_complex) is not exported: it stays here only as the
-reference the cycle route is tested against.
+augmentation row and the vertex-edge incidence.  The library ranks just
+those two: cycle_reduced_homology for a whole restriction, _path_ranks for
+the paths a proper subset splits into; every other map has an empty side
+and rank 0.  The generic route (SimplicialComplex, boundary_matrix,
+reduced_betti_dim, restriction_complex) is not exported: it stays here
+only as the reference the cycle route is tested against.
 """
 
 from __future__ import annotations
@@ -187,20 +187,33 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
 def cycle_reduced_homology(n: int, vertices: Iterable[int]) -> list[int]:
     """Reduced homology dimensions of a cycle restriction in degrees -1..|W|-1.
 
-    Entry k is the degree k - 1 dimension: the nullity of that boundary map
-    minus the rank of the next.  Only the maps in degrees 0 and 1 have faces
-    on both sides (_cycle_boundaries builds them with the face order and
-    signs of boundary_matrix(restriction_complex(n, vertices), d)); every
-    other map has rank 0.  So entry k equals
-    reduced_betti_dim(restriction_complex(n, vertices), k - 1).
+    Entry k is the degree k - 1 dimension.  Only the maps in degrees 0 and 1
+    have faces on both sides (_cycle_boundaries builds them with the face
+    order and signs of boundary_matrix(restriction_complex(n, vertices), d)),
+    so entry k equals reduced_betti_dim(restriction_complex(n, vertices), k - 1).
     """
     vs, edges = _cycle_faces(n, vertices)
     augmentation, incidence = _cycle_boundaries(vs, edges)
-    padding = (0,) * (len(vs) - 1)
-    # by degree d = -1..|W|, at index d + 1: the number of d-faces and the rank of the d-th map
-    faces = (1, len(vs), len(edges), *padding)
-    ranks = (0, matrix_rank(augmentation), matrix_rank(incidence), *padding)
-    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(len(vs) + 1)]
+    return _graph_homology(len(vs), len(edges), matrix_rank(augmentation), matrix_rank(incidence))
+
+
+def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence_rank: int) -> list[int]:
+    """Reduced homology of a graph in degrees -1..vertices-1: each map's nullity minus the next map's rank."""
+    padding = (0,) * (vertices - 1)
+    # by degree d = -1..vertices, at index d + 1: the number of d-faces and the rank of the d-th map
+    faces = (1, vertices, edges, *padding)
+    ranks = (0, augmentation_rank, incidence_rank, *padding)
+    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(vertices + 1)]
+
+
+def _path_ranks(longest: int) -> dict[int, tuple[int, int]]:
+    """By m = 1..longest, the ranks of the augmentation row and the incidence of the path on 1..m.
+
+    Every m-subset of a cycle has that augmentation row, and each m-vertex arc
+    that incidence up to the order and signs of its rows and columns.
+    """
+    paths = {m: _cycle_boundaries(*_cycle_faces(m + 2, range(1, m + 1))) for m in range(1, longest + 1)}
+    return {m: (matrix_rank(row), matrix_rank(incidence)) for m, (row, incidence) in paths.items()}
 
 
 def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:

@@ -1,0 +1,62 @@
+"""The arc-type route to Hochster's sums, kept for the tests as the reference.
+
+A proper nonempty j-subset of the n-cycle splits into arcs, and its arc
+type is the partition of j formed by their lengths.  This route ranks one
+representative subset per arc type through cycle_reduced_homology and
+weights it by the number of j-subsets of that type, and it walks the arcs
+of each representative for the linear strand.
+"""
+
+from math import comb, factorial, prod
+from typing import Iterator
+
+from cyclebetti.cycle import restrict
+from cyclebetti.homology import cycle_reduced_homology
+
+
+def partitions(total: int, largest: int, max_parts: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of total into at most max_parts parts of size at most largest."""
+    if not total:
+        yield ()
+    elif max_parts:
+        for part in range(min(total, largest), 0, -1):
+            for rest in partitions(total - part, part, max_parts - 1):
+                yield (part, *rest)
+
+
+def arc_types(n: int, j: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """One j-subset of the n-cycle per arc type, with the number of j-subsets of that type.
+
+    The arc types of a proper nonempty j-subset are the partitions of j into
+    c <= n - j parts, and the representative lays its arcs out in order with
+    one-vertex gaps.  A starting vertex, one of the perms distinct orderings
+    of the arcs and a composition of the n - j gap vertices into c parts
+    give each subset of the type once per choice of its first arc, so the
+    type has n * perms * C(n-j-1, c-1) / c subsets.  The empty subset and
+    the whole cycle are types of their own.
+    """
+    if j in (0, n):
+        yield tuple(range(1, j + 1)), 1
+        return
+    for arcs in partitions(j, j, n - j):
+        subset, start = [], 1
+        for length in arcs:
+            subset.extend(range(start, start + length))
+            start += length + 1
+        c = len(arcs)
+        orderings = factorial(c) // prod(factorial(arcs.count(a)) for a in set(arcs))
+        yield tuple(subset), n * orderings * comb(n - j - 1, c - 1) // c
+
+
+def column(n: int, j: int) -> list[int]:
+    """Hochster's sums for internal degree j; entry k is the Betti number (j - k, j)."""
+    sums = [0] * (j + 1)
+    for subset, count in arc_types(n, j):
+        for k, dim in enumerate(cycle_reduced_homology(n, subset)):
+            sums[k] += count * dim
+    return sums
+
+
+def linear_strand(n: int, j: int) -> int:
+    """The strand entry at (j - 1, j): each representative's component count minus one, weighted."""
+    return sum(count * (len(restrict(n, subset).components) - 1) for subset, count in arc_types(n, j))

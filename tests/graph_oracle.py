@@ -16,7 +16,7 @@ def graph_homology_oracle(n: int, vertices: Iterable[int]) -> tuple[int, int, in
     the boundary-operator computation it cross-checks.
     """
     restriction = restrict(n, vertices)
-    vs, components = restriction.vertices, restriction.component_count
+    vs, components = restriction.vertices, len(restriction.components)
     if not vs:
         return (1, 0, 0)
     edge_count = sum(1 for v in vs if v % n + 1 in vs)

@@ -2,6 +2,7 @@ import types
 
 import cyclebetti
 import cyclebetti.cycle as cycle
+import cyclebetti.hochster as hochster
 import cyclebetti.homology as homology
 
 # the generic reference route stays in cyclebetti.homology, unexported
@@ -51,3 +52,10 @@ def test_members_only_tests_called_are_gone():
     assert not any(hasattr(cyclebetti.Tableau, name) for name in ("reading_word", "shape"))
     assert "__str__" not in vars(cyclebetti.Tableau)
     assert not hasattr(homology.SimplicialComplex, "max_dim")
+
+
+def test_arc_type_route_is_gone():
+    # the sums run over arc-length compositions; the arc-type route lives with the tests, and a
+    # restriction's component count is len(restrict(n, w).components)
+    assert not any(hasattr(hochster, name) for name in ("_partitions", "_arc_types", "_column"))
+    assert not hasattr(cycle.CycleRestriction, "component_count")

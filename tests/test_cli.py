@@ -257,12 +257,14 @@ class TestVerify:
         assert result.exit_code == 0
         assert result.stdout == (Path(__file__).parent / "golden" / "verify-4-14.json").read_text()
 
-    def test_table_json_for_4_to_20_matches_the_golden_bytes(self, runner):
-        # tests/golden/table-4-20.json holds one table --format json document per line, n = 4..20
-        results = [runner.invoke(main, ["table", "--n", str(n), "--format", "json"]) for n in range(4, 21)]
+    @pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+    def test_table_for_4_to_20_matches_the_golden_bytes(self, runner, fmt):
+        # tests/golden/table-4-20.{json,txt,csv} hold the table output of n = 4..20 in each
+        # format, concatenated in order
+        results = [runner.invoke(main, ["table", "--n", str(n), "--format", fmt]) for n in range(4, 21)]
         assert [result.exit_code for result in results] == [0] * 17
-        golden = (Path(__file__).parent / "golden" / "table-4-20.json").read_text()
-        assert "".join(result.stdout for result in results) == golden
+        golden = (Path(__file__).parent / "golden" / f"table-4-20.{fmt.replace('text', 'txt')}").read_bytes()
+        assert b"".join(result.stdout_bytes for result in results) == golden
 
     @pytest.mark.parametrize("range_text", ["3", "15", "8..5", "abc", "4..x"])
     def test_bad_ranges_are_usage_errors(self, runner, range_text):

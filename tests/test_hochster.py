@@ -3,6 +3,7 @@ from collections import Counter
 from functools import lru_cache
 from math import comb
 
+import arc_types as reference
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,7 +13,13 @@ import cyclebetti.homology as homology
 from cyclebetti.cycle import marked_subsets, restrict
 from cyclebetti.errors import DomainError
 from cyclebetti.hochster import betti, betti_table, linear_strand
-from cyclebetti.homology import cycle_reduced_homology, reduced_betti_dim, restriction_complex
+from cyclebetti.homology import (
+    IntMatrix,
+    cycle_reduced_homology,
+    matrix_rank,
+    reduced_betti_dim,
+    restriction_complex,
+)
 from cyclebetti.tableaux import hook_length_count, hook_shape
 
 
@@ -30,6 +37,14 @@ def brute_force_table(n):
 def arc_type(n, w):
     """The arc lengths of the restriction to w, longest first."""
     return tuple(sorted(map(len, restrict(n, w).components), reverse=True))
+
+
+def rank_spy(monkeypatch):
+    """Record the shape of every matrix homology ranks from here on."""
+    shapes = []
+    rank = homology.matrix_rank
+    monkeypatch.setattr(homology, "matrix_rank", lambda m: shapes.append((m.nrows, m.ncols)) or rank(m))
+    return shapes
 
 
 class TestBetti:
@@ -57,17 +72,24 @@ class TestBetti:
                 assert betti(n, i, j) == value
 
     def test_scans_only_its_own_subsets(self, monkeypatch):
-        # one homology call per arc type of size j: (3), (2, 1) and (1, 1, 1)
+        # the arc-type reference makes one homology call per arc type of size j: (3), (2, 1)
+        # and (1, 1, 1); the library ranks no subset whole, only the paths on 1, 2 and 3
+        # vertices, each through its augmentation row and its incidence
         requests = []
-        real = hochster.cycle_reduced_homology
+        real = reference.cycle_reduced_homology
 
         def spy(n, vertices):
             requests.append(tuple(vertices))
             return real(n, vertices)
 
+        monkeypatch.setattr(reference, "cycle_reduced_homology", spy)
         monkeypatch.setattr(hochster, "cycle_reduced_homology", spy)
+        assert reference.column(10, 3)[1] == hook_length_count(hook_shape(10, 3))
+        assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
+        shapes = rank_spy(monkeypatch)
         assert betti(10, 2, 3) == hook_length_count(hook_shape(10, 3))
         assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
+        assert shapes == [(1, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 2)]
 
     @pytest.mark.parametrize(
         "n,i,j",
@@ -110,12 +132,21 @@ class TestBettiTable:
             betti_table(n)
 
     def test_ranks_two_maps_per_arc_type(self, monkeypatch):
-        # 628 arc types at n = 20, each a graph with two maps that have faces on both sides
-        calls = []
-        rank = homology.matrix_rank
-        monkeypatch.setattr(homology, "matrix_rank", lambda m: calls.append(m) or rank(m))
+        # the arc-type reference: 628 arc types at n = 20, each a graph with two maps that have
+        # faces on both sides
+        calls = rank_spy(monkeypatch)
+        for j in range(21):
+            reference.column(20, j)
+        assert len(calls) == 2 * sum(1 for j in range(21) for _ in reference.arc_types(20, j)) == 1256
+
+    def test_ranks_each_path_once_and_the_two_whole_subsets(self, monkeypatch):
+        # the augmentation row and incidence of the path on m = 1..19 vertices, then the
+        # empty subset and the whole cycle: 42 ranks at n = 20
+        shapes = rank_spy(monkeypatch)
         betti_table(20)
-        assert len(calls) == 2 * sum(1 for j in range(21) for _ in hochster._arc_types(20, j)) == 1256
+        paths = [shape for m in range(1, 20) for shape in ((1, m), (m, m - 1))]
+        assert shapes == [*paths, (1, 0), (0, 0), (1, 20), (20, 20)]
+        assert len(shapes) == 42
 
 
 @lru_cache(maxsize=None)
@@ -152,33 +183,79 @@ class TestClosedForms:
 
 
 class TestArcTypes:
+    # the arc-type route in tests/arc_types.py: the reference the library's sums are checked against
+
     def test_counts_match_a_brute_force_tally(self):
         for n in range(3, 13):
             for j in range(n + 1):
                 subsets = itertools.combinations(range(1, n + 1), j)
                 tally = Counter(arc_type(n, w) for w in subsets)
-                counts = {arc_type(n, w): count for w, count in hochster._arc_types(n, j)}
+                counts = {arc_type(n, w): count for w, count in reference.arc_types(n, j)}
                 assert counts == tally
 
     def test_counts_sum_to_binomials(self):
         for n in range(3, 21):
             for j in range(n + 1):
-                assert sum(count for _, count in hochster._arc_types(n, j)) == comb(n, j)
+                assert sum(count for _, count in reference.arc_types(n, j)) == comb(n, j)
 
     def test_each_representative_has_its_own_type(self):
         for n in range(3, 21):
             for j in range(n + 1):
-                types = [arc_type(n, w) for w, _ in hochster._arc_types(n, j)]
+                types = [arc_type(n, w) for w, _ in reference.arc_types(n, j)]
                 assert len(set(types)) == len(types)
                 assert all(sum(t) == j for t in types)
 
-    @given(st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
-    def test_homology_depends_only_on_arc_type(self, case):
-        # the one assumption the arc-type sums rest on, past the brute-force range
+    def test_library_matches_the_arc_type_route(self):
+        # every column, past the size cap too, and the strand, which the reference counts by
+        # walking each representative's arcs
+        for n in range(3, 25):
+            assert hochster._columns(n, range(n + 1)) == [reference.column(n, j) for j in range(n + 1)]
+        for n in range(4, 21):
+            for j in range(2, n - 1):
+                assert linear_strand(n, j) == reference.linear_strand(n, j)
+
+
+def path_incidence_ranks(n):
+    """The weights the columns give an arc of 1..n-1 vertices: its path's incidence rank."""
+    return {m: incidence for m, (_, incidence) in homology._path_ranks(n - 1).items()}
+
+
+short_of_the_whole_cycle = st.integers(3, 20).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), max_size=n - 1))
+)
+
+
+class TestCompositionSums:
+    # the facts the sums over arc-length compositions rest on
+
+    @given(short_of_the_whole_cycle)
+    def test_homology_is_the_graph_rule_on_path_ranks(self, case):
+        # a subset short of the whole cycle has the homology of its size, its edge count, its
+        # augmentation rank and the sum of the incidence ranks of the paths on its arc lengths
         n, w = case
-        representatives = {arc_type(n, r): r for r, _ in hochster._arc_types(n, len(w))}
-        representative = representatives[arc_type(n, w)]
-        assert cycle_reduced_homology(n, w) == cycle_reduced_homology(n, representative)
+        ranks = homology._path_ranks(n - 1)
+        edges = sum(1 for v in w if v % n + 1 in w)
+        augmentation = matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
+        rank_sum = sum(ranks[len(arc)][1] for arc in restrict(n, w).components)
+        assert cycle_reduced_homology(n, w) == homology._graph_homology(len(w), edges, augmentation, rank_sum)
+        if w:
+            assert ranks[len(w)][0] == augmentation
+
+    def test_subset_counts_match_a_brute_force_tally(self):
+        # by arc count and path rank sum, as the columns use them, and by arc count alone, as
+        # the strand does
+        for n in range(3, 13):
+            for weights in (path_incidence_ranks(n), dict.fromkeys(range(1, n), 0)):
+                counts = hochster._subset_counts(n, weights)
+                for j in range(1, n):
+                    arcs = (restrict(n, w).components for w in itertools.combinations(range(1, n + 1), j))
+                    tally = Counter((len(a), sum(weights[len(arc)] for arc in a)) for a in arcs)
+                    assert counts[j] == tally
+
+    def test_subset_counts_sum_to_binomials(self):
+        for n in range(3, 21):
+            counts = hochster._subset_counts(n, path_incidence_ranks(n))
+            assert [sum(counts[j].values()) for j in range(1, n)] == [comb(n, j) for j in range(1, n)]
 
 
 class TestLinearStrand:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import cyclebetti.homology as homology
 from cyclebetti.errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
+from cyclebetti.hochster import betti, betti_table
 from cyclebetti.homology import (
     IntMatrix,
     SimplicialComplex,
@@ -300,3 +301,21 @@ class TestNegativeHomologyGuard:
         monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
         with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
             reduced_betti_dim(restriction_complex(5, {1, 3}), 0)
+
+    def test_table_route(self, monkeypatch):
+        monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
+        with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
+            betti(6, 1, 2)
+        with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
+            betti_table(6)
+
+    @pytest.mark.parametrize("shape", [(4, 3), (1, 4)])
+    def test_table_route_through_one_path_rank(self, monkeypatch, shape):
+        # only one map of the path on 4 vertices is overstated: its incidence, which the class
+        # of the one-arc 4-subsets ranks, or its augmentation row, which every 4-subset has
+        rank = homology.matrix_rank
+        monkeypatch.setattr(
+            homology, "matrix_rank", lambda m: m.ncols + 1 if (m.nrows, m.ncols) == shape else rank(m)
+        )
+        with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
+            betti_table(8)

@@ -40,7 +40,7 @@ from .hochster import (
     betti_table,
     linear_strand,
 )
-from .homology import IntMatrix, cycle_reduced_homology, matrix_rank
+from .homology import IntMatrix, matrix_rank
 from .tableaux import (
     Shape,
     Tableau,
@@ -74,7 +74,6 @@ __all__ = [
     "admissible_markers",
     "betti",
     "betti_table",
-    "cycle_reduced_homology",
     "enumerate_standard_tableaux",
     "format_marked_subset",
     "format_tableau",

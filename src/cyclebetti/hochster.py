@@ -4,8 +4,10 @@ The Betti number in homological degree i and internal degree j is the sum,
 over all vertex subsets W of size j, of the dimension of reduced homology
 in degree j - i - 1 of the restriction to W.  A proper nonempty W restricts
 to c disjoint paths, so its homology depends only on j, c and the sum of
-its paths' incidence ranks, and every sum runs over those classes.  Every
-rank comes from a boundary matrix; no vanishing is assumed anywhere, and
+its paths' incidence ranks, and every sum runs over those classes; the
+empty subset and the whole cycle are one class each.  Every rank comes
+from one elimination of the cycle's two boundary matrices, whose column
+prefixes are the paths; no vanishing is assumed anywhere, and
 the familiar shape of the answer (two corner entries and one linear
 strand) is something the test suite checks, never an input.
 """
@@ -17,12 +19,12 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import DomainError
-from .homology import _graph_homology, _path_ranks, cycle_reduced_homology
+from .homology import _cycle_ranks, _graph_homology
 
 # The range the tests verify: every table up to this size is checked
-# against the closed forms of its corners and linear strand, and the subset
-# counts by arc count against the binomials.  Larger cycles would run, unchecked.
-MAX_CYCLE_SIZE = 20
+# against its Hilbert series, its Gorenstein symmetry and the closed forms
+# of its corners and linear strand.  Larger cycles would run, unchecked.
+MAX_CYCLE_SIZE = 100
 
 
 def _check_size(n: int, minimum: int) -> None:
@@ -52,16 +54,20 @@ def _subset_counts(n: int, weights: dict[int, int]) -> dict[int, Counter[tuple[i
 def _columns(n: int, degrees: range) -> list[list[int]]:
     """Hochster's sums by internal degree j; entry k of a column is the Betti number (j - k, j).
 
-    The paths are ranked once, up to the largest proper degree, and each
+    One elimination ranks every path and the whole cycle, and each
     (c, rank sum) class of a column goes through the homology rule once.
+    The empty subset and the whole cycle contain no arc, c = 0: as many
+    edges as vertices.
     """
-    ranks = _path_ranks(max(j % n for j in degrees))  # j = n is the whole cycle
-    counts = _subset_counts(n, {length: incidence for length, (_, incidence) in ranks.items()})
+    augmentation, incidence = _cycle_ranks(n)
+    longest = max(j % n for j in degrees)  # j = n is the whole cycle
+    counts = _subset_counts(n, {m: incidence[m - 1] for m in range(1, longest + 1)})
+    counts[0], counts[n] = Counter({(0, incidence[0]): 1}), Counter({(0, incidence[n]): 1})
     columns = []
     for j in degrees:
-        columns.append(cycle_reduced_homology(n, range(1, j + 1)) if j in (0, n) else [0] * (j + 1))
-        for (c, rank_sum), subsets in counts.get(j, {}).items():
-            for k, dim in enumerate(_graph_homology(j, j - c, ranks[j][0], rank_sum)):
+        columns.append([0] * (j + 1))
+        for (c, rank_sum), subsets in counts[j].items():
+            for k, dim in enumerate(_graph_homology(j, j - c, augmentation[j], rank_sum)):
                 columns[-1][k] += subsets * dim
     return columns
 

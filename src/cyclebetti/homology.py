@@ -13,10 +13,11 @@ the empty face): reduced homology separates them in degree -1.
 
 Cycle restrictions, the only complexes the Betti computations need, are
 graphs, so only two of their boundary maps have faces on both sides: the
-augmentation row and the vertex-edge incidence.  The library ranks just
-those two: cycle_reduced_homology for a whole restriction, _path_ranks for
-the paths a proper subset splits into; every other map has an empty side
-and rank 0.  The generic route (SimplicialComplex, boundary_matrix,
+augmentation row and the vertex-edge incidence; every other map has an
+empty side and rank 0.  A proper restriction is a union of paths, and
+_cycle_ranks reads the ranks of every path and of the whole cycle off one
+elimination of the cycle's two maps, as the rank profiles of their column
+prefixes.  The generic route (SimplicialComplex, boundary_matrix,
 reduced_betti_dim, restriction_complex) is not exported: it stays here
 only as the reference the cycle route is tested against.
 """
@@ -57,33 +58,39 @@ class IntMatrix:
 
 
 def matrix_rank(matrix: IntMatrix) -> int:
-    """Rank over the rationals, by fraction-free (Bareiss) elimination.
+    """Rank over the rationals: the last entry of the matrix's rank profile."""
+    return _rank_profile(matrix)[-1]
+
+
+def _rank_profile(matrix: IntMatrix) -> list[int]:
+    """Entry k is the rank of the first k columns, for k = 0..ncols, by fraction-free (Bareiss) elimination.
 
     Row operations use the two-pivot update divided by the previous pivot;
     every intermediate entry is a minor of the input, so the divisions are
-    exact and everything stays an integer.
+    exact and everything stays an integer.  Columns are eliminated in order,
+    and each one raises the rank exactly when it has a nonzero entry below
+    the pivot rows so far, so the rank after it is that of its prefix.
     """
     a = [list(row) for row in matrix.rows]
-    rank = 0
+    profile = [0]
     prev_pivot = 1
     for col in range(matrix.ncols):
+        rank = profile[-1]
         pivot_row = next((r for r in range(rank, matrix.nrows) if a[r][col]), None)
-        if pivot_row is None:
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        lead = a[rank]
-        pivot = lead[col]
-        for r in range(rank + 1, matrix.nrows):
-            row = a[r]
-            factor = row[col]
-            for c in range(col + 1, matrix.ncols):
-                row[c] = (pivot * row[c] - factor * lead[c]) // prev_pivot
-            row[col] = 0
-        prev_pivot = pivot
-        rank += 1
-        if rank == matrix.nrows:
-            break
-    return rank
+        if pivot_row is not None:
+            a[rank], a[pivot_row] = a[pivot_row], a[rank]
+            lead = a[rank]
+            pivot = lead[col]
+            for r in range(rank + 1, matrix.nrows):
+                row = a[r]
+                factor = row[col]
+                for c in range(col + 1, matrix.ncols):
+                    row[c] = (pivot * row[c] - factor * lead[c]) // prev_pivot
+                row[col] = 0
+            prev_pivot = pivot
+            rank += 1
+        profile.append(rank)
+    return profile
 
 
 @dataclass(frozen=True)
@@ -184,19 +191,6 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     return SimplicialComplex.from_faces(n, generators)
 
 
-def cycle_reduced_homology(n: int, vertices: Iterable[int]) -> list[int]:
-    """Reduced homology dimensions of a cycle restriction in degrees -1..|W|-1.
-
-    Entry k is the degree k - 1 dimension.  Only the maps in degrees 0 and 1
-    have faces on both sides (_cycle_boundaries builds them with the face
-    order and signs of boundary_matrix(restriction_complex(n, vertices), d)),
-    so entry k equals reduced_betti_dim(restriction_complex(n, vertices), k - 1).
-    """
-    vs, edges = _cycle_faces(n, vertices)
-    augmentation, incidence = _cycle_boundaries(vs, edges)
-    return _graph_homology(len(vs), len(edges), matrix_rank(augmentation), matrix_rank(incidence))
-
-
 def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence_rank: int) -> list[int]:
     """Reduced homology of a graph in degrees -1..vertices-1: each map's nullity minus the next map's rank."""
     padding = (0,) * (vertices - 1)
@@ -206,28 +200,19 @@ def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence
     return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(vertices + 1)]
 
 
-def _path_ranks(longest: int) -> dict[int, tuple[int, int]]:
-    """By m = 1..longest, the ranks of the augmentation row and the incidence of the path on 1..m.
+def _cycle_ranks(n: int) -> tuple[list[int], list[int]]:
+    """The rank profiles of the n-cycle's augmentation row and its incidence, edges in path order.
 
-    Every m-subset of a cycle has that augmentation row, and each m-vertex arc
-    that incidence up to the order and signs of its rows and columns.
+    Edge k joins vertices k and k + 1 for k < n, and edge n closes the cycle;
+    each column has -1 at its smaller vertex and +1 at its larger, as in
+    boundary_matrix.  The first m - 1 columns are zero below row m, so with
+    the profiles aug and inc, the path on m vertices, which every m-vertex
+    arc is up to the order and signs of its rows and columns, has the ranks
+    (aug[m], inc[m - 1]), the whole cycle (aug[n], inc[n]) and the empty
+    subset (aug[0], inc[0]) = (0, 0).
     """
-    paths = {m: _cycle_boundaries(*_cycle_faces(m + 2, range(1, m + 1))) for m in range(1, longest + 1)}
-    return {m: (matrix_rank(row), matrix_rank(incidence)) for m, (row, incidence) in paths.items()}
-
-
-def _cycle_faces(n: int, vertices: Iterable[int]) -> tuple[list[int], list[tuple[int, int]]]:
-    """Sorted vertices and lexicographically sorted edges of a cycle restriction."""
-    vs = vertex_set(n, vertices)
-    edges = sorted((v, v + 1) if v < n else (1, n) for v in vs if v % n + 1 in vs)
-    return sorted(vs), edges
-
-
-def _cycle_boundaries(vs: list[int], edges: list[tuple[int, int]]) -> tuple[IntMatrix, IntMatrix]:
-    """The boundary maps in degrees 0 and 1: the augmentation row and the vertex-edge incidence."""
-    row_of = {v: r for r, v in enumerate(vs)}
-    entries = [[0] * len(edges) for _ in vs]
-    for c, (a, b) in enumerate(edges):
-        entries[row_of[a]][c], entries[row_of[b]][c] = -1, 1
-    incidence = IntMatrix(len(vs), len(edges), tuple(map(tuple, entries)))
-    return IntMatrix(1, len(vs), ((1,) * len(vs),)), incidence
+    entries = [[0] * n for _ in range(n)]
+    for col, (smaller, larger) in enumerate([*zip(range(n - 1), range(1, n)), (0, n - 1)]):
+        entries[smaller][col], entries[larger][col] = -1, 1
+    incidence = IntMatrix(n, n, tuple(map(tuple, entries)))
+    return _rank_profile(IntMatrix(1, n, ((1,) * n,))), _rank_profile(incidence)

@@ -2,16 +2,17 @@
 
 A proper nonempty j-subset of the n-cycle splits into arcs, and its arc
 type is the partition of j formed by their lengths.  This route ranks one
-representative subset per arc type through cycle_reduced_homology and
-weights it by the number of j-subsets of that type, and it walks the arcs
-of each representative for the linear strand.
+representative subset per arc type through the graph-counting oracle,
+which builds no matrix, and weights it by the number of j-subsets of that
+type, and it walks the arcs of each representative for the linear strand.
 """
 
 from math import comb, factorial, prod
 from typing import Iterator
 
+from graph_oracle import graph_homology_oracle
+
 from cyclebetti.cycle import restrict
-from cyclebetti.homology import cycle_reduced_homology
 
 
 def partitions(total: int, largest: int, max_parts: int) -> Iterator[tuple[int, ...]]:
@@ -49,10 +50,14 @@ def arc_types(n: int, j: int) -> Iterator[tuple[tuple[int, ...], int]]:
 
 
 def column(n: int, j: int) -> list[int]:
-    """Hochster's sums for internal degree j; entry k is the Betti number (j - k, j)."""
+    """Hochster's sums for internal degree j; entry k is the Betti number (j - k, j).
+
+    A graph has no homology above degree 1, so the oracle's degrees -1, 0 and 1,
+    zero-padded, are a representative's homology in degrees -1..j-1.
+    """
     sums = [0] * (j + 1)
     for subset, count in arc_types(n, j):
-        for k, dim in enumerate(cycle_reduced_homology(n, subset)):
+        for k, dim in enumerate((*graph_homology_oracle(n, subset), *(0,) * j)[: j + 1]):
             sums[k] += count * dim
     return sums
 

@@ -8,7 +8,13 @@ import cyclebetti.homology as homology
 # the generic reference route stays in cyclebetti.homology, unexported
 UNEXPORTED = ["SimplicialComplex", "boundary_matrix", "reduced_betti_dim", "restriction_complex"]
 REMOVED = [
-    "nullity", "cycle_complex", "cycle_boundary_matrix", "graph_homology_oracle", "marker_set", "cycle_edges"
+    "nullity",
+    "cycle_complex",
+    "cycle_boundary_matrix",
+    "graph_homology_oracle",
+    "marker_set",
+    "cycle_edges",
+    "cycle_reduced_homology",
 ]
 
 

@@ -18,7 +18,7 @@ from cyclebetti.errors import (
     UndefinedMarkerError,
     VertexRangeError,
 )
-from cyclebetti.homology import cycle_reduced_homology, restriction_complex
+from cyclebetti.homology import restriction_complex
 
 
 def all_subsets(n):
@@ -154,7 +154,7 @@ class TestVertexSet:
         assert str(excinfo.value) == text
 
     @pytest.mark.parametrize("vertices", [5, None, [[1]], [2, {4}]], ids=repr)
-    @pytest.mark.parametrize("caller", [restrict, cycle_reduced_homology, admissible_markers, vertex_set])
+    @pytest.mark.parametrize("caller", [restrict, admissible_markers, vertex_set])
     def test_malformed_vertices_are_named(self, caller, vertices):
         # not an iterable of hashable labels: named, never a bare TypeError
         with pytest.raises(VertexRangeError) as excinfo:

@@ -5,6 +5,7 @@ from math import comb
 
 import arc_types as reference
 import pytest
+from graph_oracle import graph_homology_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -12,14 +13,8 @@ import cyclebetti.hochster as hochster
 import cyclebetti.homology as homology
 from cyclebetti.cycle import marked_subsets, restrict
 from cyclebetti.errors import DomainError
-from cyclebetti.hochster import betti, betti_table, linear_strand
-from cyclebetti.homology import (
-    IntMatrix,
-    cycle_reduced_homology,
-    matrix_rank,
-    reduced_betti_dim,
-    restriction_complex,
-)
+from cyclebetti.hochster import MAX_CYCLE_SIZE, betti, betti_table, linear_strand
+from cyclebetti.homology import IntMatrix, matrix_rank, reduced_betti_dim, restriction_complex
 from cyclebetti.tableaux import hook_length_count, hook_shape
 
 
@@ -40,11 +35,37 @@ def arc_type(n, w):
 
 
 def rank_spy(monkeypatch):
-    """Record the shape of every matrix homology ranks from here on."""
+    """Record every matrix homology ranks from here on, as (function, nrows, ncols)."""
     shapes = []
-    rank = homology.matrix_rank
-    monkeypatch.setattr(homology, "matrix_rank", lambda m: shapes.append((m.nrows, m.ncols)) or rank(m))
+    for name in ("matrix_rank", "_rank_profile"):
+        real = getattr(homology, name)
+        monkeypatch.setattr(
+            homology, name, lambda m, name=name, real=real: shapes.append((name, m.nrows, m.ncols)) or real(m)
+        )
     return shapes
+
+
+def oracle_spy(monkeypatch):
+    """Record every subset the arc-type reference asks the graph oracle about from here on."""
+    requests = []
+
+    def spy(n, vertices):
+        requests.append(tuple(vertices))
+        return graph_homology_oracle(n, vertices)
+
+    monkeypatch.setattr(reference, "graph_homology_oracle", spy)
+    return requests
+
+
+def jacques_strand(n, j):
+    """The strand entry at (j - 1, j) by Jacques' arc count (2004): n * C(j-1, c-1) * C(n-j-1, c-1) / c
+    of the j-subsets have c arcs, and each adds c - 1."""
+    total = 0
+    for c in range(1, min(j, n - j) + 1):
+        subsets, remainder = divmod(n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1), c)
+        assert remainder == 0
+        total += (c - 1) * subsets
+    return total
 
 
 class TestBetti:
@@ -73,23 +94,15 @@ class TestBetti:
 
     def test_scans_only_its_own_subsets(self, monkeypatch):
         # the arc-type reference makes one homology call per arc type of size j: (3), (2, 1)
-        # and (1, 1, 1); the library ranks no subset whole, only the paths on 1, 2 and 3
-        # vertices, each through its augmentation row and its incidence
-        requests = []
-        real = reference.cycle_reduced_homology
-
-        def spy(n, vertices):
-            requests.append(tuple(vertices))
-            return real(n, vertices)
-
-        monkeypatch.setattr(reference, "cycle_reduced_homology", spy)
-        monkeypatch.setattr(hochster, "cycle_reduced_homology", spy)
+        # and (1, 1, 1); the library asks for no subset's homology and ranks no subset, only
+        # the 10-cycle's augmentation row and incidence, whose column prefixes are the paths
+        requests = oracle_spy(monkeypatch)
         assert reference.column(10, 3)[1] == hook_length_count(hook_shape(10, 3))
         assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
         shapes = rank_spy(monkeypatch)
         assert betti(10, 2, 3) == hook_length_count(hook_shape(10, 3))
         assert requests == [(1, 2, 3), (1, 2, 4), (1, 3, 5)]
-        assert shapes == [(1, 1), (1, 0), (1, 2), (2, 1), (1, 3), (3, 2)]
+        assert shapes == [("_rank_profile", 1, 10), ("_rank_profile", 10, 10)]
 
     @pytest.mark.parametrize(
         "n,i,j",
@@ -98,7 +111,7 @@ class TestBetti:
             (5, 0, 6),
             (5, -1, 2),
             (2, 0, 0),
-            (21, 0, 0),
+            (101, 0, 0),
             (5.0, 1, 2),
             (5, 1, 2.0),
             (5, 1.0, 2),
@@ -126,27 +139,29 @@ class TestBettiTable:
         for n in range(4, 13):
             assert betti_table(n).entries == brute_force_table(n)
 
-    @pytest.mark.parametrize("n", [3, 2, 21, 6.0])
+    @pytest.mark.parametrize("n", [3, 2, 101, 6.0])
     def test_rejects_out_of_range_sizes(self, n):
         with pytest.raises(DomainError):
             betti_table(n)
 
-    def test_ranks_two_maps_per_arc_type(self, monkeypatch):
-        # the arc-type reference: 628 arc types at n = 20, each a graph with two maps that have
-        # faces on both sides
-        calls = rank_spy(monkeypatch)
+    def test_reference_ranks_no_matrix(self, monkeypatch):
+        # the arc-type reference: 628 arc types at n = 20, each counted by the graph oracle once,
+        # and not one matrix ranked
+        requests = oracle_spy(monkeypatch)
+        shapes = rank_spy(monkeypatch)
         for j in range(21):
             reference.column(20, j)
-        assert len(calls) == 2 * sum(1 for j in range(21) for _ in reference.arc_types(20, j)) == 1256
+        assert len(requests) == sum(1 for j in range(21) for _ in reference.arc_types(20, j)) == 628
+        assert shapes == []
 
     def test_ranks_each_path_once_and_the_two_whole_subsets(self, monkeypatch):
-        # the augmentation row and incidence of the path on m = 1..19 vertices, then the
-        # empty subset and the whole cycle: 42 ranks at n = 20
-        shapes = rank_spy(monkeypatch)
-        betti_table(20)
-        paths = [shape for m in range(1, 20) for shape in ((1, m), (m, m - 1))]
-        assert shapes == [*paths, (1, 0), (0, 0), (1, 20), (20, 20)]
-        assert len(shapes) == 42
+        # every path, the empty subset and the whole cycle are column prefixes of the cycle's
+        # augmentation row and incidence: two rank profiles, and no other rank
+        for n in (4, 20, 100):
+            shapes = rank_spy(monkeypatch)
+            betti_table(n)
+            assert shapes == [("_rank_profile", 1, n), ("_rank_profile", n, n)]
+            monkeypatch.undo()
 
 
 @lru_cache(maxsize=None)
@@ -155,11 +170,11 @@ def table_entries(n):
 
 
 class TestClosedForms:
-    # identities of the whole table that use neither Hochster's formula nor homology; any one
-    # wrong cell breaks the Hilbert series, and any cell but the middle of an even n's strand
-    # breaks the symmetry
+    # identities of the whole table that use neither Hochster's formula nor homology, at every
+    # served n from one cached table each; any one wrong cell breaks the Hilbert series, and any
+    # cell but the middle of an even n's strand breaks the symmetry
 
-    @pytest.mark.parametrize("n", range(4, 21))
+    @pytest.mark.parametrize("n", range(4, MAX_CYCLE_SIZE + 1))
     def test_hilbert_series(self, n):
         # C_n has one empty face, n vertices and n edges, so sum (-1)^i b_ij t^j equals
         # (1-t)^n + n t (1-t)^(n-1) + n t^2 (1-t)^(n-2) (Stanley, Combinatorics and
@@ -173,13 +188,22 @@ class TestClosedForms:
             alternating[j] += (-1) ** i * value
         assert alternating == expected
 
-    @pytest.mark.parametrize("n", range(4, 21))
+    @pytest.mark.parametrize("n", range(4, MAX_CYCLE_SIZE + 1))
     def test_gorenstein_symmetry(self, n):
         # C_n is a 1-sphere, so its resolution is self-dual: b_ij = b_(n-2-i, n-j), and a
         # cell whose dual falls outside 0 <= i <= j is 0 (Stanley, op. cit., II.5)
         entries = table_entries(n)
         for (i, j), value in entries.items():
             assert value == entries.get((n - 2 - i, n - j), 0), (n, i, j)
+
+    @pytest.mark.parametrize("n", range(4, MAX_CYCLE_SIZE + 1))
+    def test_corners_and_strand(self, n):
+        # the nonzero cells are the two corners and the strand, whose entries are the hook length
+        # count and Jacques' arc count
+        strand = {(j - 1, j): hook_length_count(hook_shape(n, j)) for j in range(2, n - 1)}
+        assert strand == {(j - 1, j): jacques_strand(n, j) for j in range(2, n - 1)}
+        nonzero = {key: value for key, value in table_entries(n).items() if value}
+        assert nonzero == {(0, 0): 1, **strand, (n - 2, n): 1}
 
 
 class TestArcTypes:
@@ -217,7 +241,8 @@ class TestArcTypes:
 
 def path_incidence_ranks(n):
     """The weights the columns give an arc of 1..n-1 vertices: its path's incidence rank."""
-    return {m: incidence for m, (_, incidence) in homology._path_ranks(n - 1).items()}
+    incidence = homology._cycle_ranks(n)[1]
+    return {m: incidence[m - 1] for m in range(1, n)}
 
 
 short_of_the_whole_cycle = st.integers(3, 20).flatmap(
@@ -233,13 +258,13 @@ class TestCompositionSums:
         # a subset short of the whole cycle has the homology of its size, its edge count, its
         # augmentation rank and the sum of the incidence ranks of the paths on its arc lengths
         n, w = case
-        ranks = homology._path_ranks(n - 1)
+        augmentation, incidence = homology._cycle_ranks(n)
         edges = sum(1 for v in w if v % n + 1 in w)
-        augmentation = matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
-        rank_sum = sum(ranks[len(arc)][1] for arc in restrict(n, w).components)
-        assert cycle_reduced_homology(n, w) == homology._graph_homology(len(w), edges, augmentation, rank_sum)
-        if w:
-            assert ranks[len(w)][0] == augmentation
+        rank_sum = sum(incidence[len(arc) - 1] for arc in restrict(n, w).components)
+        k = restriction_complex(n, w)
+        expected = [reduced_betti_dim(k, d) for d in range(-1, len(w))]
+        assert expected == homology._graph_homology(len(w), edges, augmentation[len(w)], rank_sum)
+        assert augmentation[len(w)] == matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
 
     def test_subset_counts_match_a_brute_force_tally(self):
         # by arc count and path rank sum, as the columns use them, and by arc count alone, as
@@ -273,23 +298,16 @@ class TestLinearStrand:
                 assert linear_strand(n, j) == betti(n, j - 1, j)
 
     def test_arc_count_identity(self):
-        # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets
-        # have c arcs, and each adds c - 1 to the strand
         for n in range(4, 21):
             for j in range(2, n - 1):
-                total = 0
-                for c in range(1, min(j, n - j) + 1):
-                    subsets, remainder = divmod(n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1), c)
-                    assert remainder == 0
-                    total += (c - 1) * subsets
-                assert linear_strand(n, j) == total == hook_length_count(hook_shape(n, j))
+                assert linear_strand(n, j) == jacques_strand(n, j) == hook_length_count(hook_shape(n, j))
 
     def test_matches_marked_subsets(self):
         for n in range(4, 10):
             for j in range(2, n - 1):
                 assert linear_strand(n, j) == len(marked_subsets(n, j))
 
-    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (21, 2), (6, 2.0), (6.0, 2)])
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (101, 2), (6, 2.0), (6.0, 2)])
     def test_domain_errors(self, n, j):
         with pytest.raises(DomainError):
             linear_strand(n, j)

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -8,13 +9,13 @@ from graph_oracle import graph_homology_oracle
 from hypothesis import strategies as st
 
 import cyclebetti.homology as homology
-from cyclebetti.errors import ImpossibleBranchError, InvalidCycleError, VertexRangeError
+from cyclebetti.cycle import restrict
+from cyclebetti.errors import ImpossibleBranchError, VertexRangeError
 from cyclebetti.hochster import betti, betti_table
 from cyclebetti.homology import (
     IntMatrix,
     SimplicialComplex,
     boundary_matrix,
-    cycle_reduced_homology,
     matrix_rank,
     reduced_betti_dim,
     restriction_complex,
@@ -26,9 +27,48 @@ def cycle_complex(n):
     return SimplicialComplex.from_faces(n, [(i, i % n + 1) for i in range(1, n + 1)])
 
 
-def cycle_boundary_matrix(n, vertices, d):
-    """The d-th boundary map of a cycle restriction as the cycle route builds it, for d = 0, 1."""
-    return homology._cycle_boundaries(*homology._cycle_faces(n, vertices))[d]
+def cycle_matrices(n):
+    """The augmentation row and the incidence of the n-cycle, as _cycle_ranks(n) ranks them."""
+    matrices = []
+    with mock.patch.object(homology, "_rank_profile", lambda m: matrices.append(m) or [0] * (m.ncols + 1)):
+        homology._cycle_ranks(n)
+    return matrices
+
+
+def block(matrix, nrows, ncols):
+    """The top-left nrows x ncols block of a matrix."""
+    return IntMatrix(nrows, ncols, tuple(row[:ncols] for row in matrix.rows[:nrows]))
+
+
+def path_ranks(longest):
+    """By m = 1..longest, the ranks of the augmentation row and the incidence of the path on 1..m.
+
+    The per-length route that one elimination of the cycle replaced, kept as the reference for its
+    prefix ranks: each path's two maps are built and ranked as matrices of their own.
+    """
+    ranks = {}
+    for m in range(1, longest + 1):
+        entries = [[0] * (m - 1) for _ in range(m)]
+        for c in range(m - 1):
+            entries[c][c], entries[c + 1][c] = -1, 1
+        incidence = IntMatrix(m, m - 1, tuple(map(tuple, entries)))
+        ranks[m] = (matrix_rank(IntMatrix(1, m, ((1,) * m,))), matrix_rank(incidence))
+    return ranks
+
+
+def subset_homology(n, vertices):
+    """Reduced homology of a cycle restriction in degrees -1..|W|-1, as the table route reads it.
+
+    The graph rule on the ranks of one elimination: the whole cycle's, or the augmentation prefix
+    of the subset's size and the incidence prefixes of the paths its arcs are.
+    """
+    restriction = restrict(n, vertices)
+    j, arcs = len(restriction.vertices), restriction.components
+    augmentation, incidence = homology._cycle_ranks(n)
+    if j == n:
+        return homology._graph_homology(n, n, augmentation[n], incidence[n])
+    rank_sum = sum(incidence[len(arc) - 1] for arc in arcs)
+    return homology._graph_homology(j, j - len(arcs), augmentation[j], rank_sum)
 
 
 def rank_by_rational_elimination(matrix):
@@ -75,6 +115,15 @@ class TestMatrixRank:
     @given(int_matrices())
     def test_matches_rational_elimination(self, matrix):
         assert matrix_rank(matrix) == rank_by_rational_elimination(matrix)
+
+    @given(int_matrices())
+    def test_profile_ranks_each_column_prefix(self, matrix):
+        # entry k of the profile is the rank of the first k columns, zero-row and zero-column
+        # shapes included
+        prefixes = [block(matrix, matrix.nrows, k) for k in range(matrix.ncols + 1)]
+        profile = homology._rank_profile(matrix)
+        assert profile == [matrix_rank(prefix) for prefix in prefixes]
+        assert profile == [rank_by_rational_elimination(prefix) for prefix in prefixes]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -228,16 +277,28 @@ class TestGraphHomologyOracle:
 
 
 class TestCycleBoundaryMatrix:
+    # the two matrices _cycle_ranks(n) eliminates: the whole cycle's maps, whose column prefixes
+    # are the paths'
+
     def test_matches_generic_builder(self):
         for n in range(3, 8):
-            for w in all_subsets(n):
-                k = restriction_complex(n, w)
-                for d in (0, 1):
-                    assert cycle_boundary_matrix(n, w, d) == boundary_matrix(k, d)
+            augmentation, incidence = cycle_matrices(n)
+            k = restriction_complex(n, range(1, n + 1))
+            assert augmentation == boundary_matrix(k, 0)
+            # the generic route orders edges lexicographically, with (1, n) second; the cycle
+            # route closes the cycle last
+            edges = k.faces_of_dim(1)
+            by_path = sorted(range(n), key=lambda c: edges[c][1] - edges[c][0] != 1)
+            generic = boundary_matrix(k, 1).rows
+            assert incidence.rows == tuple(tuple(row[c] for c in by_path) for row in generic)
+            for m in range(1, n):
+                path = restriction_complex(n, range(1, m + 1))
+                assert block(augmentation, 1, m) == boundary_matrix(path, 0)
+                assert block(incidence, m, m - 1) == boundary_matrix(path, 1)
 
     def test_wrapping_edge_sign(self):
-        # the edge {1, 5} lists 1 first, so deleting 5 leaves 1 with sign -1
-        assert cycle_boundary_matrix(5, {1, 5}, 1).rows == ((-1,), (1,))
+        # the edge {1, 5} lists 1 first, so deleting 5 leaves 1 with sign -1; it is the last column
+        assert [row[-1] for row in cycle_matrices(5)[1].rows] == [-1, 0, 0, 0, 1]
 
     def test_generic_maps_in_other_degrees_have_an_empty_side(self):
         # the cycle route ranks only degrees 0 and 1, and reads rank 0 everywhere else
@@ -250,52 +311,90 @@ class TestCycleBoundaryMatrix:
                     assert matrix_rank(m) == 0
 
     def test_boundary_of_boundary_vanishes(self):
-        for n in range(3, 8):
-            for w in all_subsets(n):
-                assert composes_to_zero(cycle_boundary_matrix(n, w, 0), cycle_boundary_matrix(n, w, 1))
+        for n in range(3, 12):
+            augmentation, incidence = cycle_matrices(n)
+            assert composes_to_zero(augmentation, incidence)
+            for m in range(1, n):
+                assert composes_to_zero(block(augmentation, 1, m), block(incidence, m, m - 1))
+
+    def test_paths_are_column_prefixes(self):
+        # the first m - 1 columns of the incidence are zero below row m, so their rank is that of
+        # the path on m vertices
+        for n in range(3, 101):
+            rows = cycle_matrices(n)[1].rows
+            for m in range(1, n + 1):
+                assert not any(any(row[: m - 1]) for row in rows[m:]), (n, m)
+
+
+class TestCycleRanks:
+    def test_prefix_ranks_match_the_per_length_route(self):
+        # every path on m <= 100 vertices, ranked as a matrix of its own
+        augmentation, incidence = homology._cycle_ranks(102)
+        assert {m: (augmentation[m], incidence[m - 1]) for m in range(1, 101)} == path_ranks(100)
+
+    def test_ranks_match_the_generic_route(self):
+        # every path, the whole cycle and the empty subset
+        def generic_ranks(n, vertices):
+            k = restriction_complex(n, vertices)
+            return matrix_rank(boundary_matrix(k, 0)), matrix_rank(boundary_matrix(k, 1))
+
+        for n in range(3, 11):
+            augmentation, incidence = homology._cycle_ranks(n)
+            for m in range(1, n):
+                assert (augmentation[m], incidence[m - 1]) == generic_ranks(n, range(1, m + 1))
+            assert (augmentation[n], incidence[n]) == generic_ranks(n, range(1, n + 1)) == (1, n - 1)
+            assert (augmentation[0], incidence[0]) == generic_ranks(n, ()) == (0, 0)
 
 
 class TestCycleReducedHomology:
+    # one restriction's homology as the table route reads it: the graph rule on the ranks of one
+    # elimination (subset_homology)
+
     def test_matches_generic_route_everywhere(self):
         for n in range(3, 11):
             for w in all_subsets(n):
                 k = restriction_complex(n, w)
                 expected = [reduced_betti_dim(k, d) for d in range(-1, len(w))]
-                assert cycle_reduced_homology(n, w) == expected
+                assert subset_homology(n, w) == expected
 
     def test_follows_requested_degree_order(self):
         # entry d + 1 holds degree d, for d = -1..|W|-1
-        dims = cycle_reduced_homology(6, {2, 4, 6})
+        dims = subset_homology(6, {2, 4, 6})
         assert [dims[d + 1] for d in (0, -1, 0, 2)] == [2, 0, 2, 0]
-        assert cycle_reduced_homology(6, range(1, 7)) == [0, 0, 1, 0, 0, 0, 0]
+        assert subset_homology(6, range(1, 7)) == [0, 0, 1, 0, 0, 0, 0]
 
     def test_empty_subset_is_irrelevant(self):
-        assert cycle_reduced_homology(5, ()) == [1]
+        assert subset_homology(5, ()) == [1]
 
     @pytest.mark.parametrize("n,w", [(5, ()), (5, {3}), (6, {2, 4, 6}), (6, range(1, 7)), (9, {1, 2, 5, 6, 7, 9})])
     def test_ranks_the_two_maps_of_a_graph(self, monkeypatch, n, w):
-        # the augmentation row and the vertex-edge incidence, once each
+        # the augmentation row and the vertex-edge incidence of the whole cycle, once each, whatever
+        # the subset
         shapes = []
-        rank = homology.matrix_rank
-        monkeypatch.setattr(homology, "matrix_rank", lambda m: shapes.append((m.nrows, m.ncols)) or rank(m))
-        cycle_reduced_homology(n, w)
-        edges = sum(1 for i in range(1, n + 1) if {i, i % n + 1} <= set(w))
-        assert shapes == [(1, len(set(w))), (len(set(w)), edges)]
+        profile = homology._rank_profile
+        monkeypatch.setattr(homology, "_rank_profile", lambda m: shapes.append((m.nrows, m.ncols)) or profile(m))
+        subset_homology(n, w)
+        assert shapes == [(1, n), (n, n)]
 
-    def test_rejects_bad_input(self):
-        with pytest.raises(VertexRangeError):
-            cycle_reduced_homology(5, {0, 2})
-        with pytest.raises(InvalidCycleError):
-            cycle_reduced_homology(2, {1})
+
+def overstate_profiles(monkeypatch, where=lambda nrows, k: True):
+    """Make entry k of the rank profile of a matrix with nrows rows k + 1 wherever where(nrows, k).
+
+    That is one more than the prefix has columns, as no rank can be.
+    """
+    profile = homology._rank_profile
+    monkeypatch.setattr(
+        homology, "_rank_profile", lambda m: [k + 1 if where(m.nrows, k) else r for k, r in enumerate(profile(m))]
+    )
 
 
 class TestNegativeHomologyGuard:
     # an image larger than the kernel cannot come from a chain complex;
     # an overstated rank forces it, and the guard must raise even under -O
     def test_cycle_route(self, monkeypatch):
-        monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
+        overstate_profiles(monkeypatch)
         with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
-            cycle_reduced_homology(5, {1, 3})
+            subset_homology(5, {1, 3})
 
     def test_generic_route(self, monkeypatch):
         monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
@@ -303,19 +402,17 @@ class TestNegativeHomologyGuard:
             reduced_betti_dim(restriction_complex(5, {1, 3}), 0)
 
     def test_table_route(self, monkeypatch):
-        monkeypatch.setattr(homology, "matrix_rank", lambda matrix: matrix.ncols + 1)
+        overstate_profiles(monkeypatch)
         with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
             betti(6, 1, 2)
         with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
             betti_table(6)
 
-    @pytest.mark.parametrize("shape", [(4, 3), (1, 4)])
+    @pytest.mark.parametrize("shape", [(8, 3), (1, 4)])
     def test_table_route_through_one_path_rank(self, monkeypatch, shape):
-        # only one map of the path on 4 vertices is overstated: its incidence, which the class
-        # of the one-arc 4-subsets ranks, or its augmentation row, which every 4-subset has
-        rank = homology.matrix_rank
-        monkeypatch.setattr(
-            homology, "matrix_rank", lambda m: m.ncols + 1 if (m.nrows, m.ncols) == shape else rank(m)
-        )
+        # only one map of the path on 4 vertices is overstated: the 3-column prefix of the 8-cycle's
+        # incidence, which the class of the one-arc 4-subsets ranks, or the 4-column prefix of its
+        # augmentation row, which every 4-subset has
+        overstate_profiles(monkeypatch, lambda nrows, k: (nrows, k) == shape)
         with pytest.raises(ImpossibleBranchError, match="escapes the kernel"):
             betti_table(8)

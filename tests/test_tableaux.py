@@ -392,7 +392,7 @@ class TestHookLengthCount:
 
     def test_matches_the_arc_count_identity_past_the_betti_range(self):
         # Jacques 2004: n * C(j-1, c-1) * C(n-j-1, c-1) / c of the j-subsets have c arcs, and
-        # each adds c - 1 to the strand; the Betti route stops at n = 20, the hook length
+        # each adds c - 1 to the strand; the Betti route stops at n = 100, the hook length
         # formula does not.  Every 2 <= j <= n - 2 for n <= 300, binomials from Pascal's rule
         binomials = [[1]]
         for _ in range(300):

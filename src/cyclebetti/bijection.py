@@ -6,9 +6,10 @@ reads the pair off the cell at (2, 2); the inverse rebuilds the filling
 from sorted rows and columns.  Both directions are constructive, and the
 verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
-time, and validates each object once: every forward image, rebuilt filling
-and transpose is looked up among the enumerated objects, and built afresh
-only when it lies outside them.  Tableaux are keyed by hook, and transposed by _transposed_hook.
+time, and validates only the enumerated objects, each once: every forward
+image, rebuilt filling and transpose is looked up among them, and one that
+lies outside them is reported raw as a mismatch, never built.  Tableaux
+are keyed by hook, and transposed by _transposed_hook.
 """
 
 from __future__ import annotations
@@ -31,17 +32,37 @@ from .tableaux import (
     enumerate_standard_tableaux,
     format_tableau,
     hook_shape,
+    transpose,
     _transposed_hook,
 )
 
 Pair = tuple[frozenset[int], int]
-# per shape: tableaux and images by hook (same order), marked subsets by (vertices, marker)
-Side = tuple[dict[Hook, Tableau], dict[Pair, MarkedSubset], dict[Hook, MarkedSubset]]
+# per shape: tableaux and images by hook (same order), marked subsets by (vertices, marker); an
+# image is the enumerated marked subset read, or the raw pair when none has it
+Side = tuple[dict[Hook, Tableau], dict[Pair, MarkedSubset], dict[Hook, MarkedSubset | Pair]]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
     """Render as "{2,4,6}|6": the sorted vertices, then the marker."""
-    return "{" + ",".join(str(v) for v in sorted(ms.vertices)) + "}|" + str(ms.marker)
+    return _text((ms.vertices, ms.marker))
+
+
+def _text(value: Hook | Pair) -> str:
+    """A (vertices, marker) pair, or a hook as its rows, in the text of the object it would be."""
+    if len(value) == 2:
+        vertices, marker = value
+        return "{" + ",".join(map(str, sorted(vertices))) + "}|" + str(marker)
+    row, column, corner = value
+    return ";".join(",".join(map(str, r)) for r in (row, (*column[1:2], corner), *zip(column[2:])))
+
+
+def _shown(value: Tableau | MarkedSubset | Hook | Pair) -> str:
+    """A looked-up value as text: an enumerated object formatted, a raw one marked as outside."""
+    if isinstance(value, Tableau):
+        return format_tableau(value)
+    if isinstance(value, MarkedSubset):
+        return format_marked_subset(value)
+    return f"{_text(value)} (outside the enumeration)"
 
 
 def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
@@ -84,11 +105,7 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
     result is validated; a non-standard filling here is unreachable for a
     valid marked subset.
     """
-    return _rebuild(MarkedSubset(n, vertices, marker), j)
-
-
-def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
-    """marked_subset_to_tableau for a marked subset that is already built."""
+    ms = MarkedSubset(n, vertices, marker)
     try:
         tableau = Tableau(*_rebuilt_hook(ms, j))
     except TableauValidationError as exc:
@@ -101,7 +118,7 @@ def _rebuild(ms: MarkedSubset, j: int) -> Tableau:
 
 
 def _rebuilt_hook(ms: MarkedSubset, j: int) -> Hook:
-    """The hook _rebuild validates, for size j: 1 heads row and column, the marker is at (2, 2)."""
+    """The hook of size j that marked_subset_to_tableau validates; the marker lands at (2, 2)."""
     vs = ms.vertices
     if type(j) is not int or ms.size != j:
         raise InvalidMarkedSubsetError(f"subset {sorted(vs)} has size {ms.size}, expected j={j}")
@@ -142,9 +159,10 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     shape, image equality with the enumerated marked subsets, both round
     trips, and transpose duality.  The conjugate shape is enumerated too, so
     each transpose is a lookup.  Every tableau is read forward once and every
-    marked subset rebuilt once; the round trips call a map afresh only for a
-    value outside the side checked.  Counterexamples are collected in the
-    report rather than raised, so callers can render them.
+    marked subset rebuilt once, and only the enumerated objects are
+    validated: a forward image, rebuilt filling or transpose that none of
+    them has is never built, but reported raw.  Counterexamples are collected
+    in the report rather than raised, so callers can render them.
     """
     side = _side(n, j)
     return _report(n, j, side, side if 2 * j == n else _side(n, n - j))
@@ -166,74 +184,51 @@ def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
     tableaux = {t.hook: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
     marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
-    reads = {hook: _read(t) for hook, t in tableaux.items()}
-    image = {hook: marked.get(r[1:]) or MarkedSubset(*r) for hook, r in reads.items()}
+    image = {hook: marked.get(pair := _read(t)[1:], pair) for hook, t in tableaux.items()}
     return tableaux, marked, image
 
 
 def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
     """The report for (n, j), from the enumerations and images of shape j and of its conjugate.
 
-    Transposes (by _transposed_hook), rebuilt fillings and preimages' images are found by hook.
+    Transposes (by _transposed_hook), rebuilt fillings and preimages' images are found by hook,
+    and only compared: a round trip holds when its lookups return the object it started from, and
+    a value no enumerated object has stays raw, so nothing here builds a Tableau or MarkedSubset.
     """
     tableaux, marked, image = side
     mismatches: list[str] = []
 
-    forward: dict[MarkedSubset, Tableau] = {}
+    forward: dict[MarkedSubset | Pair, Tableau] = {}
     for t, ms in zip(tableaux.values(), image.values()):
         if forward.setdefault(ms, t) is not t:
             mismatches.append(
                 f"collision: {format_tableau(forward[ms])} and {format_tableau(t)} "
-                f"both map to {format_marked_subset(ms)}"
+                f"both map to {_shown(ms)}"
             )
     injective = len(forward) == len(image)
     transposes = map(conjugate[2].get, map(_transposed_hook, image))  # None where the lookup misses
-    duality_holds = all(map(_transpose_complements, tableaux.values(), image.values(), transposes))
+    duality_holds = all(map(_transpose_complements, image.values(), transposes))
 
-    def _order(ms: MarkedSubset) -> tuple[tuple[int, ...], int]:
-        return tuple(sorted(ms.vertices)), ms.marker
-
-    preimage = {ms: tableaux.get(_rebuilt_hook(ms, j)) or _rebuild(ms, j) for ms in marked.values()}
+    # the enumerated tableau with each rebuilt hook, or the raw hook when none has it
+    preimage = {ms: tableaux.get(hook := _rebuilt_hook(ms, j), hook) for ms in marked.values()}
     image_matches = forward.keys() == preimage.keys()
-    if not image_matches:  # the set differences hash every marked subset again
-        for ms in sorted(forward.keys() - preimage.keys(), key=_order):
-            mismatches.append(f"image is not a marked subset: {format_marked_subset(ms)}")
-        for ms in sorted(preimage.keys() - forward.keys(), key=_order):
-            mismatches.append(f"marked subset never hit: {format_marked_subset(ms)}")
+    if not image_matches:  # each membership test hashes a marked subset again
+        mismatches += [f"image outside the enumeration: {_text(v)}" for v in forward if v not in preimage]
+        mismatches += [
+            f"marked subset never hit: {format_marked_subset(ms)}" for ms in preimage if ms not in forward
+        ]
 
-    round_trips_ok = True
+    drifts = []
     for t, ms in zip(tableaux.values(), image.values()):
-        try:
-            back = preimage.get(ms) or _rebuild(ms, j)
-            drift = "" if back.hook == t.hook else format_tableau(back)
-        except InvalidMarkedSubsetError as exc:
-            drift = f"error: {exc}"
-        if drift:
-            round_trips_ok = False
-            mismatches.append(
-                f"tableau round trip drifts: {format_tableau(t)} -> "
-                f"{format_marked_subset(ms)} -> {drift}"
-            )
-    for ms, t in preimage.items():
-        try:
-            back_ms = image.get(t.hook) or tableau_to_marked_subset(t)
-            drift = "" if back_ms == ms else format_marked_subset(back_ms)
-        except InvalidMarkedSubsetError as exc:
-            drift = f"error: {exc}"
-        if drift:
-            round_trips_ok = False
-            mismatches.append(f"marked round trip drifts: {format_marked_subset(ms)} -> {drift}")
-
+        if (back := preimage.get(ms)) is not t:  # None for a raw image
+            rebuilt = "" if back is None else f" -> {_shown(back)}"
+            drifts.append(f"tableau round trip drifts: {format_tableau(t)} -> {_shown(ms)}{rebuilt}")
+    for ms, back in preimage.items():
+        back_ms = image[back.hook] if isinstance(back, Tableau) else back  # a raw hook has no image
+        if back_ms is not ms:
+            drifts.append(f"marked round trip drifts: {format_marked_subset(ms)} -> {_shown(back_ms)}")
     return BijectionReport(
-        n=n,
-        j=j,
-        tableau_count=len(image),
-        marked_count=len(marked),
-        injective=injective,
-        image_matches=image_matches,
-        round_trips_ok=round_trips_ok,
-        duality_holds=duality_holds,
-        mismatches=mismatches,
+        n, j, len(image), len(marked), injective, image_matches, not drifts, duality_holds, mismatches + drifts
     )
 
 
@@ -244,12 +239,12 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     hook-plus-column shape, and its marked subset should be the complement
     with the same marker attached.
     """
-    return _transpose_complements(tableau, tableau_to_marked_subset(tableau), None)
+    ms, ms_t = tableau_to_marked_subset(tableau), tableau_to_marked_subset(transpose(tableau))
+    return _transpose_complements(ms, ms_t)
 
 
-def _transpose_complements(tableau: Tableau, ms: MarkedSubset, ms_t: MarkedSubset | None) -> bool:
-    """Whether transpose(tableau) maps to the complement of ms; ms_t is that image if looked up."""
-    ms_t = ms_t or tableau_to_marked_subset(Tableau(*_transposed_hook(tableau.hook)))
-    # both are validated subsets of 1..n, so disjoint with sizes summing to n means complements
-    sizes_fit = ms_t.n == ms.n == ms_t.size + ms.size
-    return sizes_fit and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker
+def _transpose_complements(ms: MarkedSubset | Pair, ms_t: MarkedSubset | Pair | None) -> bool:
+    """Whether ms_t, a transpose's image, is ms's complement with its marker; no raw pair is, nor None."""
+    # two validated subsets of 1..n, disjoint with sizes summing to n, are complements
+    fits = type(ms) is type(ms_t) is MarkedSubset and ms_t.n == ms.n == ms_t.size + ms.size
+    return fits and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker

@@ -1,0 +1,182 @@
+"""Replay a fixed table of mutants against the test modules that must kill them.
+
+Each entry names a file under src/cyclebetti, an exact snippet that occurs in it
+once, the snippet's replacement, and the test modules expected to fail on the
+result.  The script copies src/, tests/ and pyproject.toml into a temporary
+directory, checks that the named modules pass there unmutated, then applies one
+mutant at a time and runs `python -m pytest -x -q` on its modules.  A mutant the
+modules pass (a survivor), or a snippet not found exactly once (a stale entry),
+fails the run; a stale entry is to be updated, never skipped.  A change that
+adds a fast path or a comparison adds its mutants here.
+
+Standard library only.  Run from the repository root:
+
+    python tests/mutants.py
+
+Exit status 0 when every mutant is killed, 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 300  # a mutant that hangs its tests is counted as killed, and said to time out
+
+
+class Mutant(NamedTuple):
+    file: str  # relative to src/cyclebetti
+    snippet: str
+    replacement: str
+    modules: tuple[str, ...]  # relative to tests/
+
+
+MUTANTS = [
+    # the verifier compares only: a forward image outside the enumeration is listed,
+    Mutant(
+        "bijection.py",
+        "for v in forward if v not in preimage]",
+        "for v in forward if v not in forward]",
+        ("test_bijection.py",),
+    ),
+    # and each round trip holds only when its lookup returns the very object it started from,
+    Mutant(
+        "bijection.py",
+        "if (back := preimage.get(ms)) is not t:",
+        "if (back := preimage.get(ms)) is None:",
+        ("test_bijection.py",),
+    ),
+    Mutant("bijection.py", "if back_ms is not ms:", "if back_ms is None:", ("test_bijection.py",)),
+    # and a transpose's image must be a validated marked subset, disjoint from the image, with
+    # its marker
+    Mutant(
+        "bijection.py",
+        "fits = type(ms) is type(ms_t) is MarkedSubset and ",
+        "fits = ",
+        ("test_bijection.py",),
+    ),
+    Mutant(
+        "bijection.py",
+        "return fits and ms_t.vertices.isdisjoint(ms.vertices) and",
+        "return fits and",
+        ("test_bijection.py",),
+    ),
+    Mutant(
+        "bijection.py",
+        "and ms_t.marker == ms.marker",
+        "and True",
+        ("test_bijection.py",),
+    ),
+    # the forward read: the predecessor is bisected for, and the row past (1, 1) joins the marker
+    Mutant(
+        "bijection.py",
+        "bisect_left(row, marker - 1), bisect_left",
+        "bisect_left(row, marker), bisect_left",
+        ("test_bijection.py",),
+    ),
+    Mutant(
+        "bijection.py",
+        "subset = frozenset((marker, *row[1:]))",
+        "subset = frozenset((marker, *row))",
+        ("test_bijection.py",),
+    ),
+    # the rebuilt hook: the side without vertex 1 holds the marker, and 1 heads both lines
+    Mutant(
+        "bijection.py",
+        "side = outside if 1 in vs else inside",
+        "side = inside if 1 in vs else outside",
+        ("test_bijection.py",),
+    ),
+    Mutant("bijection.py", "side.insert(0, 1)", "side.append(1)", ("test_bijection.py",)),
+    # the admissible markers: no arc starts past n, and the smallest marker is left out
+    Mutant(
+        "cycle.py",
+        "sorted(v + 1 for v in vs if v < n and v + 1 not in vs)[1:]",
+        "sorted(v + 1 for v in vs if v + 1 not in vs)[1:]",
+        ("test_cycle.py",),
+    ),
+    Mutant(
+        "cycle.py",
+        "return sorted(vs.difference(map((1).__add__, vs)))[1:]",
+        "return sorted(vs.difference(map((1).__add__, vs)))",
+        ("test_cycle.py",),
+    ),
+    # the composition count: every arc length up to j, the gap layouts, one subset per first arc
+    Mutant(
+        "hochster.py",
+        "for length in range(1, j + 1):",
+        "for length in range(1, j):",
+        ("test_hochster.py",),
+    ),
+    Mutant(
+        "hochster.py",
+        "n * comb(n - j - 1, c - 1)",
+        "n * comb(n - j, c - 1)",
+        ("test_hochster.py",),
+    ),
+    Mutant("hochster.py", "layouts[c] * k // c", "layouts[c] * k", ("test_hochster.py",)),
+]
+
+
+def pytest_run(workdir: Path, modules: tuple[str, ...]) -> subprocess.CompletedProcess:
+    """`pytest -x -q` on the named test modules of the copy, importing the copy's library."""
+    env = dict(os.environ, PYTHONPATH=str(workdir / "src"), PYTHONDONTWRITEBYTECODE="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command += [str(workdir / "tests" / module) for module in modules]
+    return subprocess.run(
+        command, cwd=workdir, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+    )
+
+
+def last_line(output: str) -> str:
+    lines = output.strip().splitlines()
+    return lines[-1] if lines else "(no output)"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="cyclebetti-mutants-") as tmp:
+        workdir = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, workdir / name, ignore=skip)
+        shutil.copy2(ROOT / "pyproject.toml", workdir)
+
+        modules = tuple(sorted({module for mutant in MUTANTS for module in mutant.modules}))
+        baseline = pytest_run(workdir, modules)
+        if baseline.returncode != 0:
+            print(f"unmutated tests fail, nothing to compare: {last_line(baseline.stdout)}")
+            return 1
+
+        failures = 0
+        for number, mutant in enumerate(MUTANTS, 1):
+            path = workdir / "src" / "cyclebetti" / mutant.file
+            original = path.read_text()
+            label = f"{number:2d} {mutant.file}: {mutant.snippet!r} -> {mutant.replacement!r}"
+            found = original.count(mutant.snippet)
+            if found != 1:
+                print(f"STALE    {label} (snippet found {found} times)")
+                failures += 1
+                continue
+            path.write_text(original.replace(mutant.snippet, mutant.replacement))
+            try:
+                result = pytest_run(workdir, mutant.modules)
+                verdict = "killed" if result.returncode != 0 else "SURVIVED"
+                detail = last_line(result.stdout)
+            except subprocess.TimeoutExpired:
+                verdict, detail = "killed", f"timed out after {TIMEOUT_S} s"
+            finally:
+                path.write_text(original)
+            failures += verdict == "SURVIVED"
+            print(f"{verdict:8} {label}\n         {detail}")
+        print(f"{len(MUTANTS)} mutants, {failures} survived or stale")
+        return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -9,6 +9,7 @@ from reference_tableaux import hook_of
 import cyclebetti.bijection as bijection
 import cyclebetti.cycle as cycle
 from cyclebetti.bijection import (
+    BijectionReport,
     format_marked_subset,
     marked_subset_to_tableau,
     tableau_to_marked_subset,
@@ -261,8 +262,8 @@ def round_trip_lines(n, j):
 def count_verifier_calls(monkeypatch):
     # counts the verifier's two enumerations (and the objects each yields),
     # its forward reads, rebuilt hooks, transposed hooks, any call of the public
-    # maps, every Shape, Tableau and MarkedSubset validated, every vertex set
-    # checked
+    # forward map, every Shape, Tableau and MarkedSubset validated, every vertex
+    # set checked
     calls = {}
 
     def counted(name, fn):
@@ -287,7 +288,6 @@ def count_verifier_calls(monkeypatch):
         "_rebuilt_hook",
         "_transposed_hook",
         "tableau_to_marked_subset",
-        "_rebuild",
     ):
         monkeypatch.setattr(bijection, name, counted(name, getattr(bijection, name)))
     monkeypatch.setattr(cycle, "vertex_set", counted("vertex_set", cycle.vertex_set))
@@ -381,93 +381,6 @@ class TestVerifyBijection:
             verify_bijection(n, j)
 
 
-class TestVerifyBijectionFailures:
-    # {2,4}|4 is sent back to another enumerated tableau, or to one of the
-    # conjugate shape that the verifier must map forward afresh
-    @pytest.mark.parametrize(
-        "drift,drift_image",
-        [
-            ("1,3;2,4;5", "{1,3}|4"),
-            ("1,2,3;4,5", "{2,3,5}|5"),
-        ],
-    )
-    def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, drift, drift_image):
-        # the inverse looks its rebuilt hook up and falls back on _rebuild: both drift
-        def drifting(inverse, drifted):
-            def wrapper(ms, j):
-                if (ms.vertices, ms.marker) == (frozenset({2, 4}), 4):
-                    return drifted
-                return inverse(ms, j)
-
-            return wrapper
-
-        monkeypatch.setattr(
-            bijection, "_rebuilt_hook", drifting(bijection._rebuilt_hook, parse_tableau(drift).hook)
-        )
-        monkeypatch.setattr(bijection, "_rebuild", drifting(bijection._rebuild, parse_tableau(drift)))
-        report = verify_bijection(5, 2)
-        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
-        assert report.injective
-        assert report.image_matches
-        assert not report.round_trips_ok
-        assert not report.passed
-        assert report.duality_holds
-        assert report.mismatches == [
-            f"tableau round trip drifts: 1,2;3,4;5 -> {{2,4}}|4 -> {drift}",
-            f"marked round trip drifts: {{2,4}}|4 -> {drift_image}",
-        ]
-
-    def test_colliding_forward_map_is_reported(self, monkeypatch):
-        # the tableau of {2,5}|5 is read as {2,4}|4, which another tableau owns
-        read = bijection._read
-
-        def colliding(tableau):
-            if format_tableau(tableau) == "1,2;3,5;4":
-                return 5, frozenset({2, 4}), 4
-            return read(tableau)
-
-        monkeypatch.setattr(bijection, "_read", colliding)
-        report = verify_bijection(5, 2)
-        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
-        assert not report.injective
-        assert not report.image_matches
-        assert not report.round_trips_ok
-        assert not report.passed
-        assert not report.duality_holds
-        assert report.mismatches == [
-            "collision: 1,2;3,4;5 and 1,2;3,5;4 both map to {2,4}|4",
-            "marked subset never hit: {2,5}|5",
-            "tableau round trip drifts: 1,2;3,5;4 -> {2,4}|4 -> 1,2;3,4;5",
-            "marked round trip drifts: {2,5}|5 -> {2,4}|4",
-        ]
-
-    def test_forward_image_of_wrong_size_is_reported(self, monkeypatch):
-        # {1,3,4}|5 is a valid marked subset, but of size 3: mapping it back
-        # to a (5, 2) tableau raises, and the report must say so
-        read = bijection._read
-
-        def oversized(tableau):
-            if format_tableau(tableau) == "1,2;3,4;5":
-                return 5, frozenset({1, 3, 4}), 5
-            return read(tableau)
-
-        monkeypatch.setattr(bijection, "_read", oversized)
-        report = verify_bijection(5, 2)
-        assert (report.n, report.j, report.tableau_count, report.marked_count) == (5, 2, 5, 5)
-        assert report.injective
-        assert not report.image_matches
-        assert not report.round_trips_ok
-        assert not report.passed
-        assert not report.duality_holds
-        assert report.mismatches == [
-            "image is not a marked subset: {1,3,4}|5",
-            "marked subset never hit: {2,4}|4",
-            "tableau round trip drifts: 1,2;3,4;5 -> {1,3,4}|5 -> "
-            "error: subset [1, 3, 4] has size 3, expected j=2",
-            "marked round trip drifts: {2,4}|4 -> {1,3,4}|5",
-        ]
-
-
 def substitute(monkeypatch, name, first, value):
     # bijection.<name> returns value when its first argument equals first
     fn = getattr(bijection, name)
@@ -487,72 +400,176 @@ def validated(monkeypatch, cls):
     return seen
 
 
+FIRST_5 = parse_tableau("1,2;3,4;5")  # the first (5, 2) tableau, which reads {2,4}|4
+MARKED_24 = MarkedSubset(5, frozenset({2, 4}), 4)
+
+# every fault the failure tests inject, as substitute's (name, first, value)
+FAULTS = {
+    # 1,2;3,4;5 "transposed" to itself, a (5, 2) hook the conjugate lookup misses, or to a
+    # filling that is not standard
+    "transpose in place": ("_transposed_hook", FIRST_5.hook, FIRST_5.hook),
+    "non-standard transpose": ("_transposed_hook", FIRST_5.hook, hook_of(((2, 1), (3, 4), (5,)))),
+    # {2,4}|4 rebuilt as another tableau of the shape, as one of the conjugate shape, or as a
+    # filling that is not standard
+    "drift within the shape": ("_rebuilt_hook", MARKED_24, parse_tableau("1,3;2,4;5").hook),
+    "drift to the conjugate shape": ("_rebuilt_hook", MARKED_24, parse_tableau("1,2,3;4,5").hook),
+    "non-standard rebuilt filling": ("_rebuilt_hook", MARKED_24, hook_of(((1, 2), (4, 3), (5,)))),
+    # a tableau read as another tableau's image, as a marked subset of another size (on the
+    # 5-cycle, and on the 6-cycle), or with a marker that is not admissible
+    "collision": ("_read", parse_tableau("1,2;3,5;4"), (5, frozenset({2, 4}), 4)),
+    "oversized image": ("_read", FIRST_5, (5, frozenset({1, 3, 4}), 5)),
+    "image on the 6-cycle": ("_read", parse_tableau("1,2;3,4;5;6"), (6, frozenset({2, 4, 6}), 6)),
+    "inadmissible marker": ("_read", FIRST_5, (5, frozenset({2, 4}), 2)),
+}
+
+
+def drifted_report(drift, drift_image=None):
+    # the (5, 2) report when {2,4}|4 alone is rebuilt as drift, whose image is drift_image;
+    # a raw drift has no image, so both round trips name it
+    return BijectionReport(
+        5, 2, 5, 5, injective=True, image_matches=True, round_trips_ok=False, duality_holds=True,
+        mismatches=[
+            f"tableau round trip drifts: 1,2;3,4;5 -> {{2,4}}|4 -> {drift}",
+            f"marked round trip drifts: {{2,4}}|4 -> {drift_image or drift}",
+        ],
+    )
+
+
+class TestVerifyBijectionFailures:
+    # {2,4}|4 is sent back to another enumerated tableau, or to one of the
+    # conjugate shape, which the verifier names raw as outside the enumeration
+    @pytest.mark.parametrize(
+        "fault,drift,drift_image",
+        [
+            ("drift within the shape", "1,3;2,4;5", "{1,3}|4"),
+            ("drift to the conjugate shape", "1,2,3;4,5 (outside the enumeration)", None),
+        ],
+        ids=["1,3;2,4;5-{1,3}|4", "1,2,3;4,5-outside"],
+    )
+    def test_drifting_inverse_breaks_both_round_trips(self, monkeypatch, fault, drift, drift_image):
+        substitute(monkeypatch, *FAULTS[fault])
+        report = verify_bijection(5, 2)
+        assert not report.passed
+        assert report == drifted_report(drift, drift_image)
+
+    def test_colliding_forward_map_is_reported(self, monkeypatch):
+        # the tableau of {2,5}|5 is read as {2,4}|4, which another tableau owns
+        substitute(monkeypatch, *FAULTS["collision"])
+        report = verify_bijection(5, 2)
+        assert not report.passed
+        assert report == BijectionReport(
+            5, 2, 5, 5, injective=False, image_matches=False, round_trips_ok=False, duality_holds=False,
+            mismatches=[
+                "collision: 1,2;3,4;5 and 1,2;3,5;4 both map to {2,4}|4",
+                "marked subset never hit: {2,5}|5",
+                "tableau round trip drifts: 1,2;3,5;4 -> {2,4}|4 -> 1,2;3,4;5",
+                "marked round trip drifts: {2,5}|5 -> {2,4}|4",
+            ],
+        )
+
+    def test_forward_image_of_wrong_size_is_reported(self, monkeypatch):
+        # {1,3,4}|5 is a valid marked subset, but of size 3: no (5, 2) marked
+        # subset has it, so it is named raw, and no preimage is looked up
+        substitute(monkeypatch, *FAULTS["oversized image"])
+        report = verify_bijection(5, 2)
+        assert not report.passed
+        assert report == BijectionReport(
+            5, 2, 5, 5, injective=True, image_matches=False, round_trips_ok=False, duality_holds=False,
+            mismatches=[
+                "image outside the enumeration: {1,3,4}|5",
+                "marked subset never hit: {2,4}|4",
+                "tableau round trip drifts: 1,2;3,4;5 -> {1,3,4}|5 (outside the enumeration)",
+                "marked round trip drifts: {2,4}|4 -> {1,3,4}|5 (outside the enumeration)",
+            ],
+        )
+
+    @pytest.mark.parametrize("transposed", ["1,3,5;2,4;6", "1,2,4;3,6;5"])
+    def test_duality_needs_the_complement_and_the_marker(self, monkeypatch, transposed):
+        # 1,3,5;2,4;6 reads {1,3,5}|4, and its transpose 1,2,6;3,4;5 reads {2,4,6}|4; sent
+        # instead to itself, or to 1,2,4;3,6;5 of {2,4,6}|6 (the complement, another marker),
+        # it breaks duality alone
+        first = parse_tableau("1,3,5;2,4;6").hook
+        substitute(monkeypatch, "_transposed_hook", first, parse_tableau(transposed).hook)
+        report = verify_bijection(6, 3)
+        assert report.passed
+        assert report == BijectionReport(6, 3, 16, 16, True, True, True, duality_holds=False, mismatches=[])
+
+
 class TestVerifierLookupMisses:
-    # a transpose, rebuilt filling or forward image outside the enumerations
-    # is built and validated afresh: a valid one is reported as the maps
-    # themselves would report it, and an invalid one raises as they do
+    # a transpose, rebuilt filling or forward image that no enumerated object
+    # has is never built: the report names it raw, as outside the enumeration,
+    # whether or not it would pass validation, and the verifier raises nothing
     def test_transpose_outside_the_conjugate_shape(self, monkeypatch):
-        # 1,2;3,4;5 is "transposed" to itself, a (5, 2) tableau the conjugate lookup misses
-        t = parse_tableau("1,2;3,4;5")
-        substitute(monkeypatch, "_transposed_hook", t.hook, t.hook)
+        substitute(monkeypatch, *FAULTS["transpose in place"])
         tableaux = validated(monkeypatch, Tableau)
         report = verify_bijection(5, 2)
-        assert report.passed and not report.duality_holds and report.mismatches == []
-        assert len(tableaux) == 11 and tableaux[10] == t  # after the 10 enumerated
+        assert report.passed
+        assert report == BijectionReport(5, 2, 5, 5, True, True, True, duality_holds=False, mismatches=[])
+        assert len(tableaux) == 10  # the enumerated ones
 
-    def test_non_standard_transpose_raises(self, monkeypatch):
-        bad = hook_of(((2, 1), (3, 4), (5,)))
-        substitute(monkeypatch, "_transposed_hook", parse_tableau("1,2;3,4;5").hook, bad)
-        with pytest.raises(TableauValidationError) as excinfo:
-            verify_bijection(5, 2)
-        assert str(excinfo.value) == "row 1 is not strictly increasing: (2, 1)"
+    def test_non_standard_transpose_is_reported(self, monkeypatch):
+        substitute(monkeypatch, *FAULTS["non-standard transpose"])
+        report = verify_bijection(5, 2)
+        assert report.passed
+        assert report == BijectionReport(5, 2, 5, 5, True, True, True, duality_holds=False, mismatches=[])
 
     def test_rebuilt_filling_outside_the_shape(self, monkeypatch):
-        drift = parse_tableau("1,2,3;4,5")
-        substitute(monkeypatch, "_rebuilt_hook", MarkedSubset(5, frozenset({2, 4}), 4), drift.hook)
+        substitute(monkeypatch, *FAULTS["drift to the conjugate shape"])
         tableaux = validated(monkeypatch, Tableau)
-        report = verify_bijection(5, 2)
-        assert (report.injective, report.image_matches, report.duality_holds) == (True,) * 3
-        assert not report.round_trips_ok
-        assert report.mismatches == [
-            "tableau round trip drifts: 1,2;3,4;5 -> {2,4}|4 -> 1,2,3;4,5",
-            "marked round trip drifts: {2,4}|4 -> {2,3,5}|5",
-        ]
-        assert len(tableaux) == 11 and tableaux[10] == drift
+        assert verify_bijection(5, 2) == drifted_report("1,2,3;4,5 (outside the enumeration)")
+        assert len(tableaux) == 10
 
-    def test_non_standard_rebuilt_filling_raises(self, monkeypatch):
-        bad = hook_of(((1, 2), (4, 3), (5,)))
-        substitute(monkeypatch, "_rebuilt_hook", MarkedSubset(5, frozenset({2, 4}), 4), bad)
-        with pytest.raises(ImpossibleBranchError) as excinfo:
-            verify_bijection(5, 2)
-        assert str(excinfo.value) == (
-            "rebuilt filling is not standard: row 2 is not strictly increasing: (4, 3)"
-        )
+    def test_non_standard_rebuilt_filling_is_reported(self, monkeypatch):
+        substitute(monkeypatch, *FAULTS["non-standard rebuilt filling"])
+        tableaux = validated(monkeypatch, Tableau)
+        assert verify_bijection(5, 2) == drifted_report("1,2;4,3;5 (outside the enumeration)")
+        assert len(tableaux) == 10
 
     def test_forward_image_outside_the_marked_subsets(self, monkeypatch):
         # {2,4,6}|6 is valid on the 6-cycle, but of size 3: neither side holds it
-        outside = MarkedSubset(6, frozenset({2, 4, 6}), 6)
-        substitute(monkeypatch, "_read", parse_tableau("1,2;3,4;5;6"), (6, outside.vertices, 6))
+        substitute(monkeypatch, *FAULTS["image on the 6-cycle"])
         marked = validated(monkeypatch, MarkedSubset)
         report = verify_bijection(6, 2)
-        assert (report.injective, report.image_matches, report.round_trips_ok) == (True, False, False)
-        assert not report.duality_holds
-        assert report.mismatches == [
-            "image is not a marked subset: {2,4,6}|6",
-            "marked subset never hit: {2,4}|4",
-            "tableau round trip drifts: 1,2;3,4;5;6 -> {2,4,6}|6 -> "
-            "error: subset [2, 4, 6] has size 3, expected j=2",
-            "marked round trip drifts: {2,4}|4 -> {2,4,6}|6",
-        ]
-        assert len(marked) == 2 * 9 + 1 and marked.count(outside) == 1
-
-    def test_invalid_forward_image_raises(self, monkeypatch):
-        substitute(monkeypatch, "_read", parse_tableau("1,2;3,4;5"), (5, frozenset({2, 4}), 2))
-        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
-            verify_bijection(5, 2)
-        assert str(excinfo.value) == (
-            "marker 2 is not admissible for [2, 4] on the 5-cycle (admissible: [4])"
+        assert not report.passed
+        assert report == BijectionReport(
+            6, 2, 9, 9, injective=True, image_matches=False, round_trips_ok=False, duality_holds=False,
+            mismatches=[
+                "image outside the enumeration: {2,4,6}|6",
+                "marked subset never hit: {2,4}|4",
+                "tableau round trip drifts: 1,2;3,4;5;6 -> {2,4,6}|6 (outside the enumeration)",
+                "marked round trip drifts: {2,4}|4 -> {2,4,6}|6 (outside the enumeration)",
+            ],
         )
+        assert len(marked) == 2 * 9  # the enumerated ones
+
+    def test_invalid_forward_image_is_reported(self, monkeypatch):
+        # {2,4}|2 would be rejected: its marker 2 is not admissible
+        substitute(monkeypatch, *FAULTS["inadmissible marker"])
+        report = verify_bijection(5, 2)
+        assert not report.passed
+        assert report == BijectionReport(
+            5, 2, 5, 5, injective=True, image_matches=False, round_trips_ok=False, duality_holds=False,
+            mismatches=[
+                "image outside the enumeration: {2,4}|2",
+                "marked subset never hit: {2,4}|4",
+                "tableau round trip drifts: 1,2;3,4;5 -> {2,4}|2 (outside the enumeration)",
+                "marked round trip drifts: {2,4}|4 -> {2,4}|2 (outside the enumeration)",
+            ],
+        )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_validates_only_the_enumerated_objects(self, monkeypatch, fault, n):
+        # under every injected fault, failing or not at this n, each Tableau and
+        # MarkedSubset validated is one the shape or its conjugate enumerates,
+        # as in test_maps_each_side_once, and the forward map is never called
+        substitute(monkeypatch, *FAULTS[fault])
+        calls = count_verifier_calls(monkeypatch)
+        verify_bijection(n, 2)
+        enumerated = {5: 10, 6: 18}[n]
+        assert calls["enumerate_standard_tableaux items"] == calls["Tableau"] == enumerated
+        assert calls["marked_subsets items"] == calls["MarkedSubset"] == enumerated
+        assert "tableau_to_marked_subset" not in calls
 
 
 def random_marked_subset(rng, n, j):

@@ -205,8 +205,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("fmt", ["text", "csv"])
     def test_round_trip_drift_names_its_mismatches_on_stderr(self, runner, monkeypatch, fmt):
-        # {2,4}|4 is rebuilt as 1,3;2,4;5 (the lookup and _rebuild both read
-        # _rebuilt_hook); csv stdout stays the grid alone, as json keeps its document
+        # {2,4}|4 is rebuilt as 1,3;2,4;5 (the lookup reads _rebuilt_hook); csv
+        # stdout stays the grid alone, as json keeps its document
         real = bijection._rebuilt_hook
 
         def drifting(ms, j):

@@ -32,7 +32,6 @@ from .tableaux import (
     enumerate_standard_tableaux,
     format_tableau,
     hook_shape,
-    transpose,
     _transposed_hook,
 )
 
@@ -74,24 +73,21 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     its initial cell.  Standardness leaves no third location, so reaching
     one means the tableau is corrupt.
     """
-    return MarkedSubset(*_read(tableau))
+    return MarkedSubset(tableau.n, *_read(tableau.hook))
 
 
-def _read(tableau: Tableau) -> tuple[int, frozenset[int], int]:
-    """(n, subset, marker) of a tableau, read off (2, 2); bisection finds the marker's predecessor."""
-    row, column, marker = tableau.hook
+def _read(hook: Hook) -> Pair:
+    """(subset, marker) of a hook, read off (2, 2); bisection finds the marker's predecessor."""
+    row, column, marker = hook
     i, k = bisect_left(row, marker - 1), bisect_left(column, marker - 1)
     if row[i : i + 1] == (marker - 1,):
-        subset = frozenset(row)
-    elif column[k : k + 1] == (marker - 1,):
-        subset = frozenset((marker, *row[1:]))
-    else:
-        row, col = tableau.position_of(marker - 1)
-        raise ImpossibleBranchError(
-            f"predecessor of the marker sits at ({row}, {col}), "
-            "outside both the first row and the first column"
-        )
-    return tableau.n, subset, marker
+        return frozenset(row), marker
+    if column[k : k + 1] == (marker - 1,):
+        return frozenset((marker, *row[1:])), marker
+    cell = (1, row.index(marker - 1) + 1) if marker - 1 in row else (column.index(marker - 1) + 1, 1)
+    raise ImpossibleBranchError(
+        f"predecessor of the marker sits at {cell}, outside both the first row and the first column"
+    )
 
 
 def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: int) -> Tableau:
@@ -107,14 +103,9 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
     """
     ms = MarkedSubset(n, vertices, marker)
     try:
-        tableau = Tableau(*_rebuilt_hook(ms, j))
+        return Tableau(*_rebuilt_hook(ms, j))
     except TableauValidationError as exc:
         raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
-    if not tableau.corner > max(tableau.row[1], tableau.column[1]):
-        raise ImpossibleBranchError(
-            f"marker {ms.marker} at (2, 2) does not exceed both neighbours in {format_tableau(tableau)}"
-        )
-    return tableau
 
 
 def _rebuilt_hook(ms: MarkedSubset, j: int) -> Hook:
@@ -184,7 +175,7 @@ def _side(n: int, j: int) -> Side:
     """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
     tableaux = {t.hook: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
     marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
-    image = {hook: marked.get(pair := _read(t)[1:], pair) for hook, t in tableaux.items()}
+    image = {hook: marked.get(pair := _read(hook), pair) for hook in tableaux}
     return tableaux, marked, image
 
 
@@ -207,7 +198,10 @@ def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
             )
     injective = len(forward) == len(image)
     transposes = map(conjugate[2].get, map(_transposed_hook, image))  # None where the lookup misses
-    duality_holds = all(map(_transpose_complements, image.values(), transposes))
+    duality_holds = all(
+        type(ms) is type(ms_t) is MarkedSubset and _transpose_complements(ms, ms_t.vertices, ms_t.marker)
+        for ms, ms_t in zip(image.values(), transposes)
+    )
 
     # the enumerated tableau with each rebuilt hook, or the raw hook when none has it
     preimage = {ms: tableaux.get(hook := _rebuilt_hook(ms, j), hook) for ms in marked.values()}
@@ -237,14 +231,18 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
 
     The transpose of a hook-plus-column tableau has the conjugate
     hook-plus-column shape, and its marked subset should be the complement
-    with the same marker attached.
+    with the same marker attached.  The transpose of a standard tableau is
+    standard, so its hook is read raw, and the read needs no validation of
+    its own by the complement lemma: the complement in 1..n of a valid
+    marked subset, with the same marker, is a valid marked subset, since
+    both avoid vertex 1 on the same side and each membership rule of
+    MarkedSubset is symmetric under complementing.
     """
-    ms, ms_t = tableau_to_marked_subset(tableau), tableau_to_marked_subset(transpose(tableau))
-    return _transpose_complements(ms, ms_t)
+    ms = tableau_to_marked_subset(tableau)
+    return _transpose_complements(ms, *_read(_transposed_hook(tableau.hook)))
 
 
-def _transpose_complements(ms: MarkedSubset | Pair, ms_t: MarkedSubset | Pair | None) -> bool:
-    """Whether ms_t, a transpose's image, is ms's complement with its marker; no raw pair is, nor None."""
-    # two validated subsets of 1..n, disjoint with sizes summing to n, are complements
-    fits = type(ms) is type(ms_t) is MarkedSubset and ms_t.n == ms.n == ms_t.size + ms.size
-    return fits and ms_t.vertices.isdisjoint(ms.vertices) and ms_t.marker == ms.marker
+def _transpose_complements(ms: MarkedSubset, subset: frozenset[int], marker: int) -> bool:
+    """Whether (subset, marker), read off a transpose, is ms's complement with ms's marker."""
+    # a subset of 1..n, disjoint from ms's with sizes summing to n, is its complement
+    return len(subset) + ms.size == ms.n and subset.isdisjoint(ms.vertices) and marker == ms.marker

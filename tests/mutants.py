@@ -53,26 +53,24 @@ MUTANTS = [
         ("test_bijection.py",),
     ),
     Mutant("bijection.py", "if back_ms is not ms:", "if back_ms is None:", ("test_bijection.py",)),
-    # and a transpose's image must be a validated marked subset, disjoint from the image, with
-    # its marker
+    # and a transpose's image must be an enumerated marked subset.
     Mutant(
         "bijection.py",
-        "fits = type(ms) is type(ms_t) is MarkedSubset and ",
-        "fits = ",
+        "type(ms) is type(ms_t) is MarkedSubset and _transpose_complements",
+        "_transpose_complements",
         ("test_bijection.py",),
     ),
+    # the duality check reads the transposed hook, and its read is the complement (sizes summing
+    # to n, disjoint) with the marker
     Mutant(
         "bijection.py",
-        "return fits and ms_t.vertices.isdisjoint(ms.vertices) and",
-        "return fits and",
+        "_read(_transposed_hook(tableau.hook))",
+        "_read(tableau.hook)",
         ("test_bijection.py",),
     ),
-    Mutant(
-        "bijection.py",
-        "and ms_t.marker == ms.marker",
-        "and True",
-        ("test_bijection.py",),
-    ),
+    Mutant("bijection.py", "len(subset) + ms.size == ms.n and ", "", ("test_bijection.py",)),
+    Mutant("bijection.py", "subset.isdisjoint(ms.vertices) and ", "", ("test_bijection.py",)),
+    Mutant("bijection.py", " and marker == ms.marker", "", ("test_bijection.py",)),
     # the forward read: the predecessor is bisected for, and the row past (1, 1) joins the marker
     Mutant(
         "bijection.py",
@@ -82,8 +80,8 @@ MUTANTS = [
     ),
     Mutant(
         "bijection.py",
-        "subset = frozenset((marker, *row[1:]))",
-        "subset = frozenset((marker, *row))",
+        "return frozenset((marker, *row[1:])), marker",
+        "return frozenset((marker, *row)), marker",
         ("test_bijection.py",),
     ),
     # the rebuilt hook: the side without vertex 1 holds the marker, and 1 heads both lines

@@ -6,10 +6,10 @@ reads the pair off the cell at (2, 2); the inverse rebuilds the filling
 from sorted rows and columns.  Both directions are constructive, and the
 verifier checks them exhaustively against the independent enumerations of
 each side.  It works on one conjugate pair of shapes, j and n - j, at a
-time, and validates only the enumerated objects, each once: every forward
-image, rebuilt filling and transpose is looked up among them, and one that
-lies outside them is reported raw as a mismatch, never built.  Tableaux
-are keyed by hook, and transposed by _transposed_hook.
+time, validates only the enumerated objects, each once, and keeps only
+their keys: a tableau's hook and a marked subset's (vertices, marker)
+pair.  Every forward image, rebuilt hook and transpose is compared with
+those keys, and one that no key matches is reported raw, never built.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import filterfalse
-from typing import Iterable
+from operator import attrgetter
+from typing import Container, Iterable
 
 from .cycle import MarkedSubset, marked_subsets
 from .errors import (
@@ -30,15 +31,15 @@ from .tableaux import (
     Hook,
     Tableau,
     enumerate_standard_tableaux,
-    format_tableau,
     hook_shape,
+    _hook_rows,
     _transposed_hook,
 )
 
 Pair = tuple[frozenset[int], int]
-# per shape: tableaux and images by hook (same order), marked subsets by (vertices, marker); an
-# image is the enumerated marked subset read, or the raw pair when none has it
-Side = tuple[dict[Hook, Tableau], dict[Pair, MarkedSubset], dict[Hook, MarkedSubset | Pair]]
+# per shape: each tableau's hook to the pair it reads, and each marked subset's pair to itself; a
+# read that a marked subset has is that subset's very pair object
+Side = tuple[dict[Hook, Pair], dict[Pair, Pair]]
 
 
 def format_marked_subset(ms: MarkedSubset) -> str:
@@ -47,21 +48,16 @@ def format_marked_subset(ms: MarkedSubset) -> str:
 
 
 def _text(value: Hook | Pair) -> str:
-    """A (vertices, marker) pair, or a hook as its rows, in the text of the object it would be."""
+    """A (vertices, marker) pair, or a hook, in the text of the object it would be."""
     if len(value) == 2:
         vertices, marker = value
         return "{" + ",".join(map(str, sorted(vertices))) + "}|" + str(marker)
-    row, column, corner = value
-    return ";".join(",".join(map(str, r)) for r in (row, (*column[1:2], corner), *zip(column[2:])))
+    return ";".join(",".join(map(str, row)) for row in _hook_rows(value))
 
 
-def _shown(value: Tableau | MarkedSubset | Hook | Pair) -> str:
-    """A looked-up value as text: an enumerated object formatted, a raw one marked as outside."""
-    if isinstance(value, Tableau):
-        return format_tableau(value)
-    if isinstance(value, MarkedSubset):
-        return format_marked_subset(value)
-    return f"{_text(value)} (outside the enumeration)"
+def _shown(value: Hook | Pair, enumerated: Container) -> str:
+    """A key as text, marked as outside the enumeration unless it is among the enumerated keys."""
+    return _text(value) + ("" if value in enumerated else " (outside the enumeration)")
 
 
 def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
@@ -102,22 +98,22 @@ def marked_subset_to_tableau(n: int, j: int, vertices: Iterable[int], marker: in
     valid marked subset.
     """
     ms = MarkedSubset(n, vertices, marker)
+    if type(j) is not int or ms.size != j:
+        raise InvalidMarkedSubsetError(f"subset {sorted(ms.vertices)} has size {ms.size}, expected j={j}")
     try:
-        return Tableau(*_rebuilt_hook(ms, j))
+        return Tableau(*_rebuilt_hook((ms.vertices, ms.marker), n))
     except TableauValidationError as exc:
         raise ImpossibleBranchError(f"rebuilt filling is not standard: {exc}") from exc
 
 
-def _rebuilt_hook(ms: MarkedSubset, j: int) -> Hook:
-    """The hook of size j that marked_subset_to_tableau validates; the marker lands at (2, 2)."""
-    vs = ms.vertices
-    if type(j) is not int or ms.size != j:
-        raise InvalidMarkedSubsetError(f"subset {sorted(vs)} has size {ms.size}, expected j={j}")
-    inside, outside = sorted(vs), list(filterfalse(vs.__contains__, range(1, ms.n + 1)))
+def _rebuilt_hook(pair: Pair, n: int) -> Hook:
+    """The hook that marked_subset_to_tableau validates for a pair; the marker lands at (2, 2)."""
+    vs, marker = pair
+    inside, outside = sorted(vs), list(filterfalse(vs.__contains__, range(1, n + 1)))
     side = outside if 1 in vs else inside  # the side without vertex 1, which holds the marker
-    side.remove(ms.marker)
+    side.remove(marker)
     side.insert(0, 1)
-    return tuple(inside), tuple(outside), ms.marker
+    return tuple(inside), tuple(outside), marker
 
 
 @dataclass
@@ -149,11 +145,12 @@ def verify_bijection(n: int, j: int) -> BijectionReport:
     Confirms injectivity over all standard tableaux of the hook-plus-column
     shape, image equality with the enumerated marked subsets, both round
     trips, and transpose duality.  The conjugate shape is enumerated too, so
-    each transpose is a lookup.  Every tableau is read forward once and every
-    marked subset rebuilt once, and only the enumerated objects are
-    validated: a forward image, rebuilt filling or transpose that none of
-    them has is never built, but reported raw.  Counterexamples are collected
-    in the report rather than raised, so callers can render them.
+    each transpose is a lookup.  Every tableau's hook is read forward to a
+    (vertices, marker) pair once, every marked subset's pair rebuilt to a
+    hook once, and the round trips compare those keys: only the enumerated
+    objects are validated, and a value that no key matches is reported raw,
+    never built.  Counterexamples are collected in the report rather than
+    raised, so callers can render them.
     """
     side = _side(n, j)
     return _report(n, j, side, side if 2 * j == n else _side(n, n - j))
@@ -172,55 +169,45 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 
 
 def _side(n: int, j: int) -> Side:
-    """Shape (j, 2, 1, ..., 1) and the marked subsets of size j, each tableau read forward once."""
-    tableaux = {t.hook: t for t in enumerate_standard_tableaux(hook_shape(n, j))}
-    marked = {(ms.vertices, ms.marker): ms for ms in marked_subsets(n, j)}
-    image = {hook: marked.get(pair := _read(hook), pair) for hook in tableaux}
-    return tableaux, marked, image
+    """The keys of shape (j, 2, 1, ..., 1) and of the marked subsets of size j; objects dropped."""
+    marked = {pair: pair for pair in map(attrgetter("vertices", "marker"), marked_subsets(n, j))}
+    hooks = map(attrgetter("hook"), enumerate_standard_tableaux(hook_shape(n, j)))
+    return {hook: marked.get(pair := _read(hook), pair) for hook in hooks}, marked
 
 
 def _report(n: int, j: int, side: Side, conjugate: Side) -> BijectionReport:
-    """The report for (n, j), from the enumerations and images of shape j and of its conjugate.
+    """The report for (n, j), from the keys of shape j and of its conjugate.
 
-    Transposes (by _transposed_hook), rebuilt fillings and preimages' images are found by hook,
-    and only compared: a round trip holds when its lookups return the object it started from, and
-    a value no enumerated object has stays raw, so nothing here builds a Tableau or MarkedSubset.
+    Each marked subset's pair is rebuilt to a hook and each hook transposed by _transposed_hook;
+    these are only compared with keys: a round trip holds when it comes back to the key it started
+    from, and a value that no key of its kind matches is rendered raw, as outside the enumeration.
     """
-    tableaux, marked, image = side
-    mismatches: list[str] = []
-
-    forward: dict[MarkedSubset | Pair, Tableau] = {}
-    for t, ms in zip(tableaux.values(), image.values()):
-        if forward.setdefault(ms, t) is not t:
+    image, marked = side
+    preimage = {pair: _rebuilt_hook(pair, n) for pair in marked}
+    forward: dict[Pair, Hook] = {}
+    mismatches, drifts = [], []
+    for hook, pair in image.items():
+        if forward.setdefault(pair, hook) != hook:
             mismatches.append(
-                f"collision: {format_tableau(forward[ms])} and {format_tableau(t)} "
-                f"both map to {_shown(ms)}"
+                f"collision: {_text(forward[pair])} and {_text(hook)} both map to {_shown(pair, marked)}"
             )
+        if (back := preimage.get(pair)) != hook:  # None for a raw image
+            rebuilt = "" if back is None else f" -> {_shown(back, image)}"
+            drifts.append(f"tableau round trip drifts: {_text(hook)} -> {_shown(pair, marked)}{rebuilt}")
     injective = len(forward) == len(image)
-    transposes = map(conjugate[2].get, map(_transposed_hook, image))  # None where the lookup misses
+    transposes = map(conjugate[0].get, map(_transposed_hook, image))  # None where the lookup misses
     duality_holds = all(
-        type(ms) is type(ms_t) is MarkedSubset and _transpose_complements(ms, ms_t.vertices, ms_t.marker)
-        for ms, ms_t in zip(image.values(), transposes)
+        pair in preimage and pair_t in conjugate[1] and _transpose_complements(n, pair, *pair_t)
+        for pair, pair_t in zip(image.values(), transposes)
     )
 
-    # the enumerated tableau with each rebuilt hook, or the raw hook when none has it
-    preimage = {ms: tableaux.get(hook := _rebuilt_hook(ms, j), hook) for ms in marked.values()}
     image_matches = forward.keys() == preimage.keys()
-    if not image_matches:  # each membership test hashes a marked subset again
+    if not image_matches:
         mismatches += [f"image outside the enumeration: {_text(v)}" for v in forward if v not in preimage]
-        mismatches += [
-            f"marked subset never hit: {format_marked_subset(ms)}" for ms in preimage if ms not in forward
-        ]
-
-    drifts = []
-    for t, ms in zip(tableaux.values(), image.values()):
-        if (back := preimage.get(ms)) is not t:  # None for a raw image
-            rebuilt = "" if back is None else f" -> {_shown(back)}"
-            drifts.append(f"tableau round trip drifts: {format_tableau(t)} -> {_shown(ms)}{rebuilt}")
-    for ms, back in preimage.items():
-        back_ms = image[back.hook] if isinstance(back, Tableau) else back  # a raw hook has no image
-        if back_ms is not ms:
-            drifts.append(f"marked round trip drifts: {format_marked_subset(ms)} -> {_shown(back_ms)}")
+        mismatches += [f"marked subset never hit: {_text(v)}" for v in preimage if v not in forward]
+    for pair, back in preimage.items():
+        if (back_pair := image.get(back, back)) != pair:  # a raw hook has no image
+            drifts.append(f"marked round trip drifts: {_text(pair)} -> {_shown(back_pair, marked)}")
     return BijectionReport(
         n, j, len(image), len(marked), injective, image_matches, not drifts, duality_holds, mismatches + drifts
     )
@@ -239,10 +226,10 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     MarkedSubset is symmetric under complementing.
     """
     ms = tableau_to_marked_subset(tableau)
-    return _transpose_complements(ms, *_read(_transposed_hook(tableau.hook)))
+    return _transpose_complements(ms.n, (ms.vertices, ms.marker), *_read(_transposed_hook(tableau.hook)))
 
 
-def _transpose_complements(ms: MarkedSubset, subset: frozenset[int], marker: int) -> bool:
-    """Whether (subset, marker), read off a transpose, is ms's complement with ms's marker."""
-    # a subset of 1..n, disjoint from ms's with sizes summing to n, is its complement
-    return len(subset) + ms.size == ms.n and subset.isdisjoint(ms.vertices) and marker == ms.marker
+def _transpose_complements(n: int, pair: Pair, subset: frozenset[int], marker: int) -> bool:
+    """Whether (subset, marker), read off a transpose, is pair's complement with pair's marker."""
+    # a subset of 1..n, disjoint from pair's with sizes summing to n, is its complement
+    return len(subset) + len(pair[0]) == n and subset.isdisjoint(pair[0]) and marker == pair[1]

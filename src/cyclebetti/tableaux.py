@@ -68,6 +68,12 @@ Hook = tuple[tuple[int, ...], tuple[int, ...], int]  # (first row, first column,
 _transposed_hook = itemgetter(1, 0, 2)  # a reflection's hook: row and column trade places
 
 
+def _hook_rows(hook: Hook) -> tuple[tuple[int, ...], ...]:
+    """A hook's rows top down, also for a raw hook: row 1, (column[1], corner), then one cell each."""
+    row, column, corner = hook
+    return (row, (*column[1:2], corner), *zip(column[2:]))
+
+
 @dataclass(frozen=True)
 class Tableau:
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
@@ -136,21 +142,11 @@ class Tableau:
     def __reduce__(self) -> tuple:
         return Tableau, self.hook  # unpickled and copied through the same checks
 
-    @property
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The rows top down, built from the hook: row 1, (column[1], corner), then one cell each."""
-        return (self.row, (self.column[1], self.corner), *zip(self.column[2:]))
+    rows = property(lambda self: _hook_rows(self.hook), doc="The rows top down, built from the hook.")
 
     @property
     def n(self) -> int:
         return len(self.row) + len(self.column)  # (1, 1) is in both, (2, 2) in neither
-
-    def position_of(self, value: int) -> tuple[int, int]:
-        """The (row, column) cell holding a value, 1-based."""
-        for i, row in enumerate(self.rows):
-            if value in row:
-                return i + 1, row.index(value) + 1
-        raise ValueError(f"{value} does not appear in the tableau")
 
 
 def transpose(tableau: Tableau) -> Tableau:

@@ -38,26 +38,45 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # the verifier compares only: a forward image outside the enumeration is listed,
+    # the verifier compares keys only: a forward image outside the enumeration is listed,
     Mutant(
         "bijection.py",
         "for v in forward if v not in preimage]",
         "for v in forward if v not in forward]",
         ("test_bijection.py",),
     ),
-    # and each round trip holds only when its lookup returns the very object it started from,
+    # each round trip holds only when it comes back to the very key it started from,
     Mutant(
         "bijection.py",
-        "if (back := preimage.get(ms)) is not t:",
-        "if (back := preimage.get(ms)) is None:",
+        "if (back := preimage.get(pair)) != hook:",
+        "if (back := preimage.get(pair)) is None:",
         ("test_bijection.py",),
     ),
-    Mutant("bijection.py", "if back_ms is not ms:", "if back_ms is None:", ("test_bijection.py",)),
-    # and a transpose's image must be an enumerated marked subset.
     Mutant(
         "bijection.py",
-        "type(ms) is type(ms_t) is MarkedSubset and _transpose_complements",
+        "if (back_pair := image.get(back, back)) != pair:",
+        "if (back_pair := image.get(back, back)) is None:",
+        ("test_bijection.py",),
+    ),
+    # both images in a duality check must be enumerated pairs,
+    Mutant(
+        "bijection.py",
+        "pair in preimage and pair_t in conjugate[1] and _transpose_complements",
         "_transpose_complements",
+        ("test_bijection.py",),
+    ),
+    Mutant("bijection.py", "pair in preimage and pair_t", "pair_t", ("test_bijection.py",)),
+    Mutant(
+        "bijection.py",
+        "pair_t in conjugate[1] and _transpose_complements",
+        "pair_t is not None and _transpose_complements",
+        ("test_bijection.py",),
+    ),
+    # and a read that an enumerated marked subset has is that subset's own pair object.
+    Mutant(
+        "bijection.py",
+        "marked.get(pair := _read(hook), pair)",
+        "_read(hook)",
         ("test_bijection.py",),
     ),
     # the duality check reads the transposed hook, and its read is the complement (sizes summing
@@ -68,9 +87,9 @@ MUTANTS = [
         "_read(tableau.hook)",
         ("test_bijection.py",),
     ),
-    Mutant("bijection.py", "len(subset) + ms.size == ms.n and ", "", ("test_bijection.py",)),
-    Mutant("bijection.py", "subset.isdisjoint(ms.vertices) and ", "", ("test_bijection.py",)),
-    Mutant("bijection.py", " and marker == ms.marker", "", ("test_bijection.py",)),
+    Mutant("bijection.py", "len(subset) + len(pair[0]) == n and ", "", ("test_bijection.py",)),
+    Mutant("bijection.py", "subset.isdisjoint(pair[0]) and ", "", ("test_bijection.py",)),
+    Mutant("bijection.py", " and marker == pair[1]", "", ("test_bijection.py",)),
     # the forward read: the predecessor is bisected for, and the row past (1, 1) joins the marker
     Mutant(
         "bijection.py",
@@ -92,6 +111,19 @@ MUTANTS = [
         ("test_bijection.py",),
     ),
     Mutant("bijection.py", "side.insert(0, 1)", "side.append(1)", ("test_bijection.py",)),
+    # the Tableau validator: the corner exceeds the entry above it, no entry exceeds n
+    Mutant(
+        "tableaux.py",
+        "if corner < row[1] or scol != list(column):",
+        "if scol != list(column):",
+        ("test_tableaux.py",),
+    ),
+    Mutant("tableaux.py", "and max(srow[-1], scol[-1]) <= n and ", "and ", ("test_tableaux.py",)),
+    # the MarkedSubset validator: the marker is a vertex, on the side avoiding vertex 1, with its
+    # predecessor off that side, and no smaller arc minimum on it
+    Mutant("cycle.py", "m <= n and (m in vs)", "(m in vs)", ("test_cycle.py",)),
+    Mutant("cycle.py", "and not side_misses(range(1, m))", "and True", ("test_cycle.py",)),
+    Mutant("cycle.py", "(m - 1 in vs) == has_one", "True", ("test_cycle.py",)),
     # the admissible markers: no arc starts past n, and the smallest marker is left out
     Mutant(
         "cycle.py",
@@ -105,6 +137,36 @@ MUTANTS = [
         "return sorted(vs.difference(map((1).__add__, vs)))",
         ("test_cycle.py",),
     ),
+    # the elimination: a pivot may sit in the first row not yet used
+    Mutant(
+        "homology.py",
+        "for r in range(rank, matrix.nrows) if a[r][col]",
+        "for r in range(rank + 1, matrix.nrows) if a[r][col]",
+        ("test_homology.py",),
+    ),
+    # the n-cycle's incidence: edge n closes the cycle at vertices 1 and n, with signs -1 and +1
+    Mutant("homology.py", "(0, n - 1)])", "(1, n - 1)])", ("test_homology.py",)),
+    Mutant(
+        "homology.py",
+        "entries[larger][col] = -1, 1",
+        "entries[larger][col] = 1, 1",
+        ("test_homology.py",),
+    ),
+    # a graph's homology: one face in degree -1, then the vertices, then the edges
+    Mutant(
+        "homology.py",
+        "faces = (1, vertices, edges, *padding)",
+        "faces = (1, edges, vertices, *padding)",
+        ("test_hochster.py",),
+    ),
+    # the Betti columns: j - c edges on j vertices in c arcs, and the augmentation's own rank
+    Mutant(
+        "hochster.py",
+        "_graph_homology(j, j - c, ",
+        "_graph_homology(j, j - c + 1, ",
+        ("test_hochster.py",),
+    ),
+    Mutant("hochster.py", "augmentation[j], rank_sum", "1, rank_sum", ("test_hochster.py",)),
     # the composition count: every arc length up to j, the gap layouts, one subset per first arc
     Mutant(
         "hochster.py",

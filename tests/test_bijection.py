@@ -73,7 +73,7 @@ class TestForward:
             for j in range(2, n - 1):
                 for t in enumerate_standard_tableaux(hook_shape(n, j)):
                     ms = tableau_to_marked_subset(t)
-                    predecessor_row = t.position_of(t.corner - 1)[0]
+                    predecessor_row = cell_of(t, t.corner - 1)[0]
                     assert (predecessor_row == 1) == (1 in ms.vertices)
 
 
@@ -109,12 +109,17 @@ class TestForward:
         )
 
 
+def cell_of(t, value):
+    # the 1-based (row, column) cell of t that holds value, found in its rows
+    return next((i, row.index(value) + 1) for i, row in enumerate(t.rows, 1) if value in row)
+
+
 def read_by_position(t):
     # the forward read through the cell of the marker's predecessor: the
     # subset is the first row when that cell is in it, and otherwise the
     # marker and the first row past its initial cell
     marker = t.corner
-    row, col = t.position_of(marker - 1)
+    row, col = cell_of(t, marker - 1)
     if row == 1:
         return frozenset(t.rows[0]), marker
     assert col == 1
@@ -146,6 +151,11 @@ class TestInverse:
     def test_rejects_invalid_marked_subsets(self, n, j, vertices, marker):
         with pytest.raises(InvalidMarkedSubsetError):
             marked_subset_to_tableau(n, j, vertices, marker)
+
+    def test_size_rejection_text(self):
+        with pytest.raises(InvalidMarkedSubsetError) as excinfo:
+            marked_subset_to_tableau(5, 3, {2, 4}, 4)
+        assert str(excinfo.value) == "subset [2, 4] has size 2, expected j=3"
 
     def test_outputs_certify_marker_inequalities(self):
         for n in range(4, 9):
@@ -379,6 +389,29 @@ class TestVerifyBijection:
             verify_bijection(n, j)
 
 
+class TestVerifierKeys:
+    # each side keeps the enumerated objects' keys only: hooks (row, column, corner) and
+    # (vertices, marker) pairs, and no Tableau or MarkedSubset
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_sides_hold_only_hooks_and_pairs(self, n):
+        for j in range(2, n - 1):
+            image, marked = bijection._side(n, j)
+            hooks = [t.hook for t in enumerate_standard_tableaux(hook_shape(n, j))]
+            pairs = [(ms.vertices, ms.marker) for ms in marked_subsets(n, j)]
+            assert list(image) == hooks and list(image.values()) == list(map(bijection._read, hooks))
+            assert list(marked) == list(marked.values()) == pairs
+            assert {tuple(map(type, hook)) for hook in image} == {(tuple, tuple, int)}
+            assert {tuple(map(type, pair)) for pair in [*image.values(), *marked]} == {(frozenset, int)}
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_reads_are_the_enumerated_pair_objects(self, n):
+        # a read that a marked subset has is that subset's very pair, so the two dicts share it
+        for j in range(2, n - 1):
+            image, marked = bijection._side(n, j)
+            assert all(key is value for key, value in marked.items())
+            assert all(marked[pair] is pair for pair in image.values())
+
+
 def substitute(monkeypatch, name, first, value):
     # bijection.<name> returns value when its first argument equals first
     fn = getattr(bijection, name)
@@ -399,7 +432,7 @@ def validated(monkeypatch, cls):
 
 
 FIRST_5 = parse_tableau("1,2;3,4;5")  # the first (5, 2) tableau, which reads {2,4}|4
-MARKED_24 = MarkedSubset(5, frozenset({2, 4}), 4)
+PAIR_24 = (frozenset({2, 4}), 4)  # the (vertices, marker) pair of {2,4}|4
 
 # every fault the failure tests inject, as substitute's (name, first, value)
 FAULTS = {
@@ -409,15 +442,18 @@ FAULTS = {
     "non-standard transpose": ("_transposed_hook", FIRST_5.hook, hook_of(((2, 1), (3, 4), (5,)))),
     # {2,4}|4 rebuilt as another tableau of the shape, as one of the conjugate shape, or as a
     # filling that is not standard
-    "drift within the shape": ("_rebuilt_hook", MARKED_24, parse_tableau("1,3;2,4;5").hook),
-    "drift to the conjugate shape": ("_rebuilt_hook", MARKED_24, parse_tableau("1,2,3;4,5").hook),
-    "non-standard rebuilt filling": ("_rebuilt_hook", MARKED_24, hook_of(((1, 2), (4, 3), (5,)))),
+    "drift within the shape": ("_rebuilt_hook", PAIR_24, parse_tableau("1,3;2,4;5").hook),
+    "drift to the conjugate shape": ("_rebuilt_hook", PAIR_24, parse_tableau("1,2,3;4,5").hook),
+    "non-standard rebuilt filling": ("_rebuilt_hook", PAIR_24, hook_of(((1, 2), (4, 3), (5,)))),
     # a tableau's hook read as another tableau's image, as a marked subset of another size (on
-    # the 5-cycle, and on the 6-cycle), or with a marker that is not admissible
+    # the 5-cycle, and on the 6-cycle), with a marker that is not admissible, or with a vertex off
+    # the cycle; and the hook of 1,2;3,4;5's transpose read with a vertex off the cycle
     "collision": ("_read", parse_tableau("1,2;3,5;4").hook, (frozenset({2, 4}), 4)),
     "oversized image": ("_read", FIRST_5.hook, (frozenset({1, 3, 4}), 5)),
     "image on the 6-cycle": ("_read", parse_tableau("1,2;3,4;5;6").hook, (frozenset({2, 4, 6}), 6)),
     "inadmissible marker": ("_read", FIRST_5.hook, (frozenset({2, 4}), 2)),
+    "image off the cycle": ("_read", FIRST_5.hook, (frozenset({2, 9}), 4)),
+    "transposed image off the cycle": ("_read", parse_tableau("1,3,5;2,4").hook, (frozenset({1, 3, 9}), 4)),
 }
 
 
@@ -554,6 +590,27 @@ class TestVerifierLookupMisses:
                 "marked round trip drifts: {2,4}|4 -> {2,4}|2 (outside the enumeration)",
             ],
         )
+
+    def test_forward_image_off_the_cycle_fails_duality(self, monkeypatch):
+        # {2,9}|4 is disjoint from the transpose's {1,3,5}|4, with sizes summing to 5 and the
+        # same marker, but 9 is off the 5-cycle: duality holds only between enumerated pairs
+        substitute(monkeypatch, *FAULTS["image off the cycle"])
+        report = verify_bijection(5, 2)
+        assert report == BijectionReport(
+            5, 2, 5, 5, injective=True, image_matches=False, round_trips_ok=False, duality_holds=False,
+            mismatches=[
+                "image outside the enumeration: {2,9}|4",
+                "marked subset never hit: {2,4}|4",
+                "tableau round trip drifts: 1,2;3,4;5 -> {2,9}|4 (outside the enumeration)",
+                "marked round trip drifts: {2,4}|4 -> {2,9}|4 (outside the enumeration)",
+            ],
+        )
+
+    def test_transposed_image_off_the_cycle_fails_duality(self, monkeypatch):
+        # the transpose of 1,2;3,4;5 read as {1,3,9}|4, which complements {2,4}|4 but for 9
+        substitute(monkeypatch, *FAULTS["transposed image off the cycle"])
+        report = verify_bijection(5, 2)
+        assert report == BijectionReport(5, 2, 5, 5, True, True, True, duality_holds=False, mismatches=[])
 
     @pytest.mark.parametrize("n", [5, 6])
     @pytest.mark.parametrize("fault", FAULTS)

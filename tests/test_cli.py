@@ -209,10 +209,10 @@ class TestVerify:
         # stdout stays the grid alone, as json keeps its document
         real = bijection._rebuilt_hook
 
-        def drifting(ms, j):
-            if (ms.n, ms.vertices, ms.marker) == (5, frozenset({2, 4}), 4):
+        def drifting(pair, n):
+            if (n, *pair) == (5, frozenset({2, 4}), 4):
                 return parse_tableau("1,3;2,4;5").hook
-            return real(ms, j)
+            return real(pair, n)
 
         monkeypatch.setattr(bijection, "_rebuilt_hook", drifting)
         result = runner.invoke(main, ["verify", "--n", "5", "--format", fmt])

@@ -328,13 +328,9 @@ class TestTableauValidation:
                     assert str(excinfo.value) == text
         assert accepted == sum(hook_length_count(Shape(parts)) for parts in hook_parts(n))
 
-    def test_entry_and_position(self):
+    def test_entries_at_cells(self):
         t = parse_tableau("1,3;2,4;5")
         assert (t.row[1], t.corner, t.column[2]) == (3, 4, 5)  # the entries at (1, 2), (2, 2), (3, 1)
-        assert t.position_of(4) == (2, 2)
-        assert t.position_of(5) == (3, 1)
-        with pytest.raises(ValueError):
-            t.position_of(9)
 
 
 class TestEnumeration:

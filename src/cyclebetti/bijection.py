@@ -15,7 +15,6 @@ those keys, and one that no key matches is reported raw, never built.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from itertools import filterfalse
 from operator import attrgetter
 from typing import Container, Iterable
@@ -25,6 +24,7 @@ from .errors import (
     DomainError,
     ImpossibleBranchError,
     InvalidMarkedSubsetError,
+    Record,
     TableauValidationError,
 )
 from .tableaux import (
@@ -116,23 +116,25 @@ def _rebuilt_hook(pair: Pair, n: int) -> Hook:
     return tuple(inside), tuple(outside), marker
 
 
-@dataclass
-class BijectionReport:
+class BijectionReport(Record):
     """Outcome of exhaustively checking both directions for one (n, j).
 
     passed covers the bijection alone; duality_holds reports separately
     whether transposing every tableau complements its marked subset.
     """
 
-    n: int
-    j: int
-    tableau_count: int
-    marked_count: int
-    injective: bool
-    image_matches: bool
-    round_trips_ok: bool
-    duality_holds: bool
-    mismatches: list[str] = field(default_factory=list)
+    __slots__ = (
+        "n", "j", "tableau_count", "marked_count", "injective", "image_matches", "round_trips_ok",
+        "duality_holds", "mismatches",
+    )
+
+    def __init__(
+        self, n: int, j: int, tableau_count: int, marked_count: int, injective: bool,
+        image_matches: bool, round_trips_ok: bool, duality_holds: bool, mismatches: list[str] | None = None,
+    ) -> None:
+        fields = (n, j, tableau_count, marked_count, injective, image_matches, round_trips_ok, duality_holds)
+        for name, value in zip(self.__slots__, (*fields, [] if mismatches is None else mismatches)):
+            object.__setattr__(self, name, value)
 
     @property
     def passed(self) -> bool:

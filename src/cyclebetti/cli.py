@@ -11,7 +11,6 @@ pass, 1 when a verification fails, and 2 for usage errors.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import sys
@@ -58,6 +57,7 @@ def _emit(
     if fmt == "json":
         click.echo(json.dumps(document))
     elif fmt == "csv":
+        import csv  # only csv output needs it
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()

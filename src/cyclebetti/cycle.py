@@ -12,14 +12,13 @@ counts.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from numbers import Real
 from typing import Iterable
 
 from .errors import (
     DomainError,
     InvalidCycleError,
     InvalidMarkedSubsetError,
+    Record,
     UndefinedMarkerError,
     VertexRangeError,
 )
@@ -44,6 +43,7 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     # with no label repeated, none was merged into vs, and typing vs (the cheaper pass) types them all
     typed = vs if len(vs) == len(labels) else labels
     if vs and (set(map(type, typed)) != {int} or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
+        from numbers import Real  # only a rejection sorts by it
         # each bad label once, numbers first; an equal float, bool or int stays apart
         bad = {(type(v), v): v for v in labels if type(v) is not int or not 1 <= v <= n}.values()
         bad = sorted(bad, key=lambda v: (0, v, repr(v)) if isinstance(v, Real) else (1, repr(v)))
@@ -51,8 +51,7 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     return vs
 
 
-@dataclass(frozen=True)
-class CycleRestriction:
+class CycleRestriction(Record):
     """A vertex subset of a cycle, decomposed into contiguous arcs.
 
     components holds the maximal arcs of the induced subgraph.  Each arc is
@@ -61,9 +60,12 @@ class CycleRestriction:
     by their minimum element.
     """
 
-    n: int
-    vertices: frozenset[int]
-    components: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "vertices", "components")
+
+    def __init__(self, n: int, vertices: frozenset[int], components: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "components", components)
 
 
 def restrict(n: int, vertices: Iterable[int]) -> CycleRestriction:
@@ -114,8 +116,7 @@ def _admissible(n: int, vs: frozenset[int]) -> list[int]:
     return sorted(vs.difference(map((1).__add__, vs)))[1:]
 
 
-@dataclass(frozen=True)
-class MarkedSubset:
+class MarkedSubset(Record):
     """A vertex subset together with a distinguished non-minimal marker.
 
     The marker must be admissible for the subset, which forces the induced
@@ -127,10 +128,13 @@ class MarkedSubset:
     listed only to word a rejection.
     """
 
-    __slots__ = ("n", "vertices", "marker")  # no instance dict; frozen for every name
-    n: int
-    vertices: frozenset[int]
-    marker: int
+    __slots__ = ("n", "vertices", "marker")
+
+    def __init__(self, n: int, vertices: Iterable[int], marker: int) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "marker", marker)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -154,9 +158,6 @@ class MarkedSubset:
     @property
     def size(self) -> int:
         return len(self.vertices)
-
-    def __reduce__(self) -> tuple:
-        return MarkedSubset, (self.n, self.vertices, self.marker)  # unpickled through the same checks
 
 
 def marked_subsets(n: int, j: int) -> list[MarkedSubset]:

@@ -15,10 +15,9 @@ strand) is something the test suite checks, never an input.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, Record
 from .homology import _cycle_ranks, _graph_homology
 
 # The range the tests verify: every table up to this size is checked
@@ -80,12 +79,14 @@ def betti(n: int, i: int, j: int) -> int:
     return _columns(n, range(j, j + 1))[0][j - i]
 
 
-@dataclass
-class BettiTable:
+class BettiTable(Record):
     """Every graded Betti number of one cycle, indexed by (i, j)."""
 
-    n: int
-    entries: dict[tuple[int, int], int]
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: dict[tuple[int, int], int]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         return self.entries[key]

@@ -25,15 +25,13 @@ only as the reference the cycle route is tested against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .cycle import vertex_set
-from .errors import ImpossibleBranchError, VertexRangeError
+from .errors import ImpossibleBranchError, Record, VertexRangeError
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Dense integer matrix carrying its shape explicitly.
 
     Zero-row and zero-column matrices come up as boundary maps (the empty
@@ -42,9 +40,13 @@ class IntMatrix:
     ints: elimination is exact on ints only, and the value stays hashable.
     """
 
-    nrows: int
-    ncols: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("nrows", "ncols", "rows")
+
+    def __init__(self, nrows: int, ncols: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        object.__setattr__(self, "nrows", nrows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         nrows, ncols, rows = self.nrows, self.ncols, self.rows
@@ -93,16 +95,19 @@ def _rank_profile(matrix: IntMatrix) -> list[int]:
     return profile
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(Record):
     """Downward-closed family of faces on labelled vertices 1..vertex_count.
 
     Construction validates closure, so instances are complexes by the time
     they exist.  Use from_faces to close a family of generators downward.
     """
 
-    vertex_count: int
-    faces: frozenset[frozenset[int]]
+    __slots__ = ("vertex_count", "faces")
+
+    def __init__(self, vertex_count: int, faces: Iterable[Iterable[int]]) -> None:
+        object.__setattr__(self, "vertex_count", vertex_count)
+        object.__setattr__(self, "faces", faces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         faces = frozenset(frozenset(face) for face in self.faces)

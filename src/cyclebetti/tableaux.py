@@ -8,7 +8,6 @@ text format writes rows separated by ';' and entries by ',', so the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from bisect import bisect
 from itertools import chain, combinations
 from math import factorial
@@ -18,16 +17,20 @@ from typing import Iterable
 from .errors import (
     DomainError,
     ImpossibleBranchError,
+    Record,
     TableauParseError,
     TableauValidationError,
 )
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(Record):
     """A hook-plus-column partition (j, 2, 1, ..., 1) with j >= 2, the only shapes served."""
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         try:
@@ -74,8 +77,7 @@ def _hook_rows(hook: Hook) -> tuple[tuple[int, ...], ...]:
     return (row, (*column[1:2], corner), *zip(column[2:]))
 
 
-@dataclass(frozen=True)
-class Tableau:
+class Tableau(Record):
     """A standard filling of a hook-plus-column shape (j, 2, 1, ..., 1) with j >= 2.
 
     Entries are 1..n, and rows and columns strictly increase.  Every cell is
@@ -86,10 +88,13 @@ class Tableau:
     the rows.
     """
 
-    __slots__ = ("row", "column", "corner")  # no instance dict; frozen for every name
-    row: tuple[int, ...]
-    column: tuple[int, ...]
-    corner: int
+    __slots__ = ("row", "column", "corner")
+
+    def __init__(self, row: tuple[int, ...], column: tuple[int, ...], corner: int) -> None:
+        object.__setattr__(self, "row", row)
+        object.__setattr__(self, "column", column)
+        object.__setattr__(self, "corner", corner)
+        self.__post_init__()
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> Tableau:
@@ -138,9 +143,6 @@ class Tableau:
             )
 
     hook = property(attrgetter("row", "column", "corner"), doc="The fields, as one exact key.")
-
-    def __reduce__(self) -> tuple:
-        return Tableau, self.hook  # unpickled and copied through the same checks
 
     rows = property(lambda self: _hook_rows(self.hook), doc="The rows top down, built from the hook.")
 

@@ -111,6 +111,44 @@ MUTANTS = [
         ("test_bijection.py",),
     ),
     Mutant("bijection.py", "side.insert(0, 1)", "side.append(1)", ("test_bijection.py",)),
+    # each validating constructor runs its check: a hand-written __init__ that forgets it is caught
+    Mutant(
+        "tableaux.py",
+        'object.__setattr__(self, "parts", parts)\n        self.__post_init__()',
+        'object.__setattr__(self, "parts", parts)',
+        ("test_tableaux.py",),
+    ),
+    Mutant(
+        "tableaux.py",
+        'object.__setattr__(self, "corner", corner)\n        self.__post_init__()',
+        'object.__setattr__(self, "corner", corner)',
+        ("test_tableaux.py",),
+    ),
+    Mutant(
+        "cycle.py",
+        'object.__setattr__(self, "marker", marker)\n        self.__post_init__()',
+        'object.__setattr__(self, "marker", marker)',
+        ("test_cycle.py",),
+    ),
+    Mutant(
+        "homology.py",
+        'object.__setattr__(self, "rows", rows)\n        self.__post_init__()',
+        'object.__setattr__(self, "rows", rows)',
+        ("test_homology.py",),
+    ),
+    Mutant(
+        "homology.py",
+        'object.__setattr__(self, "faces", faces)\n        self.__post_init__()',
+        'object.__setattr__(self, "faces", faces)',
+        ("test_homology.py",),
+    ),
+    # and no field can be deleted
+    Mutant(
+        "errors.py",
+        'raise FrozenInstanceError(f"cannot delete field {name!r}")',
+        "object.__delattr__(self, name)",
+        ("test_validators.py",),
+    ),
     # the Tableau validator: the corner exceeds the entry above it, no entry exceeds n
     Mutant(
         "tableaux.py",

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import types
 
 import cyclebetti
@@ -65,3 +67,24 @@ def test_arc_type_route_is_gone():
     # restriction's component count is len(restrict(n, w).components)
     assert not any(hasattr(hochster, name) for name in ("_partitions", "_arc_types", "_column"))
     assert not hasattr(cycle.CycleRestriction, "component_count")
+
+
+def test_a_cli_start_imports_no_csv_numbers_or_dataclasses():
+    # each of the three serves one branch (csv output, a vertex rejection, a frozen-field error),
+    # and no value type is a dataclass: every one is a Record, whose class body generates no code
+    script = (
+        "import sys, cyclebetti.cli\n"
+        "loaded = sorted({'csv', 'numbers', 'dataclasses'}.intersection(sys.modules))\n"
+        "import dataclasses\n"
+        "from cyclebetti.errors import Record\n"
+        "records = sorted(cls.__name__ for cls in Record.__subclasses__())\n"
+        "exported = [getattr(cyclebetti, name) for name in cyclebetti.__all__]\n"
+        "dataclass_types = [value.__name__ for value in exported if dataclasses.is_dataclass(value)]\n"
+        "print(loaded, records, dataclass_types)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == (
+        "[] ['BettiTable', 'BijectionReport', 'CycleRestriction', 'IntMatrix', 'MarkedSubset', "
+        "'Shape', 'SimplicialComplex', 'Tableau'] []\n"
+    )

@@ -7,6 +7,7 @@ the same order.  No input may leak a TypeError.
 
 import copy
 import pickle
+import re
 from array import array
 from dataclasses import FrozenInstanceError
 from itertools import combinations, permutations, product
@@ -23,10 +24,12 @@ from reference_tableaux import (
     reference_vertex_set,
 )
 
-from cyclebetti.bijection import marked_subset_to_tableau
-from cyclebetti.cycle import MarkedSubset, vertex_set
-from cyclebetti.errors import InvalidMarkedSubsetError, TableauValidationError, VertexRangeError
-from cyclebetti.tableaux import Tableau, parse_tableau
+from cyclebetti.bijection import BijectionReport, marked_subset_to_tableau, verify_bijection
+from cyclebetti.cycle import MarkedSubset, restrict, vertex_set
+from cyclebetti.errors import DomainError, InvalidMarkedSubsetError, TableauValidationError, VertexRangeError
+from cyclebetti.hochster import BettiTable
+from cyclebetti.homology import IntMatrix, SimplicialComplex
+from cyclebetti.tableaux import Shape, Tableau, parse_tableau
 
 
 def verdict(fn, *args):
@@ -223,9 +226,46 @@ class TestLabelOrder:
         assert MarkedSubset(5, array("H", [4, 2, 4]), 4).vertices == frozenset({2, 4})
 
 
+class Forged:
+    # pickles as the call fn(*args): a value's pickle with its fields tampered with
+    def __init__(self, fn, args):
+        self.reduced = fn, args
+
+    def __reduce__(self):
+        return self.reduced
+
+
 class TestLayout:
-    # both value types are held in slots: no instance dict, and they still copy and pickle
-    VALUES = [parse_tableau("1,2;3,4;5"), MarkedSubset(5, {2, 4}, 4), MarkedSubset(6, {1, 2, 4}, 5)]
+    # every value type is held in slots: no instance dict, frozen, equal and hashed by its fields
+    # in order, and copied and unpickled through its constructor, so through its validation
+    VALUES = [
+        parse_tableau("1,2;3,4;5"),
+        MarkedSubset(5, {2, 4}, 4),
+        MarkedSubset(6, {1, 2, 4}, 5),
+        Shape((3, 2, 1)),
+        restrict(6, {1, 2, 4}),
+        IntMatrix(2, 3, ((1, 0, -1), (0, 2, 0))),
+        SimplicialComplex.from_faces(3, [{1, 2}, {3}]),
+        BettiTable(4, {(0, 0): 1, (1, 2): 2, (2, 4): 1}),
+        verify_bijection(5, 2),
+    ]
+    # each validating type, with fields its validation rejects, and the error it raises
+    TAMPERED = [
+        (parse_tableau("1,2;3,4;5"), ((1, 2), (1, 3, 5), 9), TableauValidationError, "exactly 1..5"),
+        (MarkedSubset(5, {2, 4}, 4), (5, frozenset({2, 4}), 2), InvalidMarkedSubsetError, "marker 2 is not"),
+        (Shape((3, 2, 1)), ((3, 3),), DomainError, "hook-plus-column"),
+        (IntMatrix(2, 2, ((1, 0), (0, 1))), (2, 2, ((1, 0),)), ValueError, "declared shape 2x2"),
+        (SimplicialComplex.from_faces(2, [{1, 2}]), (2, {frozenset({1, 2})}), ValueError, "not downward closed"),
+    ]
+    TAMPERED_IDS = [type(case[0]).__name__ for case in TAMPERED]
+
+    @staticmethod
+    def fields(value):
+        return tuple(getattr(value, name) for name in type(value).__slots__)
+
+    @staticmethod
+    def hashable(value):
+        return type(value) not in (BettiTable, BijectionReport)  # a dict or a list field
 
     @pytest.mark.parametrize("value", VALUES, ids=repr)
     def test_no_instance_dict(self, value):
@@ -235,28 +275,70 @@ class TestLayout:
         assert not hasattr(value, "extra")
 
     @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_still_frozen(self, value):
+        before = self.fields(value)
+        for name in type(value).__slots__:
+            for new in (None, getattr(value, name)):
+                with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                    setattr(value, name, new)
+            with pytest.raises(FrozenInstanceError, match=f"cannot delete field '{name}'"):
+                delattr(value, name)
+        assert self.fields(value) == before
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
+    def test_equality_and_hash_go_by_the_fields(self, value):
+        cls, fields = type(value), self.fields(value)
+        twin = cls(*fields)
+        assert twin is not value and twin == value and not twin != value
+        if self.hashable(value):
+            assert hash(twin) == hash(value) == hash(fields)
+        else:
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(value)
+        # a value of another class is unequal, even with the same fields
+        assert value.__eq__(fields) is NotImplemented and value != fields
+        assert type("Sub", (cls,), {})(*fields) != value
+        assert all(value != other for other in self.VALUES if other is not value)
+
+    def test_fields_and_repr_in_declared_order(self):
+        assert Shape((3, 2, 1)).__slots__ == ("parts",)
+        assert repr(MarkedSubset(5, [4, 2], 4)) == "MarkedSubset(n=5, vertices=frozenset({2, 4}), marker=4)"
+        assert repr(parse_tableau("1,2;3,4;5")) == "Tableau(row=(1, 2), column=(1, 3, 5), corner=4)"
+        assert repr(BettiTable(4, {(0, 0): 1})) == "BettiTable(n=4, entries={(0, 0): 1})"
+        assert repr(verify_bijection(4, 2)) == (
+            "BijectionReport(n=4, j=2, tableau_count=2, marked_count=2, injective=True, image_matches=True, "
+            "round_trips_ok=True, duality_holds=True, mismatches=[])"
+        )
+
+    @pytest.mark.parametrize("value", VALUES, ids=repr)
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_pickle_round_trip(self, value, protocol):
         back = pickle.loads(pickle.dumps(value, protocol))
-        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert type(back) is type(value) and back == value
+        assert not self.hashable(value) or hash(back) == hash(value)
 
     @pytest.mark.parametrize("value", VALUES, ids=repr)
     @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
     def test_copy_round_trip(self, value, clone):
         back = clone(value)
-        assert type(back) is type(value) and back == value and hash(back) == hash(value)
+        assert type(back) is type(value) and back == value
+        assert not self.hashable(value) or hash(back) == hash(value)
 
-    def test_unpickling_runs_the_checks(self):
+    @pytest.mark.parametrize("value", [case[0] for case in TAMPERED], ids=TAMPERED_IDS)
+    @pytest.mark.parametrize(
+        "clone", [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))], ids=["copy", "deepcopy", "pickle"]
+    )
+    def test_copies_run_the_checks(self, value, clone, monkeypatch):
+        # a copy or an unpickled value is built through its class, whose validation runs once
+        cls, calls = type(value), []
+        check = cls.__post_init__
+        monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(check(self)))
+        assert clone(value) == value and len(calls) == 1
+
+    @pytest.mark.parametrize("value,tampered,error,text", TAMPERED, ids=TAMPERED_IDS)
+    def test_unpickling_runs_the_checks(self, value, tampered, error, text):
         # a pickle holds the fields, and loading one builds the value through its validation
-        fn, (row, column, _) = parse_tableau("1,2;3,4;5").__reduce__()
-        with pytest.raises(TableauValidationError, match="exactly 1..5"):
-            fn(row, column, 9)
-        fn, (n, vertices, _) = MarkedSubset(5, {2, 4}, 4).__reduce__()
-        with pytest.raises(InvalidMarkedSubsetError, match="marker 2 is not admissible"):
-            fn(n, vertices, 2)
-
-    @pytest.mark.parametrize("value", VALUES, ids=repr)
-    def test_still_frozen(self, value):
-        field = "row" if isinstance(value, Tableau) else "marker"
-        with pytest.raises(FrozenInstanceError):
-            setattr(value, field, getattr(value, field))
+        fn, fields = value.__reduce__()
+        assert fn is type(value) and len(tampered) == len(fields)
+        with pytest.raises(error, match=re.escape(text)):
+            pickle.loads(pickle.dumps(Forged(fn, tampered)))

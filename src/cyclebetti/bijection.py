@@ -220,15 +220,15 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
 
     The transpose of a hook-plus-column tableau has the conjugate
     hook-plus-column shape, and its marked subset should be the complement
-    with the same marker attached.  The transpose of a standard tableau is
-    standard, so its hook is read raw, and the read needs no validation of
-    its own by the complement lemma: the complement in 1..n of a valid
+    with the same marker attached.  A validated tableau and its transpose
+    are both standard, so both hooks are read raw, and neither read is
+    validated: the forward map takes a standard tableau to a valid marked
+    subset, and by the complement lemma the complement in 1..n of a valid
     marked subset, with the same marker, is a valid marked subset, since
     both avoid vertex 1 on the same side and each membership rule of
     MarkedSubset is symmetric under complementing.
     """
-    ms = tableau_to_marked_subset(tableau)
-    return _transpose_complements(ms.n, (ms.vertices, ms.marker), *_read(_transposed_hook(tableau.hook)))
+    return _transpose_complements(tableau.n, _read(tableau.hook), *_read(_transposed_hook(tableau.hook)))
 
 
 def _transpose_complements(n: int, pair: Pair, subset: frozenset[int], marker: int) -> bool:

@@ -3,21 +3,21 @@
 The Betti number in homological degree i and internal degree j is the sum,
 over all vertex subsets W of size j, of the dimension of reduced homology
 in degree j - i - 1 of the restriction to W.  A proper nonempty W restricts
-to c disjoint paths, so its homology depends only on j, c and the sum of
-its paths' incidence ranks, and every sum runs over those classes; the
-empty subset and the whole cycle are one class each.  Every rank comes
-from one elimination of the cycle's two boundary matrices, whose column
-prefixes are the paths; no vanishing is assumed anywhere, and
-the familiar shape of the answer (two corner entries and one linear
-strand) is something the test suite checks, never an input.
+to c disjoint paths, and the j-subsets with c arcs are counted in closed
+form, so every sum runs over arc counts; the empty subset and the whole
+cycle are one class each.  Every rank comes from one elimination of the
+cycle's two boundary matrices, whose column prefixes are the paths, and a
+table is summed only once every path has come out acyclic: no vanishing
+is assumed anywhere, and the familiar shape of the answer (two corner
+entries and one linear strand) is something the test suite checks, never
+an input.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from math import comb
 
-from .errors import DomainError, Record
+from .errors import DomainError, ImpossibleBranchError, Record
 from .homology import _cycle_ranks, _graph_homology
 
 # The range the tests verify: every table up to this size is checked
@@ -31,42 +31,37 @@ def _check_size(n: int, minimum: int) -> None:
         raise DomainError(f"supported cycle sizes are {minimum}..{MAX_CYCLE_SIZE}, got n={n}")
 
 
-def _subset_counts(n: int, weights: dict[int, int]) -> dict[int, Counter[tuple[int, int]]]:
-    """For j = 1..len(weights) < n, the j-subsets of the n-cycle by arc count c and arc weight w.
+def _arc_counts(n: int, j: int) -> dict[int, int]:
+    """For 0 < j < n, the j-subsets of the n-cycle by arc count c, for c = 1..min(j, n - j).
 
-    A recurrence on j counts the ordered compositions of j into c arc
-    lengths L by the sum w of weights[L].  A starting vertex, a composition
-    and one of the C(n-j-1, c-1) compositions of the n - j gap vertices into
-    c parts give each subset once per choice of its first arc.
+    A starting vertex, one of the C(j-1, c-1) compositions of j into c arc
+    lengths and one of the C(n-j-1, c-1) compositions of the n - j gap
+    vertices into c gaps give each subset once per choice of its first arc
+    (Kaplansky, Bull. AMS 1943).
     """
-    ordered, counts = [Counter({(0, 0): 1})], {}
-    for j in weights:
-        ordered.append(Counter())
-        for length in range(1, j + 1):
-            for (c, w), k in ordered[j - length].items():
-                ordered[j][c + 1, w + weights[length]] += k
-        layouts = {c: n * comb(n - j - 1, c - 1) for c in range(1, n - j + 1)}
-        counts[j] = Counter({(c, w): layouts[c] * k // c for (c, w), k in ordered[j].items() if c in layouts})
-    return counts
+    return {c: n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1) // c for c in range(1, min(j, n - j) + 1)}
 
 
 def _columns(n: int, degrees: range) -> list[list[int]]:
     """Hochster's sums by internal degree j; entry k of a column is the Betti number (j - k, j).
 
-    One elimination ranks every path and the whole cycle, and each
-    (c, rank sum) class of a column goes through the homology rule once.
-    The empty subset and the whole cycle contain no arc, c = 0: as many
-    edges as vertices.
+    One elimination ranks every path and the whole cycle.  Every path on
+    1..n-1 vertices must come out acyclic, or no table is summed; then the
+    c arcs of a j-subset have incidence rank sum j - c, the rank of the
+    cycle's first j - c edges, and each arc-count class of a column goes
+    through the homology rule once.  The empty subset and the whole cycle
+    contain no arc, c = 0: as many edges as vertices.  A column keeps the
+    degrees up to j - 1; the ones it drops, for j <= 1, count no faces.
     """
     augmentation, incidence = _cycle_ranks(n)
-    longest = max(j % n for j in degrees)  # j = n is the whole cycle
-    counts = _subset_counts(n, {m: incidence[m - 1] for m in range(1, longest + 1)})
-    counts[0], counts[n] = Counter({(0, incidence[0]): 1}), Counter({(0, incidence[n]): 1})
+    for m in range(1, n):
+        if any(path := _graph_homology(m, m - 1, augmentation[m], incidence[m - 1])):
+            raise ImpossibleBranchError(f"the path on {m} vertices is not acyclic: reduced homology {path}")
     columns = []
     for j in degrees:
         columns.append([0] * (j + 1))
-        for (c, rank_sum), subsets in counts[j].items():
-            for k, dim in enumerate(_graph_homology(j, j - c, augmentation[j], rank_sum)):
+        for c, subsets in (_arc_counts(n, j) if 0 < j < n else {0: 1}).items():
+            for k, dim in enumerate(_graph_homology(j, j - c, augmentation[j], incidence[j - c])[: j + 1]):
                 columns[-1][k] += subsets * dim
     return columns
 
@@ -107,12 +102,12 @@ def linear_strand(n: int, j: int) -> int:
     """The strand entry at (j - 1, j) by component counting alone.
 
     A j-subset with c arcs contributes c - 1, so this sums c - 1 over the
-    j-subsets counted by arc count, and no homology machinery is needed.
+    closed count of the j-subsets by arc count, and no homology machinery
+    is needed.
     This is the fast, independent route to the numbers the homology sum
     produces on the strand.
     """
     _check_size(n, minimum=4)
     if type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"the linear strand covers 2 <= j <= n-2, got j={j}, n={n}")
-    counts = _subset_counts(n, dict.fromkeys(range(1, j + 1), 0))[j]
-    return sum((c - 1) * subsets for (c, _), subsets in counts.items())
+    return sum((c - 1) * subsets for c, subsets in _arc_counts(n, j).items())

@@ -14,7 +14,8 @@ the empty face): reduced homology separates them in degree -1.
 Cycle restrictions, the only complexes the Betti computations need, are
 graphs, so only two of their boundary maps have faces on both sides: the
 augmentation row and the vertex-edge incidence; every other map has an
-empty side and rank 0.  A proper restriction is a union of paths, and
+empty side and rank 0, and _graph_homology gives the three degrees -1, 0
+and 1 that have faces.  A proper restriction is a union of paths, and
 _cycle_ranks reads the ranks of every path and of the whole cycle off one
 elimination of the cycle's two maps, as the rank profiles of their column
 prefixes.  The generic route (SimplicialComplex, boundary_matrix,
@@ -197,12 +198,11 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
 
 
 def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence_rank: int) -> list[int]:
-    """Reduced homology of a graph in degrees -1..vertices-1: each map's nullity minus the next map's rank."""
-    padding = (0,) * (vertices - 1)
-    # by degree d = -1..vertices, at index d + 1: the number of d-faces and the rank of the d-th map
-    faces = (1, vertices, edges, *padding)
-    ranks = (0, augmentation_rank, incidence_rank, *padding)
-    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(vertices + 1)]
+    """Reduced homology of a graph in -1, 0 and 1, the only degrees with faces: each nullity minus the next rank."""
+    # by degree d = -1..2, at index d + 1: the number of d-faces and the rank of the d-th map
+    faces = (1, vertices, edges)
+    ranks = (0, augmentation_rank, incidence_rank, 0)
+    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(3)]
 
 
 def _cycle_ranks(n: int) -> tuple[list[int], list[int]]:

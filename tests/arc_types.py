@@ -5,8 +5,12 @@ type is the partition of j formed by their lengths.  This route ranks one
 representative subset per arc type through the graph-counting oracle,
 which builds no matrix, and weights it by the number of j-subsets of that
 type, and it walks the arcs of each representative for the linear strand.
+The j-subsets by arc count alone are counted here by a recurrence on
+compositions, the reference for the library's closed count.
 """
 
+from collections import Counter
+from functools import lru_cache
 from math import comb, factorial, prod
 from typing import Iterator
 
@@ -65,3 +69,23 @@ def column(n: int, j: int) -> list[int]:
 def linear_strand(n: int, j: int) -> int:
     """The strand entry at (j - 1, j): each representative's component count minus one, weighted."""
     return sum(count * (len(restrict(n, subset).components) - 1) for subset, count in arc_types(n, j))
+
+
+@lru_cache(maxsize=None)
+def compositions(total: int) -> Counter:
+    """The compositions of total into positive parts, by number of parts: a first part, then the rest."""
+    counts = Counter({0: 1} if total == 0 else {})
+    for first in range(1, total + 1):
+        for parts, k in compositions(total - first).items():
+            counts[parts + 1] += k
+    return counts
+
+
+def arc_counts(n: int, j: int) -> dict[int, int]:
+    """The j-subsets of the n-cycle, 0 < j < n, by arc count c, from two composition recurrences.
+
+    A starting vertex, a composition of j into c arc lengths and one of the n - j gap vertices
+    into c gaps give each subset once per choice of its first arc; no binomial is used.
+    """
+    arcs, gaps = compositions(j), compositions(n - j)
+    return {c: n * arcs[c] * gaps[c] // c for c in arcs if gaps[c]}

@@ -79,8 +79,15 @@ MUTANTS = [
         "_read(hook)",
         ("test_bijection.py",),
     ),
-    # the duality check reads the transposed hook, and its read is the complement (sizes summing
-    # to n, disjoint) with the marker
+    # the duality check reads the tableau's own hook through the predecessor's branch, and the
+    # transposed hook, and the transpose's read is the complement (sizes summing to n, disjoint)
+    # with the marker
+    Mutant(
+        "bijection.py",
+        "_read(tableau.hook), *_read",
+        "(frozenset(tableau.hook[0]), tableau.hook[2]), *_read",
+        ("test_bijection.py",),
+    ),
     Mutant(
         "bijection.py",
         "_read(_transposed_hook(tableau.hook))",
@@ -193,32 +200,28 @@ MUTANTS = [
     # a graph's homology: one face in degree -1, then the vertices, then the edges
     Mutant(
         "homology.py",
-        "faces = (1, vertices, edges, *padding)",
-        "faces = (1, edges, vertices, *padding)",
+        "faces = (1, vertices, edges)",
+        "faces = (1, edges, vertices)",
         ("test_hochster.py",),
     ),
-    # the Betti columns: j - c edges on j vertices in c arcs, and the augmentation's own rank
+    # the Betti columns: j - c edges on j vertices in c arcs, the augmentation's own rank, and
+    # the incidence prefix of j - c edges, which for the whole cycle is its own rank
     Mutant(
         "hochster.py",
         "_graph_homology(j, j - c, ",
         "_graph_homology(j, j - c + 1, ",
         ("test_hochster.py",),
     ),
-    Mutant("hochster.py", "augmentation[j], rank_sum", "1, rank_sum", ("test_hochster.py",)),
-    # the composition count: every arc length up to j, the gap layouts, one subset per first arc
-    Mutant(
-        "hochster.py",
-        "for length in range(1, j + 1):",
-        "for length in range(1, j):",
-        ("test_hochster.py",),
-    ),
-    Mutant(
-        "hochster.py",
-        "n * comb(n - j - 1, c - 1)",
-        "n * comb(n - j, c - 1)",
-        ("test_hochster.py",),
-    ),
-    Mutant("hochster.py", "layouts[c] * k // c", "layouts[c] * k", ("test_hochster.py",)),
+    Mutant("hochster.py", "augmentation[j], incidence[j - c]", "1, incidence[j - c]", ("test_hochster.py",)),
+    Mutant("hochster.py", "augmentation[j], incidence[j - c]", "augmentation[j], j - c", ("test_hochster.py",)),
+    # the closed count: both binomials, every arc count up to min(j, n - j), one subset per first arc
+    Mutant("hochster.py", "comb(j - 1, c - 1)", "comb(j, c - 1)", ("test_hochster.py",)),
+    Mutant("hochster.py", "comb(n - j - 1, c - 1)", "comb(n - j, c - 1)", ("test_hochster.py",)),
+    Mutant("hochster.py", "min(j, n - j) + 1)", "min(j, n - j))", ("test_hochster.py",)),
+    Mutant("hochster.py", "c - 1) // c for c", "c - 1) for c", ("test_hochster.py",)),
+    # the path gate: every path on 1..n-1 vertices is checked, and a path that is not acyclic raises
+    Mutant("hochster.py", "for m in range(1, n):", "for m in range(1, n - 1):", ("test_hochster.py",)),
+    Mutant("hochster.py", "if any(path := ", "if False and any(path := ", ("test_hochster.py",)),
 ]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cyclebetti.hochster as hochster
 import cyclebetti.homology as homology
 from cyclebetti.cycle import marked_subsets, restrict
-from cyclebetti.errors import DomainError
+from cyclebetti.errors import DomainError, ImpossibleBranchError
 from cyclebetti.hochster import MAX_CYCLE_SIZE, betti, betti_table, linear_strand
 from cyclebetti.homology import IntMatrix, matrix_rank, reduced_betti_dim, restriction_complex
 from cyclebetti.tableaux import hook_length_count, hook_shape
@@ -239,48 +239,77 @@ class TestArcTypes:
                 assert linear_strand(n, j) == reference.linear_strand(n, j)
 
 
-def path_incidence_ranks(n):
-    """The weights the columns give an arc of 1..n-1 vertices: its path's incidence rank."""
-    incidence = homology._cycle_ranks(n)[1]
-    return {m: incidence[m - 1] for m in range(1, n)}
-
-
 short_of_the_whole_cycle = st.integers(3, 20).flatmap(
     lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n), max_size=n - 1))
 )
 
 
 class TestCompositionSums:
-    # the facts the sums over arc-length compositions rest on
+    # the facts the sums over arc counts rest on
 
     @given(short_of_the_whole_cycle)
     def test_homology_is_the_graph_rule_on_path_ranks(self, case):
         # a subset short of the whole cycle has the homology of its size, its edge count, its
-        # augmentation rank and the sum of the incidence ranks of the paths on its arc lengths
+        # augmentation rank and the sum of the incidence ranks of the paths on its arc lengths;
+        # the generic route computes every degree up to |W| - 1, and the ones past 1 must be 0
         n, w = case
         augmentation, incidence = homology._cycle_ranks(n)
         edges = sum(1 for v in w if v % n + 1 in w)
         rank_sum = sum(incidence[len(arc) - 1] for arc in restrict(n, w).components)
         k = restriction_complex(n, w)
-        expected = [reduced_betti_dim(k, d) for d in range(-1, len(w))]
-        assert expected == homology._graph_homology(len(w), edges, augmentation[len(w)], rank_sum)
+        expected = [reduced_betti_dim(k, d) for d in range(-1, max(len(w), 2))]
+        assert expected[3:] == [0] * (len(expected) - 3)
+        assert expected[:3] == homology._graph_homology(len(w), edges, augmentation[len(w)], rank_sum)
         assert augmentation[len(w)] == matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
 
     def test_subset_counts_match_a_brute_force_tally(self):
-        # by arc count and path rank sum, as the columns use them, and by arc count alone, as
-        # the strand does
+        # the closed count by arc count, as the columns and the strand use it
         for n in range(3, 13):
-            for weights in (path_incidence_ranks(n), dict.fromkeys(range(1, n), 0)):
-                counts = hochster._subset_counts(n, weights)
-                for j in range(1, n):
-                    arcs = (restrict(n, w).components for w in itertools.combinations(range(1, n + 1), j))
-                    tally = Counter((len(a), sum(weights[len(arc)] for arc in a)) for a in arcs)
-                    assert counts[j] == tally
+            for j in range(1, n):
+                subsets = itertools.combinations(range(1, n + 1), j)
+                tally = Counter(len(restrict(n, w).components) for w in subsets)
+                assert hochster._arc_counts(n, j) == dict(tally)
 
     def test_subset_counts_sum_to_binomials(self):
-        for n in range(3, 21):
-            counts = hochster._subset_counts(n, path_incidence_ranks(n))
-            assert [sum(counts[j].values()) for j in range(1, n)] == [comb(n, j) for j in range(1, n)]
+        for n in range(3, MAX_CYCLE_SIZE + 1):
+            for j in range(1, n):
+                assert sum(hochster._arc_counts(n, j).values()) == comb(n, j), (n, j)
+
+    def test_closed_count_matches_the_composition_recurrence(self):
+        # class for class, at every served n
+        for n in range(3, MAX_CYCLE_SIZE + 1):
+            for j in range(1, n):
+                assert hochster._arc_counts(n, j) == reference.arc_counts(n, j), (n, j)
+
+
+def understate_profile(monkeypatch, nrows, k):
+    """Make entry k of the rank profile of a matrix with nrows rows one less than it is."""
+    profile = homology._rank_profile
+    monkeypatch.setattr(
+        homology, "_rank_profile", lambda m: [r - ((m.nrows, col) == (nrows, k)) for col, r in enumerate(profile(m))]
+    )
+
+
+class TestPathGate:
+    # a table is summed only once every path on 1..n-1 vertices has come out of the elimination
+    # acyclic; an understated path rank breaks that, and must raise, even under -O, rather than
+    # yield another table
+
+    @pytest.mark.parametrize(
+        "shape,m",
+        [
+            ((8, 3), 4),  # the incidence of the path on 4 vertices, the 3-column prefix of the 8-cycle's
+            ((1, 4), 4),  # the augmentation row of the path on 4 vertices
+            ((1, 1), 1),  # the shortest path
+            ((8, 6), 7),  # the longest path, one vertex short of the cycle
+        ],
+    )
+    def test_understated_path_rank_raises(self, monkeypatch, shape, m):
+        understate_profile(monkeypatch, *shape)
+        with pytest.raises(ImpossibleBranchError, match=f"the path on {m} vertices is not acyclic"):
+            betti_table(8)
+        with pytest.raises(ImpossibleBranchError, match=f"the path on {m} vertices is not acyclic"):
+            betti(8, 1, 2)
 
 
 class TestLinearStrand:

@@ -32,7 +32,7 @@ from .tableaux import (
     Tableau,
     enumerate_standard_tableaux,
     hook_shape,
-    _hook_rows,
+    _hook_text,
     _transposed_hook,
 )
 
@@ -52,7 +52,7 @@ def _text(value: Hook | Pair) -> str:
     if len(value) == 2:
         vertices, marker = value
         return "{" + ",".join(map(str, sorted(vertices))) + "}|" + str(marker)
-    return ";".join(",".join(map(str, row)) for row in _hook_rows(value))
+    return _hook_text(value)
 
 
 def _shown(value: Hook | Pair, enumerated: Container) -> str:

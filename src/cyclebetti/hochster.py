@@ -5,8 +5,8 @@ over all vertex subsets W of size j, of the dimension of reduced homology
 in degree j - i - 1 of the restriction to W.  A proper nonempty W restricts
 to c disjoint paths, and the j-subsets with c arcs are counted in closed
 form, so every sum runs over arc counts; the empty subset and the whole
-cycle are one class each.  Every rank comes from one elimination of the
-cycle's two boundary matrices, whose column prefixes are the paths, and a
+cycle are one class each.  Every rank comes from one sparse reduction of
+the cycle's two boundary maps, whose column prefixes are the paths, and a
 table is summed only once every path has come out acyclic: no vanishing
 is assumed anywhere, and the familiar shape of the answer (two corner
 entries and one linear strand) is something the test suite checks, never

@@ -1,10 +1,10 @@
 """Simplicial complexes and exact reduced-homology dimensions.
 
-All linear algebra here is over the rationals and carried out fraction-free
-on arbitrary-precision integers; nothing touches floating point.  The
-complexes that matter downstream are restrictions of cycle graphs, which
-are at most one-dimensional and torsion-free, so these dimensions do not
-depend on the field.
+All linear algebra here is exact over the rationals, on arbitrary-precision
+integers, and every rank comes from one sparse column reduction; nothing
+touches floating point.  The complexes that matter downstream are
+restrictions of cycle graphs, which are at most one-dimensional and
+torsion-free, so these dimensions do not depend on the field.
 
 Conventions.  A complex is a downward-closed family of faces; a nonempty
 complex always contains the empty face, whose dimension is -1.  The void
@@ -16,16 +16,17 @@ graphs, so only two of their boundary maps have faces on both sides: the
 augmentation row and the vertex-edge incidence; every other map has an
 empty side and rank 0, and _graph_homology gives the three degrees -1, 0
 and 1 that have faces.  A proper restriction is a union of paths, and
-_cycle_ranks reads the ranks of every path and of the whole cycle off one
-elimination of the cycle's two maps, as the rank profiles of their column
-prefixes.  The generic route (SimplicialComplex, boundary_matrix,
-reduced_betti_dim, restriction_complex) is not exported: it stays here
-only as the reference the cycle route is tested against.
+_cycle_ranks reads the ranks of every path and of the whole cycle off the
+rank profiles of the cycle's two maps, passed as sparse columns, so no
+dense matrix is built.  The generic route (SimplicialComplex,
+boundary_matrix, reduced_betti_dim, restriction_complex) is not exported:
+it stays here only as the reference the cycle route is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import gcd
 from typing import Iterable
 
 from .cycle import vertex_set
@@ -61,38 +62,32 @@ class IntMatrix(Record):
 
 
 def matrix_rank(matrix: IntMatrix) -> int:
-    """Rank over the rationals: the last entry of the matrix's rank profile."""
-    return _rank_profile(matrix)[-1]
+    """Rank over the rationals: the last entry of the rank profile of the matrix's columns."""
+    return _rank_profile([{r: v for r, v in enumerate(column) if v} for column in zip(*matrix.rows)])[-1]
 
 
-def _rank_profile(matrix: IntMatrix) -> list[int]:
-    """Entry k is the rank of the first k columns, for k = 0..ncols, by fraction-free (Bareiss) elimination.
+def _rank_profile(columns: list[dict[int, int]]) -> list[int]:
+    """Entry k is the rank of the first k columns, k = 0..len(columns), by exact sparse column reduction.
 
-    Row operations use the two-pivot update divided by the previous pivot;
-    every intermediate entry is a minor of the input, so the divisions are
-    exact and everything stays an integer.  Columns are eliminated in order,
-    and each one raises the rank exactly when it has a nonzero entry below
-    the pivot rows so far, so the rank after it is that of its prefix.
+    A column maps rows to nonzero ints, and each kept column is keyed by its
+    last row.  While a new column's last row keys a kept one, the two are
+    cross-multiplied so that entry cancels, and the result is divided by the
+    gcd of its entries so they stay small.  Each step lowers the last row, and
+    a column that stays nonzero is independent of all before it, so the number
+    kept after it is the rank of its prefix (Zomorodian and Carlsson, DCG 2005).
     """
-    a = [list(row) for row in matrix.rows]
+    kept: dict[int, dict[int, int]] = {}
     profile = [0]
-    prev_pivot = 1
-    for col in range(matrix.ncols):
-        rank = profile[-1]
-        pivot_row = next((r for r in range(rank, matrix.nrows) if a[r][col]), None)
-        if pivot_row is not None:
-            a[rank], a[pivot_row] = a[pivot_row], a[rank]
-            lead = a[rank]
-            pivot = lead[col]
-            for r in range(rank + 1, matrix.nrows):
-                row = a[r]
-                factor = row[col]
-                for c in range(col + 1, matrix.ncols):
-                    row[c] = (pivot * row[c] - factor * lead[c]) // prev_pivot
-                row[col] = 0
-            prev_pivot = pivot
-            rank += 1
-        profile.append(rank)
+    for column in columns:
+        while (last := max(column, default=None)) in kept:
+            pivot = kept[last]
+            a, b = pivot[last], column[last]
+            column = {r: v for r in {*column, *pivot} if (v := a * column.get(r, 0) - b * pivot.get(r, 0))}
+            divisor = gcd(*column.values())
+            column = {r: v // divisor for r, v in column.items()}
+        if column:
+            kept[last] = column
+        profile.append(len(kept))
     return profile
 
 
@@ -209,15 +204,12 @@ def _cycle_ranks(n: int) -> tuple[list[int], list[int]]:
     """The rank profiles of the n-cycle's augmentation row and its incidence, edges in path order.
 
     Edge k joins vertices k and k + 1 for k < n, and edge n closes the cycle;
-    each column has -1 at its smaller vertex and +1 at its larger, as in
-    boundary_matrix.  The first m - 1 columns are zero below row m, so with
-    the profiles aug and inc, the path on m vertices, which every m-vertex
-    arc is up to the order and signs of its rows and columns, has the ranks
-    (aug[m], inc[m - 1]), the whole cycle (aug[n], inc[n]) and the empty
-    subset (aug[0], inc[0]) = (0, 0).
+    each is a sparse column, rows from 0, with -1 at its smaller vertex and +1
+    at its larger, as in boundary_matrix.  The first m - 1 edges touch only the
+    first m rows, so with the profiles aug and inc, the path on m vertices,
+    which every m-vertex arc is up to the order and signs of its rows and
+    columns, has the ranks (aug[m], inc[m - 1]), the whole cycle
+    (aug[n], inc[n]) and the empty subset (aug[0], inc[0]) = (0, 0).
     """
-    entries = [[0] * n for _ in range(n)]
-    for col, (smaller, larger) in enumerate([*zip(range(n - 1), range(1, n)), (0, n - 1)]):
-        entries[smaller][col], entries[larger][col] = -1, 1
-    incidence = IntMatrix(n, n, tuple(map(tuple, entries)))
-    return _rank_profile(IntMatrix(1, n, ((1,) * n,))), _rank_profile(incidence)
+    edges = [{k: -1, k + 1: 1} for k in range(n - 1)] + [{0: -1, n - 1: 1}]
+    return _rank_profile([{0: 1}] * n), _rank_profile(edges)

@@ -213,4 +213,9 @@ def parse_tableau(text: str) -> Tableau:
 
 def format_tableau(tableau: Tableau) -> str:
     """Render a tableau in the "1,2;3,4;5" text format."""
-    return ";".join(",".join(str(v) for v in row) for row in tableau.rows)
+    return _hook_text(tableau.hook)
+
+
+def _hook_text(hook: Hook) -> str:
+    """A hook, also a raw one, in the text format of format_tableau and parse_tableau."""
+    return ";".join(",".join(map(str, row)) for row in _hook_rows(hook))

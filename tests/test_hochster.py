@@ -2,9 +2,11 @@ import itertools
 from collections import Counter
 from functools import lru_cache
 from math import comb
+from operator import attrgetter
 
 import arc_types as reference
 import pytest
+from chain_checks import column_shape
 from graph_oracle import graph_homology_oracle
 from hypothesis import given
 from hypothesis import strategies as st
@@ -35,12 +37,15 @@ def arc_type(n, w):
 
 
 def rank_spy(monkeypatch):
-    """Record every matrix homology ranks from here on, as (function, nrows, ncols)."""
+    """Record every matrix homology ranks from here on, as (function, nrows, ncols).
+
+    matrix_rank takes an IntMatrix; _rank_profile takes sparse columns, read as the rows they span.
+    """
     shapes = []
-    for name in ("matrix_rank", "_rank_profile"):
+    for name, shape in (("matrix_rank", attrgetter("nrows", "ncols")), ("_rank_profile", column_shape)):
         real = getattr(homology, name)
         monkeypatch.setattr(
-            homology, name, lambda m, name=name, real=real: shapes.append((name, m.nrows, m.ncols)) or real(m)
+            homology, name, lambda m, name=name, real=real, shape=shape: shapes.append((name, *shape(m))) or real(m)
         )
     return shapes
 
@@ -163,6 +168,17 @@ class TestBettiTable:
             assert shapes == [("_rank_profile", 1, n), ("_rank_profile", n, n)]
             monkeypatch.undo()
 
+    def test_builds_no_dense_matrix(self, monkeypatch):
+        # both maps go to the elimination as sparse columns: no IntMatrix is built or validated
+        built = []
+        validate = IntMatrix.__post_init__
+        monkeypatch.setattr(IntMatrix, "__post_init__", lambda m: built.append((m.nrows, m.ncols)) or validate(m))
+        betti_table(100)
+        betti(20, 9, 10)
+        assert built == []
+        matrix_rank(IntMatrix(1, 3, ((1, 1, 1),)))  # the spy sees the matrices that are built
+        assert built == [(1, 3)]
+
 
 @lru_cache(maxsize=None)
 def table_entries(n):
@@ -283,10 +299,12 @@ class TestCompositionSums:
 
 
 def understate_profile(monkeypatch, nrows, k):
-    """Make entry k of the rank profile of a matrix with nrows rows one less than it is."""
+    """Make entry k of the rank profile of columns spanning nrows rows one less than it is."""
     profile = homology._rank_profile
     monkeypatch.setattr(
-        homology, "_rank_profile", lambda m: [r - ((m.nrows, col) == (nrows, k)) for col, r in enumerate(profile(m))]
+        homology,
+        "_rank_profile",
+        lambda m: [r - ((column_shape(m)[0], col) == (nrows, k)) for col, r in enumerate(profile(m))],
     )
 
 

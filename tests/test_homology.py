@@ -1,10 +1,11 @@
 import itertools
+import random
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given
-from chain_checks import composes_to_zero
+from chain_checks import column_shape, composes_to_zero, dense, sparse
 from graph_oracle import graph_homology_oracle
 from hypothesis import strategies as st
 
@@ -28,9 +29,12 @@ def cycle_complex(n):
 
 
 def cycle_matrices(n):
-    """The augmentation row and the incidence of the n-cycle, as _cycle_ranks(n) ranks them."""
+    """The augmentation row and the incidence of the n-cycle, as _cycle_ranks(n) ranks them.
+
+    _cycle_ranks passes sparse columns; each map is read back as the matrix of the rows they span.
+    """
     matrices = []
-    with mock.patch.object(homology, "_rank_profile", lambda m: matrices.append(m) or [0] * (m.ncols + 1)):
+    with mock.patch.object(homology, "_rank_profile", lambda m: matrices.append(dense(m)) or [0] * (len(m) + 1)):
         homology._cycle_ranks(n)
     return matrices
 
@@ -104,6 +108,30 @@ def int_matrices(draw):
     return IntMatrix(nrows, ncols, rows)
 
 
+@st.composite
+def sparse_columns(draw):
+    """Sparse {row: nonzero entry} columns on rows anywhere in 0..40, some empty, some multiples of earlier ones."""
+    entries = st.integers(-9, 9).filter(bool)
+    columns = []
+    for _ in range(draw(st.integers(0, 7))):
+        if columns and draw(st.booleans()):
+            scale = draw(entries)
+            columns.append({r: scale * v for r, v in draw(st.sampled_from(columns)).items()})
+        else:
+            columns.append(draw(st.dictionaries(st.integers(0, 40), entries, max_size=5)))
+    return columns
+
+
+def seeded_dense_matrix(seed, size, dependent=0):
+    """A size x size matrix of entries in -9..9 whose last `dependent` rows are sums of two rows above."""
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(size)] for _ in range(size - dependent)]
+    for _ in range(dependent):
+        first, second = rng.sample(rows, 2)
+        rows.append([a + b for a, b in zip(first, second)])
+    return IntMatrix(size, size, tuple(map(tuple, rows)))
+
+
 class TestMatrixRank:
     def test_known_ranks(self):
         assert matrix_rank(IntMatrix(2, 2, ((1, 0), (0, 1)))) == 2
@@ -121,9 +149,24 @@ class TestMatrixRank:
         # entry k of the profile is the rank of the first k columns, zero-row and zero-column
         # shapes included
         prefixes = [block(matrix, matrix.nrows, k) for k in range(matrix.ncols + 1)]
-        profile = homology._rank_profile(matrix)
+        profile = homology._rank_profile(sparse(matrix))
         assert profile == [matrix_rank(prefix) for prefix in prefixes]
         assert profile == [rank_by_rational_elimination(prefix) for prefix in prefixes]
+
+    @given(sparse_columns())
+    def test_profile_of_sparse_columns_matches_rational_elimination(self, columns):
+        # the form _cycle_ranks passes: rows need not start at 0 or be contiguous, a column may be
+        # empty or repeat an earlier one up to scale, and no column is changed in place
+        before = [dict(column) for column in columns]
+        profile = homology._rank_profile(columns)
+        assert profile == [rank_by_rational_elimination(dense(columns[:k])) for k in range(len(columns) + 1)]
+        assert columns == before
+
+    @pytest.mark.parametrize("dependent,rank", [(0, 20), (3, 17)])
+    def test_dense_matrix(self, dependent, rank):
+        # every reduction step fills a column in, where dividing by the gcd keeps the entries small
+        matrix = seeded_dense_matrix(20, 20, dependent)
+        assert matrix_rank(matrix) == rank_by_rational_elimination(matrix) == rank
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +370,12 @@ class TestCycleBoundaryMatrix:
 
 
 class TestCycleRanks:
+    def test_profiles_in_closed_form(self):
+        # one vertex spans the augmentation's image; each path edge adds 1 to the incidence rank,
+        # and the edge that closes the cycle adds none
+        for n in range(3, 101):
+            assert homology._cycle_ranks(n) == ([0] + [1] * n, [*range(n), n - 1]), n
+
     def test_prefix_ranks_match_the_per_length_route(self):
         # every path on m <= 100 vertices, ranked as a matrix of its own
         augmentation, incidence = homology._cycle_ranks(102)
@@ -376,19 +425,21 @@ class TestCycleReducedHomology:
         # the subset
         shapes = []
         profile = homology._rank_profile
-        monkeypatch.setattr(homology, "_rank_profile", lambda m: shapes.append((m.nrows, m.ncols)) or profile(m))
+        monkeypatch.setattr(homology, "_rank_profile", lambda m: shapes.append(column_shape(m)) or profile(m))
         subset_homology(n, w)
         assert shapes == [(1, n), (n, n)]
 
 
 def overstate_profiles(monkeypatch, where=lambda nrows, k: True):
-    """Make entry k of the rank profile of a matrix with nrows rows k + 1 wherever where(nrows, k).
+    """Make entry k of the rank profile of columns spanning nrows rows k + 1 wherever where(nrows, k).
 
     That is one more than the prefix has columns, as no rank can be.
     """
     profile = homology._rank_profile
     monkeypatch.setattr(
-        homology, "_rank_profile", lambda m: [k + 1 if where(m.nrows, k) else r for k, r in enumerate(profile(m))]
+        homology,
+        "_rank_profile",
+        lambda m: [k + 1 if where(column_shape(m)[0], k) else r for k, r in enumerate(profile(m))],
     )
 
 

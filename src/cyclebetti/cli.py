@@ -81,11 +81,12 @@ def main() -> None:
 def cmd_table(n: int, fmt: str) -> None:
     """Print the nonzero graded Betti numbers of the n-cycle.
 
-    Every cell comes from Hochster's formula, summed over the subsets by
-    their number of arcs and the ranks of those arcs' path incidences, each
-    class weighted by its number of subsets.  Linear strand rows also carry
-    the count of standard tableaux of the matching hook-plus-column shape,
-    which equals the Betti number.
+    Every cell comes from Hochster's formula.  Homology is computed for
+    every path, the empty subset and the whole cycle from the ranks of the
+    cycle's boundary maps; once every path is acyclic, each subset with c
+    arcs adds c - 1 to the strand, by a closed count.  Linear strand rows
+    also carry the count of standard tableaux of the matching
+    hook-plus-column shape, which equals the Betti number.
     """
     try:
         table = betti_table(n)

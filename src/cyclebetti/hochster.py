@@ -2,15 +2,14 @@
 
 The Betti number in homological degree i and internal degree j is the sum,
 over all vertex subsets W of size j, of the dimension of reduced homology
-in degree j - i - 1 of the restriction to W.  A proper nonempty W restricts
-to c disjoint paths, and the j-subsets with c arcs are counted in closed
-form, so every sum runs over arc counts; the empty subset and the whole
-cycle are one class each.  Every rank comes from one sparse reduction of
-the cycle's two boundary maps, whose column prefixes are the paths, and a
-table is summed only once every path has come out acyclic: no vanishing
-is assumed anywhere, and the familiar shape of the answer (two corner
-entries and one linear strand) is something the test suite checks, never
-an input.
+in degree j - i - 1 of the restriction to W.  One sparse reduction of the
+cycle's two boundary maps ranks every path (a column prefix) and the whole
+cycle, and homology is computed from those ranks for every path, the
+empty subset and the whole cycle.  Once every path is acyclic, a proper
+nonempty W, c disjoint paths, has homology c - 1 in degree 0 only, and the
+j-subsets with c arcs are counted in closed form.  No vanishing is assumed:
+every zero follows from computed ranks, and the shape of the answer (two
+corners and one linear strand) is something the test suite checks.
 """
 
 from __future__ import annotations
@@ -42,28 +41,28 @@ def _arc_counts(n: int, j: int) -> dict[int, int]:
     return {c: n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1) // c for c in range(1, min(j, n - j) + 1)}
 
 
+def _strand(n: int, j: int) -> int:
+    """The one nonzero entry of a column 0 < j < n: each j-subset with c arcs adds c - 1."""
+    return sum((c - 1) * subsets for c, subsets in _arc_counts(n, j).items())
+
+
 def _columns(n: int, degrees: range) -> list[list[int]]:
     """Hochster's sums by internal degree j; entry k of a column is the Betti number (j - k, j).
 
     One elimination ranks every path and the whole cycle.  Every path on
-    1..n-1 vertices must come out acyclic, or no table is summed; then the
-    c arcs of a j-subset have incidence rank sum j - c, the rank of the
-    cycle's first j - c edges, and each arc-count class of a column goes
-    through the homology rule once.  The empty subset and the whole cycle
-    contain no arc, c = 0: as many edges as vertices.  A column keeps the
-    degrees up to j - 1; the ones it drops, for j <= 1, count no faces.
+    1..n-1 vertices must come out acyclic, or no table is summed; a proper
+    nonempty j-subset is then c disjoint acyclic paths, with reduced
+    homology c - 1 in degree 0 only, so column j holds the strand sum at
+    k = 1.  The empty subset and the whole cycle, as many edges as
+    vertices, go through the homology rule on their own ranks.  A column
+    keeps the degrees up to j - 1; those dropped, for j <= 1, count no faces.
     """
     augmentation, incidence = _cycle_ranks(n)
     for m in range(1, n):
         if any(path := _graph_homology(m, m - 1, augmentation[m], incidence[m - 1])):
             raise ImpossibleBranchError(f"the path on {m} vertices is not acyclic: reduced homology {path}")
-    columns = []
-    for j in degrees:
-        columns.append([0] * (j + 1))
-        for c, subsets in (_arc_counts(n, j) if 0 < j < n else {0: 1}).items():
-            for k, dim in enumerate(_graph_homology(j, j - c, augmentation[j], incidence[j - c])[: j + 1]):
-                columns[-1][k] += subsets * dim
-    return columns
+    ends = {j: _graph_homology(j, j, augmentation[j], incidence[j]) for j in (0, n)}
+    return [(ends.get(j, [0, _strand(n, j), 0]) + [0] * j)[: j + 1] for j in degrees]
 
 
 def betti(n: int, i: int, j: int) -> int:
@@ -101,13 +100,10 @@ def betti_table(n: int) -> BettiTable:
 def linear_strand(n: int, j: int) -> int:
     """The strand entry at (j - 1, j) by component counting alone.
 
-    A j-subset with c arcs contributes c - 1, so this sums c - 1 over the
-    closed count of the j-subsets by arc count, and no homology machinery
-    is needed.
-    This is the fast, independent route to the numbers the homology sum
-    produces on the strand.
+    It is the sum the table writes at (j - 1, j), over the closed count of
+    the j-subsets by arc count, with no elimination.
     """
     _check_size(n, minimum=4)
     if type(j) is not int or not 2 <= j <= n - 2:
         raise DomainError(f"the linear strand covers 2 <= j <= n-2, got j={j}, n={n}")
-    return sum((c - 1) * subsets for c, subsets in _arc_counts(n, j).items())
+    return _strand(n, j)

@@ -199,16 +199,13 @@ MUTANTS = [
         "faces = (1, edges, vertices)",
         ("test_hochster.py",),
     ),
-    # the Betti columns: j - c edges on j vertices in c arcs, the augmentation's own rank, and
-    # the incidence prefix of j - c edges, which for the whole cycle is its own rank
-    Mutant(
-        "hochster.py",
-        "_graph_homology(j, j - c, ",
-        "_graph_homology(j, j - c + 1, ",
-        ("test_hochster.py",),
-    ),
-    Mutant("hochster.py", "augmentation[j], incidence[j - c]", "1, incidence[j - c]", ("test_hochster.py",)),
-    Mutant("hochster.py", "augmentation[j], incidence[j - c]", "augmentation[j], j - c", ("test_hochster.py",)),
+    # the Betti columns: the strand sum in the degree-0 slot, k = 1, each arc past the first adding
+    # one; the empty subset's and the whole cycle's own ranks, with as many edges as vertices
+    Mutant("hochster.py", "[0, _strand(n, j), 0]", "[_strand(n, j), 0, 0]", ("test_hochster.py",)),
+    Mutant("hochster.py", "(c - 1) * subsets", "c * subsets", ("test_hochster.py",)),
+    Mutant("hochster.py", "augmentation[j], incidence[j])", "1, incidence[j])", ("test_hochster.py",)),
+    Mutant("hochster.py", "augmentation[j], incidence[j])", "augmentation[j], j)", ("test_hochster.py",)),
+    Mutant("hochster.py", "_graph_homology(j, j, ", "_graph_homology(j, j - 1, ", ("test_hochster.py",)),
     # the closed count: both binomials, every arc count up to min(j, n - j), one subset per first arc
     Mutant("hochster.py", "comb(j - 1, c - 1)", "comb(j, c - 1)", ("test_hochster.py",)),
     Mutant("hochster.py", "comb(n - j - 1, c - 1)", "comb(n - j, c - 1)", ("test_hochster.py",)),

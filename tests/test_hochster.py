@@ -168,6 +168,18 @@ class TestBettiTable:
             assert shapes == [("_rank_profile", 1, n), ("_rank_profile", n, n)]
             monkeypatch.undo()
 
+    def test_homology_rule_runs_for_each_path_and_the_two_ends_only(self, monkeypatch):
+        # the gate's n - 1 paths, the empty subset and the whole cycle; every other cell follows
+        # from the paths being acyclic, with no homology call per subset or arc count
+        for n in (4, 20, 100):
+            calls = []
+            real = hochster._graph_homology
+            monkeypatch.setattr(hochster, "_graph_homology", lambda *args: calls.append(args) or real(*args))
+            betti_table(n)
+            assert len(calls) == n + 1
+            assert calls[-2:] == [(0, 0, 0, 0), (n, n, 1, n - 1)]
+            monkeypatch.undo()
+
     def test_builds_no_dense_matrix(self, monkeypatch):
         # both maps go to the elimination as sparse columns: no IntMatrix is built or validated
         built = []
@@ -329,6 +341,15 @@ class TestPathGate:
         with pytest.raises(ImpossibleBranchError, match=f"the path on {m} vertices is not acyclic"):
             betti(8, 1, 2)
 
+    def test_understated_cycle_rank_moves_the_top_corner(self, monkeypatch):
+        # the whole cycle is no path, so the gate passes; its own rank, one short, leaves two
+        # cycles in degree 1 and a second component in degree 0, and the corner is computed
+        # from that rank, not written in
+        understate_profile(monkeypatch, 8, 8)
+        table = betti_table(8)
+        assert (table[(6, 8)], table[(7, 8)]) == (2, 1)
+        assert betti(8, 6, 8) == 2
+
 
 class TestLinearStrand:
     def test_pentagon(self):
@@ -343,6 +364,14 @@ class TestLinearStrand:
         for n in range(4, 13):
             for j in range(2, n - 1):
                 assert linear_strand(n, j) == betti(n, j - 1, j)
+
+    def test_ranks_nothing(self, monkeypatch):
+        # the strand is the sum the table writes, over the closed count alone: no elimination
+        shapes = rank_spy(monkeypatch)
+        for n in (4, 20, 100):
+            for j in range(2, n - 1):
+                linear_strand(n, j)
+        assert shapes == []
 
     def test_arc_count_identity(self):
         for n in range(4, 21):

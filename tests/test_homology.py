@@ -140,6 +140,12 @@ class TestMatrixRank:
         assert matrix_rank(IntMatrix(0, 3, ())) == 0
         assert matrix_rank(IntMatrix(3, 0, ((), (), ()))) == 0
 
+    def test_one_entry_column_is_reduced_against_a_kept_column(self):
+        # a single entry on a kept column's last row cancels that row, and what is left is kept
+        # under a lower one
+        assert homology._rank_profile([{0: 1, 1: 1}, {1: 1}]) == [0, 1, 2]
+        assert matrix_rank(IntMatrix(2, 2, ((1, 0), (1, 1)))) == 2
+
     @given(int_matrices())
     def test_matches_rational_elimination(self, matrix):
         assert matrix_rank(matrix) == rank_by_rational_elimination(matrix)

@@ -84,9 +84,10 @@ def cmd_table(n: int, fmt: str) -> None:
     Every cell comes from Hochster's formula.  Homology is computed for
     every path, the empty subset and the whole cycle from the ranks of the
     cycle's boundary maps; once every path is acyclic, each subset with c
-    arcs adds c - 1 to the strand, by a closed count.  Linear strand rows
-    also carry the count of standard tableaux of the matching
-    hook-plus-column shape, which equals the Betti number.
+    arcs adds c - 1 to the strand, a sum counted in closed form by the
+    arcs' first vertices.  Linear strand rows also carry the count of
+    standard tableaux of the matching hook-plus-column shape, which equals
+    the Betti number.
     """
     try:
         table = betti_table(n)

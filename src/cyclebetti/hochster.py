@@ -7,7 +7,8 @@ cycle's two boundary maps ranks every path (a column prefix) and the whole
 cycle, and homology is computed from those ranks for every path, the
 empty subset and the whole cycle.  Once every path is acyclic, a proper
 nonempty W, c disjoint paths, has homology c - 1 in degree 0 only, and the
-j-subsets with c arcs are counted in closed form.  No vanishing is assumed:
+sum of c - 1 over the j-subsets is counted in closed form, each arc by its
+first vertex.  No vanishing is assumed:
 every zero follows from computed ranks, and the shape of the answer (two
 corners and one linear strand) is something the test suite checks.
 """
@@ -30,20 +31,15 @@ def _check_size(n: int, minimum: int) -> None:
         raise DomainError(f"supported cycle sizes are {minimum}..{MAX_CYCLE_SIZE}, got n={n}")
 
 
-def _arc_counts(n: int, j: int) -> dict[int, int]:
-    """For 0 < j < n, the j-subsets of the n-cycle by arc count c, for c = 1..min(j, n - j).
-
-    A starting vertex, one of the C(j-1, c-1) compositions of j into c arc
-    lengths and one of the C(n-j-1, c-1) compositions of the n - j gap
-    vertices into c gaps give each subset once per choice of its first arc
-    (Kaplansky, Bull. AMS 1943).
-    """
-    return {c: n * comb(j - 1, c - 1) * comb(n - j - 1, c - 1) // c for c in range(1, min(j, n - j) + 1)}
-
-
 def _strand(n: int, j: int) -> int:
-    """The one nonzero entry of a column 0 < j < n: each j-subset with c arcs adds c - 1."""
-    return sum((c - 1) * subsets for c, subsets in _arc_counts(n, j).items())
+    """The one nonzero entry of a column 0 < j < n: c - 1 summed over the j-subsets W, c the arcs of W.
+
+    Count each arc once, by its first vertex: v starts an arc of W when v is
+    in W and its predecessor is not.  The other j - 1 members of W then lie
+    among the other n - 2 vertices, so the j-subsets have n * C(n - 2, j - 1)
+    arcs in all, and the sum is that minus one per subset, C(n, j).
+    """
+    return n * comb(n - 2, j - 1) - comb(n, j)
 
 
 def _columns(n: int, degrees: range) -> list[list[int]]:
@@ -52,9 +48,10 @@ def _columns(n: int, degrees: range) -> list[list[int]]:
     One elimination ranks every path and the whole cycle.  Every path on
     1..n-1 vertices must come out acyclic, or no table is summed; a proper
     nonempty j-subset is then c disjoint acyclic paths, with reduced
-    homology c - 1 in degree 0 only, so column j holds the strand sum at
-    k = 1.  The empty subset and the whole cycle, as many edges as
-    vertices, go through the homology rule on their own ranks.  A column
+    homology c - 1 in degree 0 only, so column j holds the strand's closed
+    form at k = 1.  The empty subset and the whole cycle, as many edges as
+    vertices, go through the homology rule on their own ranks instead, and
+    stay off the strand's count, which holds for 0 < j < n only.  A column
     keeps the degrees up to j - 1; those dropped, for j <= 1, count no faces.
     """
     augmentation, incidence = _cycle_ranks(n)
@@ -62,7 +59,7 @@ def _columns(n: int, degrees: range) -> list[list[int]]:
         if any(path := _graph_homology(m, m - 1, augmentation[m], incidence[m - 1])):
             raise ImpossibleBranchError(f"the path on {m} vertices is not acyclic: reduced homology {path}")
     ends = {j: _graph_homology(j, j, augmentation[j], incidence[j]) for j in (0, n)}
-    return [(ends.get(j, [0, _strand(n, j), 0]) + [0] * j)[: j + 1] for j in degrees]
+    return [((ends[j] if j in ends else [0, _strand(n, j), 0]) + [0] * j)[: j + 1] for j in degrees]
 
 
 def betti(n: int, i: int, j: int) -> int:
@@ -100,8 +97,8 @@ def betti_table(n: int) -> BettiTable:
 def linear_strand(n: int, j: int) -> int:
     """The strand entry at (j - 1, j) by component counting alone.
 
-    It is the sum the table writes at (j - 1, j), over the closed count of
-    the j-subsets by arc count, with no elimination.
+    It is the closed form the table writes at (j - 1, j), the j-subsets'
+    arcs counted by their first vertices, with no elimination.
     """
     _check_size(n, minimum=4)
     if type(j) is not int or not 2 <= j <= n - 2:

@@ -106,14 +106,17 @@ class SimplicialComplex(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        faces = frozenset(frozenset(face) for face in self.faces)
+        n, faces = self.vertex_count, [tuple(face) for face in self.faces]
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex_count must be an int >= 0 (no bools or floats), got {n!r}")
+        # each label typed as given, before a frozenset merges 1, 1.0 and True
+        bad = {repr(v): v for face in faces for v in face if type(v) is not int or not 1 <= v <= n}
+        if bad:
+            bad = sorted(bad.values(), key=lambda v: (type(v) is not int, v if type(v) is int else repr(v)))
+            raise VertexRangeError(f"face vertices {bad} fall outside 1..{n}")
+        faces = frozenset(map(frozenset, faces))
         object.__setattr__(self, "faces", faces)
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex_count must be nonnegative, got {self.vertex_count}")
         for face in faces:
-            bad = sorted(v for v in face if not 1 <= v <= self.vertex_count)
-            if bad:
-                raise VertexRangeError(f"face vertices {bad} fall outside 1..{self.vertex_count}")
             for v in face:
                 if face - {v} not in faces:
                     raise ValueError(
@@ -124,13 +127,10 @@ class SimplicialComplex(Record):
     def from_faces(
         cls, vertex_count: int, generators: Iterable[Iterable[int]]
     ) -> "SimplicialComplex":
-        """The smallest complex containing every generator face."""
-        closed: set[frozenset[int]] = set()
-        for gen in generators:
-            face = tuple(sorted(set(gen)))
-            for k in range(len(face) + 1):
-                closed.update(frozenset(sub) for sub in itertools.combinations(face, k))
-        return cls(vertex_count, frozenset(closed))
+        """The smallest complex containing every generator face, each label checked as given."""
+        generators = [tuple({repr(v): v for v in gen}.values()) for gen in generators]  # once each, as typed
+        faces = (itertools.combinations(gen, k) for gen in generators for k in range(len(gen) + 1))
+        return cls(vertex_count, itertools.chain.from_iterable(faces))
 
     def faces_of_dim(self, d: int) -> list[tuple[int, ...]]:
         """The d-dimensional faces as sorted tuples, in lexicographic order."""

@@ -6,7 +6,8 @@ representative subset per arc type through the graph-counting oracle,
 which builds no matrix, and weights it by the number of j-subsets of that
 type, and it walks the arcs of each representative for the linear strand.
 The j-subsets by arc count alone are counted here by a recurrence on
-compositions, the reference for the library's closed count.
+compositions, the classes the library's closed form for the strand is
+checked against.
 """
 
 from collections import Counter

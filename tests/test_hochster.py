@@ -180,6 +180,18 @@ class TestBettiTable:
             assert calls[-2:] == [(0, 0, 0, 0), (n, n, 1, n - 1)]
             monkeypatch.undo()
 
+    def test_strand_is_counted_for_each_proper_column_only(self, monkeypatch):
+        # once per column j = 1..n - 1; the empty subset and the whole cycle never reach it
+        for n in (4, 20, 100):
+            calls = []
+            real = hochster._strand
+            monkeypatch.setattr(hochster, "_strand", lambda *args: calls.append(args) or real(*args))
+            betti_table(n)
+            assert calls == [(n, j) for j in range(1, n)]
+            assert (betti(n, 0, 0), betti(n, n - 2, n)) == (1, 1)
+            assert len(calls) == n - 1
+            monkeypatch.undo()
+
     def test_builds_no_dense_matrix(self, monkeypatch):
         # both maps go to the elimination as sparse columns: no IntMatrix is built or validated
         built = []
@@ -273,7 +285,7 @@ short_of_the_whole_cycle = st.integers(3, 20).flatmap(
 
 
 class TestCompositionSums:
-    # the facts the sums over arc counts rest on
+    # the facts the strand's closed form rests on
 
     @given(short_of_the_whole_cycle)
     def test_homology_is_the_graph_rule_on_path_ranks(self, case):
@@ -291,23 +303,28 @@ class TestCompositionSums:
         assert augmentation[len(w)] == matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
 
     def test_subset_counts_match_a_brute_force_tally(self):
-        # the closed count by arc count, as the columns and the strand use it
+        # summed over the j-subsets, the arcs are as many as the members whose predecessor is
+        # not a member, n * C(n - 2, j - 1), and the strand is each subset's arcs less one
         for n in range(3, 13):
             for j in range(1, n):
-                subsets = itertools.combinations(range(1, n + 1), j)
-                tally = Counter(len(restrict(n, w).components) for w in subsets)
-                assert hochster._arc_counts(n, j) == dict(tally)
+                subsets = list(itertools.combinations(range(1, n + 1), j))
+                arcs = [len(restrict(n, w).components) for w in subsets]
+                starts = sum(1 for w in subsets for v in w if (v - 2) % n + 1 not in w)
+                assert sum(arcs) == starts == n * comb(n - 2, j - 1), (n, j)
+                assert hochster._strand(n, j) == sum(c - 1 for c in arcs), (n, j)
 
     def test_subset_counts_sum_to_binomials(self):
         for n in range(3, MAX_CYCLE_SIZE + 1):
             for j in range(1, n):
-                assert sum(hochster._arc_counts(n, j).values()) == comb(n, j), (n, j)
+                assert sum(reference.arc_counts(n, j).values()) == comb(n, j), (n, j)
 
     def test_closed_count_matches_the_composition_recurrence(self):
-        # class for class, at every served n
+        # the strand against c - 1 weighted by the recurrence's count of each arc-count class,
+        # at every served n
         for n in range(3, MAX_CYCLE_SIZE + 1):
             for j in range(1, n):
-                assert hochster._arc_counts(n, j) == reference.arc_counts(n, j), (n, j)
+                classes = reference.arc_counts(n, j).items()
+                assert hochster._strand(n, j) == sum((c - 1) * count for c, count in classes), (n, j)
 
 
 def understate_profile(monkeypatch, nrows, k):
@@ -366,7 +383,7 @@ class TestLinearStrand:
                 assert linear_strand(n, j) == betti(n, j - 1, j)
 
     def test_ranks_nothing(self, monkeypatch):
-        # the strand is the sum the table writes, over the closed count alone: no elimination
+        # the strand is the closed form the table writes, and nothing else: no elimination
         shapes = rank_spy(monkeypatch)
         for n in (4, 20, 100):
             for j in range(2, n - 1):

@@ -226,6 +226,47 @@ class TestLabelOrder:
         assert MarkedSubset(5, array("H", [4, 2, 4]), 4).vertices == frozenset({2, 4})
 
 
+class TestSimplicialComplexInput:
+    # the generic reference takes a size that is an int >= 0 and labels that are ints in
+    # 1..size, typed as given, from its constructor and from from_faces alike
+    @pytest.mark.parametrize(
+        "vertex_count,faces,error,text",
+        [
+            ("3", [], ValueError, "vertex_count must be an int >= 0 (no bools or floats), got '3'"),
+            (2.5, [], ValueError, "vertex_count must be an int >= 0 (no bools or floats), got 2.5"),
+            (True, [[], [1]], ValueError, "vertex_count must be an int >= 0 (no bools or floats), got True"),
+            (3.0, [[], [1]], ValueError, "vertex_count must be an int >= 0 (no bools or floats), got 3.0"),
+            (-1, [], ValueError, "vertex_count must be an int >= 0 (no bools or floats), got -1"),
+            (3, [[], ["a"]], VertexRangeError, "face vertices ['a'] fall outside 1..3"),
+            (3, [[], [1.0]], VertexRangeError, "face vertices [1.0] fall outside 1..3"),
+            (3, [[], [True]], VertexRangeError, "face vertices [True] fall outside 1..3"),
+            (3, [[], [[1]]], VertexRangeError, "face vertices [[1]] fall outside 1..3"),
+            # each bad label once, the ints first and in order, then the rest by repr
+            (3, [[4], [0], [4], [2.0], ["a"]], VertexRangeError, "face vertices [0, 4, 'a', 2.0] fall outside 1..3"),
+        ],
+    )
+    def test_rejects_with_the_rule_named(self, vertex_count, faces, error, text):
+        assert verdict(SimplicialComplex, vertex_count, faces) == (error, text)
+        assert verdict(SimplicialComplex.from_faces, vertex_count, faces) == (error, text)
+
+    @pytest.mark.parametrize(
+        "generators,text",
+        [
+            ([[1, "a"]], "face vertices ['a'] fall outside 1..3"),
+            ([[1, 1.0]], "face vertices [1.0] fall outside 1..3"),
+            ([[2], [True, 3]], "face vertices [True] fall outside 1..3"),
+        ],
+    )
+    def test_from_faces_types_each_label_before_merging(self, generators, text):
+        # a frozenset would merge 1 and 1.0, and sorting would raise on 1 beside "a"
+        assert verdict(SimplicialComplex.from_faces, 3, generators) == (VertexRangeError, text)
+
+    def test_int_labels_are_accepted(self):
+        assert SimplicialComplex(0, []).faces == frozenset()
+        assert SimplicialComplex(3, [[], [1]]).faces == {frozenset(), frozenset({1})}
+        assert SimplicialComplex.from_faces(3, [[3, 1, 3]]) == SimplicialComplex.from_faces(3, [{1, 3}])
+
+
 class Forged:
     # pickles as the call fn(*args): a value's pickle with its fields tampered with
     def __init__(self, fn, args):

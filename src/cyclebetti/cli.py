@@ -1,23 +1,25 @@
-"""Command-line interface.
+"""Command-line interface, on the standard library's argparse.
 
 Subcommands cover the Betti table, both directions of the bijection, the
 exhaustive verifier, and tableau enumeration.  Data goes to stdout in
 text, json, or csv, and _emit alone holds the format rules; the lines
-echoed elsewhere are the single results of map and unmap, the two
+printed elsewhere are the single results of map and unmap, the two
 non-grid text outputs of syt, and verify's text summary line.
-Diagnostics go to stderr.  Exit status is 0 when all requested checks
-pass, 1 when a verification fails, and 2 for usage errors.
+Diagnostics go to stderr; main alone turns a rejected command line or
+input into one "Error: <text>" line.  Exit status is 0 when all requested
+checks pass, 1 when a verification fails, the run is interrupted or the
+reader closes stdout early, and 2 for usage errors.
 """
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
+import os
 import sys
 from collections import Counter
-from typing import Any
-
-import click
+from typing import Any, NoReturn
 
 from .bijection import (
     format_marked_subset,
@@ -40,8 +42,17 @@ from .tableaux import (
     parse_tableau,
 )
 
-FORMATS = click.Choice(["text", "json", "csv"])
+FORMATS = ("text", "json", "csv")
 VERIFY_MAX = 14  # tableau counts explode combinatorially past this (verify and syt)
+
+
+class UsageError(Exception):
+    """A rejected command line; main prints it after "Error: " and exits with status 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
 
 
 def _emit(
@@ -55,29 +66,21 @@ def _emit(
     named columns of each record.
     """
     if fmt == "json":
-        click.echo(json.dumps(document))
+        print(json.dumps(document))
     elif fmt == "csv":
         import csv  # only csv output needs it
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)  # csv writes None as an empty field
-        click.echo(buffer.getvalue(), nl=False)
+        sys.stdout.write(buffer.getvalue())
     else:
         grid = [columns] + [["-" if r[c] is None else str(r[c]) for c in columns] for r in records]
         widths = [max(map(len, column)) for column in zip(*grid)]
         for row in grid:
-            click.echo("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
+            print("  ".join(cell.rjust(width) for cell, width in zip(row, widths)))
 
 
-@click.group()
-def main() -> None:
-    """Exact Betti numbers of cycle graphs and the tableau bijection behind them."""
-
-
-@main.command(name="table")
-@click.option("--n", "n", type=int, required=True, help=f"Cycle size, 4..{MAX_CYCLE_SIZE}.")
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_table(n: int, fmt: str) -> None:
     """Print the nonzero graded Betti numbers of the n-cycle.
 
@@ -89,61 +92,36 @@ def cmd_table(n: int, fmt: str) -> None:
     standard tableaux of the matching hook-plus-column shape, which equals
     the Betti number.
     """
-    try:
-        table = betti_table(n)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
     records = []
-    for (i, j), value in table.nonzero().items():
+    for (i, j), value in betti_table(n).nonzero().items():
         on_strand = i == j - 1 and 2 <= j <= n - 2
-        records.append(
-            {
-                "i": i,
-                "j": j,
-                "betti": value,
-                "syt": hook_length_count(hook_shape(n, j)) if on_strand else None,
-            }
-        )
+        syt = hook_length_count(hook_shape(n, j)) if on_strand else None
+        records.append({"i": i, "j": j, "betti": value, "syt": syt})
     _emit(fmt, {"n": n, "entries": records}, ["i", "j", "betti", "syt"], records)
 
 
-@main.command(name="map")
-@click.argument("tableau_text")
 def cmd_map(tableau_text: str) -> None:
     """Map a standard tableau to its marked subset.
 
     TABLEAU_TEXT uses ';' between rows and ',' between entries, for
     example "1,2;3,4;5".  The output looks like "{2,4}|4".
     """
-    try:
-        ms = tableau_to_marked_subset(parse_tableau(tableau_text))
-    except (TableauParseError, TableauValidationError, InvalidMarkedSubsetError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(format_marked_subset(ms))
+    print(format_marked_subset(tableau_to_marked_subset(parse_tableau(tableau_text))))
 
 
-@main.command(name="unmap")
-@click.option("--n", "n", type=int, required=True, help="Cycle size.")
-@click.option("--j", "j", type=int, required=True, help="Subset size.")
-@click.option("--set", "subset_text", required=True, help='Vertex subset, e.g. "2,4,6".')
-@click.option("--a", "marker", type=int, required=True, help="Marker; must be admissible for the subset.")
 def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
     """Rebuild the standard tableau for a marked subset."""
     tokens = [token.strip() for token in subset_text.split(",")]
     try:
         vertices = [int(tok) for tok in tokens if tok]
     except ValueError:
-        raise click.UsageError(f'--set expects comma-separated integers, got {subset_text!r}')
+        raise UsageError(f'--set expects comma-separated integers, got {subset_text!r}')
     if tokens != [""] and "" in tokens:  # a blank --set is the empty subset, rejected below
-        raise click.UsageError(f"--set has an empty entry, got {subset_text!r}")
+        raise UsageError(f"--set has an empty entry, got {subset_text!r}")
     repeated = sorted(v for v, count in Counter(vertices).items() if count > 1)
     if repeated:
-        raise click.UsageError(f"--set repeats vertices {repeated}, got {subset_text!r}")
-    try:
-        tableau = marked_subset_to_tableau(n, j, vertices, marker)
-    except (InvalidMarkedSubsetError, DomainError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    click.echo(format_tableau(tableau))
+        raise UsageError(f"--set repeats vertices {repeated}, got {subset_text!r}")
+    print(format_tableau(marked_subset_to_tableau(n, j, vertices, marker)))
 
 
 def _parse_size_range(text: str) -> tuple[int, int]:
@@ -156,15 +134,12 @@ def _parse_size_range(text: str) -> tuple[int, int]:
         else:
             raise ValueError
     except ValueError:
-        raise click.UsageError(f'--n expects "N" or "LOW..HIGH", got {text!r}')
+        raise UsageError(f'--n expects "N" or "LOW..HIGH", got {text!r}')
     if not 4 <= low <= high <= VERIFY_MAX:
-        raise click.UsageError(f"--n must lie within 4..{VERIFY_MAX}, got {text!r}")
+        raise UsageError(f"--n must lie within 4..{VERIFY_MAX}, got {text!r}")
     return low, high
 
 
-@main.command(name="verify")
-@click.option("--n", "size_range", required=True, help=f'Cycle size or range, e.g. "6" or "5..8" (4..{VERIFY_MAX}).')
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_verify(size_range: str, fmt: str) -> None:
     """Exhaustively check the bijection and transpose duality.
 
@@ -193,18 +168,13 @@ def cmd_verify(size_range: str, fmt: str) -> None:
     if fmt != "json":  # json carries the mismatches in its document
         for report in reports:
             for mismatch in report.mismatches:
-                click.echo(f"  {mismatch}", err=True)
+                print(f"  {mismatch}", file=sys.stderr)
     if fmt == "text":
-        click.echo("all checks passed" if all_passed else "CHECKS FAILED")
+        print("all checks passed" if all_passed else "CHECKS FAILED")
     if not all_passed:
         sys.exit(1)
 
 
-@main.command(name="syt")
-@click.option("--n", "n", type=int, required=True, help=f"Number of cells, 4..{VERIFY_MAX}.")
-@click.option("--j", "j", type=int, required=True, help="First row length, 2..n-2.")
-@click.option("--count-only", is_flag=True, help="Print the enumerated and hook-length counts only.")
-@click.option("--format", "fmt", type=FORMATS, default="text", show_default=True)
 def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
     """List the standard tableaux of shape (j, 2, 1, ..., 1) on n cells.
 
@@ -213,11 +183,8 @@ def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
     hook-length-formula count are printed so they can be compared.
     """
     if n > VERIFY_MAX:
-        raise click.UsageError(f"--n must be at most {VERIFY_MAX}, got {n}")
-    try:
-        shape = hook_shape(n, j)
-    except DomainError as exc:
-        raise click.UsageError(str(exc)) from exc
+        raise UsageError(f"--n must be at most {VERIFY_MAX}, got {n}")
+    shape = hook_shape(n, j)
     tableaux = enumerate_standard_tableaux(shape)
     if count_only:
         counts = {"enumerated": len(tableaux), "hook_length": hook_length_count(shape)}
@@ -229,9 +196,54 @@ def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
         columns, records = ["tableau"], [{"tableau": text} for text in lines]
     if fmt == "text":  # neither text output is a grid
         for line in lines:
-            click.echo(line)
+            print(line)
     else:
         _emit(fmt, document, columns, records)
+
+
+def _parser(prog: str) -> argparse.ArgumentParser:
+    """Every command, its options and its help, with each command's function as its default."""
+    parser = _Parser(prog=prog, description=main.__doc__, allow_abbrev=False)
+    commands = parser.add_subparsers(required=True, metavar="COMMAND")
+    for function in (cmd_table, cmd_map, cmd_unmap, cmd_verify, cmd_syt):
+        name, doc = function.__name__.removeprefix("cmd_"), function.__doc__ or ""
+        sub = commands.add_parser(name, help=doc.split("\n")[0], description=doc, allow_abbrev=False)
+        sub.set_defaults(command=function)
+    table, map_, unmap, verify, syt = commands.choices.values()
+    table.add_argument("--n", type=int, required=True, help=f"Cycle size, 4..{MAX_CYCLE_SIZE}.")
+    map_.add_argument("tableau_text", metavar="TABLEAU_TEXT")
+    unmap.add_argument("--n", type=int, required=True, help="Cycle size.")
+    unmap.add_argument("--j", type=int, required=True, help="Subset size.")
+    unmap.add_argument("--set", dest="subset_text", required=True, help='Vertex subset, e.g. "2,4,6".')
+    unmap.add_argument("--a", dest="marker", type=int, required=True, help="Marker, admissible for the subset.")
+    range_help = f'Cycle size or range, e.g. "6" or "5..8" (4..{VERIFY_MAX}).'
+    verify.add_argument("--n", dest="size_range", required=True, help=range_help)
+    syt.add_argument("--n", type=int, required=True, help=f"Number of cells, 4..{VERIFY_MAX}.")
+    syt.add_argument("--j", type=int, required=True, help="First row length, 2..n-2.")
+    syt.add_argument("--count-only", action="store_true", help="Print the enumerated and hook-length counts only.")
+    for sub in (table, verify, syt):
+        sub.add_argument("--format", dest="fmt", choices=FORMATS, default="text", help="Default: text.")
+    return parser
+
+
+def main(args: list[str] | None = None, prog_name: str = "cyclebetti") -> None:
+    """Exact Betti numbers of cycle graphs and the tableau bijection behind them."""
+    try:
+        options = vars(_parser(prog_name).parse_args(args))
+        options.pop("command")(**options)
+        sys.stdout.flush()  # a reader that closed stdout early is met here, not at interpreter exit
+    except (UsageError, DomainError, InvalidMarkedSubsetError, TableauParseError, TableauValidationError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        sys.exit(2)
+    except BrokenPipeError:  # nothing on stderr; stdout goes to devnull so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        sys.exit(1)
+
+
+main.main, main.name = main, "cyclebetti"  # the interface click's CliRunner calls in the tests
 
 
 if __name__ == "__main__":

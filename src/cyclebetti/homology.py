@@ -91,6 +91,14 @@ def _rank_profile(columns: list[dict[int, int]]) -> list[int]:
     return profile
 
 
+def _face_labels(faces: Iterable[Iterable[int]]) -> list[tuple]:
+    """Each face's labels once each, as typed (1, 1.0 and True stay apart), checked to be iterables."""
+    try:  # only reading the faces raises TypeError
+        return [tuple({repr(v): v for v in face}.values()) for face in faces]
+    except TypeError:
+        raise VertexRangeError(f"faces must be an iterable of iterables of labels, got {faces!r}") from None
+
+
 class SimplicialComplex(Record):
     """Downward-closed family of faces on labelled vertices 1..vertex_count.
 
@@ -106,7 +114,7 @@ class SimplicialComplex(Record):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        n, faces = self.vertex_count, [tuple(face) for face in self.faces]
+        n, faces = self.vertex_count, _face_labels(self.faces)
         if type(n) is not int or n < 0:
             raise ValueError(f"vertex_count must be an int >= 0 (no bools or floats), got {n!r}")
         # each label typed as given, before a frozenset merges 1, 1.0 and True
@@ -128,7 +136,7 @@ class SimplicialComplex(Record):
         cls, vertex_count: int, generators: Iterable[Iterable[int]]
     ) -> "SimplicialComplex":
         """The smallest complex containing every generator face, each label checked as given."""
-        generators = [tuple({repr(v): v for v in gen}.values()) for gen in generators]  # once each, as typed
+        generators = _face_labels(generators)
         faces = (itertools.combinations(gen, k) for gen in generators for k in range(len(gen) + 1))
         return cls(vertex_count, itertools.chain.from_iterable(faces))
 

@@ -225,6 +225,22 @@ MUTANTS = [
     # the path gate: every path on 1..n-1 vertices is checked, and a path that is not acyclic raises
     Mutant("hochster.py", "for m in range(1, n):", "for m in range(1, n - 1):", ("test_hochster.py",)),
     Mutant("hochster.py", "if any(path := ", "if False and any(path := ", ("test_hochster.py",)),
+    # the command line's one rejection boundary: status 2, an "Error: " line, and every library
+    # input error caught; a reader that closes stdout early ends the run with status 1
+    Mutant("cli.py", "sys.exit(2)", "sys.exit(1)", ("test_cli.py",)),
+    Mutant("cli.py", 'print(f"Error: {exc}"', 'print(f"{exc}"', ("test_cli.py",)),
+    Mutant(
+        "cli.py",
+        "TableauParseError, TableauValidationError) as exc:",
+        "TableauParseError) as exc:",
+        ("test_cli.py",),
+    ),
+    Mutant(
+        "cli.py",
+        "sys.stdout.fileno())\n        sys.exit(1)",
+        "sys.stdout.fileno())\n        sys.exit(0)",
+        ("test_cli.py",),
+    ),
 ]
 
 

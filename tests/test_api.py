@@ -71,10 +71,13 @@ def test_arc_type_route_is_gone():
 
 def test_a_cli_start_imports_no_csv_numbers_or_dataclasses():
     # each of the three serves one branch (csv output, a vertex rejection, a frozen-field error),
-    # and no value type is a dataclass: every one is a Record, whose class body generates no code
+    # and no value type is a dataclass: every one is a Record, whose class body generates no code;
+    # click is no dependency at all: with its import blocked, a table still prints and returns
     script = (
         "import sys, cyclebetti.cli\n"
-        "loaded = sorted({'csv', 'numbers', 'dataclasses'}.intersection(sys.modules))\n"
+        "loaded = sorted({'csv', 'numbers', 'dataclasses', 'click'}.intersection(sys.modules))\n"
+        "sys.modules['click'] = None\n"
+        "cyclebetti.cli.main(['table', '--n', '5', '--format', 'csv'])\n"
         "import dataclasses\n"
         "from cyclebetti.errors import Record\n"
         "records = sorted(cls.__name__ for cls in Record.__subclasses__())\n"
@@ -85,6 +88,7 @@ def test_a_cli_start_imports_no_csv_numbers_or_dataclasses():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
+        "i,j,betti,syt\n0,0,1,\n1,2,5,5\n2,3,5,5\n3,5,1,\n"
         "[] ['BettiTable', 'BijectionReport', 'CycleRestriction', 'IntMatrix', 'MarkedSubset', "
         "'Shape', 'SimplicialComplex', 'Tableau'] []\n"
     )

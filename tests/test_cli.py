@@ -1,10 +1,13 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import cyclebetti.bijection as bijection
+import cyclebetti.cli as cli
 from cyclebetti.cli import main
 from cyclebetti.tableaux import hook_length_count, hook_shape, parse_tableau
 
@@ -337,3 +340,37 @@ class TestSyt:
     def test_out_of_range_is_usage_error(self, runner, args):
         result = runner.invoke(main, ["syt", *args])
         assert result.exit_code == 2
+
+
+class TestProcess:
+    # how the process ends when its reader goes away, when it is interrupted, and when argument
+    # parsing rejects a value
+
+    def test_a_reader_closing_stdout_early_ends_the_run_with_status_one_and_no_stderr(self):
+        # 9504 tableaux are far more than a pipe buffers, so the writer meets the closed pipe
+        script = "from cyclebetti.cli import main; main()"
+        command = [sys.executable, "-c", script, "syt", "--n", "14", "--j", "7"]
+        with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
+            first = process.stdout.readline()
+            process.stdout.close()
+            stderr = process.stderr.read()
+            status = process.wait(timeout=60)
+        assert first == b"1,2,3,4,5,6,7;8,9;10;11;12;13;14\n"
+        assert (status, stderr) == (1, b"")
+
+    def test_an_interrupt_prints_aborted_on_stderr_and_exits_one(self, runner, monkeypatch):
+        def interrupted(n):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "betti_table", interrupted)
+        result = runner.invoke(main, ["table", "--n", "5"])
+        assert result.exit_code == 1
+        assert result.stderr.endswith("Aborted!\n")
+        assert result.stdout == ""
+
+    def test_a_size_that_is_not_an_integer_is_a_usage_error_naming_the_option(self, runner):
+        result = runner.invoke(main, ["table", "--n", "x"])
+        assert result.exit_code == 2
+        last = result.stderr.splitlines()[-1]
+        assert last.startswith("Error: ")
+        assert "--n" in last

@@ -243,6 +243,11 @@ class TestSimplicialComplexInput:
             (3, [[], [[1]]], VertexRangeError, "face vertices [[1]] fall outside 1..3"),
             # each bad label once, the ints first and in order, then the rest by repr
             (3, [[4], [0], [4], [2.0], ["a"]], VertexRangeError, "face vertices [0, 4, 'a', 2.0] fall outside 1..3"),
+            # faces, and each face, must be iterables, named as given rather than a bare TypeError
+            (3, 5, VertexRangeError, "faces must be an iterable of iterables of labels, got 5"),
+            (3, [5], VertexRangeError, "faces must be an iterable of iterables of labels, got [5]"),
+            (3, None, VertexRangeError, "faces must be an iterable of iterables of labels, got None"),
+            (3, [[1], 5], VertexRangeError, "faces must be an iterable of iterables of labels, got [[1], 5]"),
         ],
     )
     def test_rejects_with_the_rule_named(self, vertex_count, faces, error, text):

@@ -15,9 +15,9 @@ those keys, and one that no key matches is reported raw, never built.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Container, Iterable
 from itertools import filterfalse
 from operator import attrgetter
-from typing import Container, Iterable
 
 from .cycle import MarkedSubset, marked_subsets
 from .errors import (

@@ -15,31 +15,18 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import sys
 from collections import Counter
-from typing import Any, NoReturn
 
-from .bijection import (
-    format_marked_subset,
-    marked_subset_to_tableau,
-    tableau_to_marked_subset,
-    verify_cycle,
-)
+# each route is reached through its module at call time, so a command runs only the modules it uses
+from . import bijection, hochster, tableaux
 from .errors import (
+    MAX_CYCLE_SIZE,
     DomainError,
     InvalidMarkedSubsetError,
     TableauParseError,
     TableauValidationError,
-)
-from .hochster import MAX_CYCLE_SIZE, betti_table
-from .tableaux import (
-    enumerate_standard_tableaux,
-    format_tableau,
-    hook_length_count,
-    hook_shape,
-    parse_tableau,
 )
 
 FORMATS = ("text", "json", "csv")
@@ -51,12 +38,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):  # never returns
         raise UsageError(message)
 
 
 def _emit(
-    fmt: str, document: dict[str, Any], columns: list[str], records: list[dict[str, Any]]
+    fmt: str, document: dict[str, object], columns: list[str], records: list[dict[str, object]]
 ) -> None:
     """Write one command's data to stdout in the requested format.
 
@@ -66,6 +53,7 @@ def _emit(
     named columns of each record.
     """
     if fmt == "json":
+        import json  # only json output needs it
         print(json.dumps(document))
     elif fmt == "csv":
         import csv  # only csv output needs it
@@ -93,9 +81,9 @@ def cmd_table(n: int, fmt: str) -> None:
     the Betti number.
     """
     records = []
-    for (i, j), value in betti_table(n).nonzero().items():
+    for (i, j), value in hochster.betti_table(n).nonzero().items():
         on_strand = i == j - 1 and 2 <= j <= n - 2
-        syt = hook_length_count(hook_shape(n, j)) if on_strand else None
+        syt = tableaux.hook_length_count(tableaux.hook_shape(n, j)) if on_strand else None
         records.append({"i": i, "j": j, "betti": value, "syt": syt})
     _emit(fmt, {"n": n, "entries": records}, ["i", "j", "betti", "syt"], records)
 
@@ -106,7 +94,7 @@ def cmd_map(tableau_text: str) -> None:
     TABLEAU_TEXT uses ';' between rows and ',' between entries, for
     example "1,2;3,4;5".  The output looks like "{2,4}|4".
     """
-    print(format_marked_subset(tableau_to_marked_subset(parse_tableau(tableau_text))))
+    print(bijection.format_marked_subset(bijection.tableau_to_marked_subset(tableaux.parse_tableau(tableau_text))))
 
 
 def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
@@ -121,7 +109,7 @@ def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
     repeated = sorted(v for v, count in Counter(vertices).items() if count > 1)
     if repeated:
         raise UsageError(f"--set repeats vertices {repeated}, got {subset_text!r}")
-    print(format_tableau(marked_subset_to_tableau(n, j, vertices, marker)))
+    print(tableaux.format_tableau(bijection.marked_subset_to_tableau(n, j, vertices, marker)))
 
 
 def _parse_size_range(text: str) -> tuple[int, int]:
@@ -149,7 +137,7 @@ def cmd_verify(size_range: str, fmt: str) -> None:
     Exit status 0 when everything passes, 1 otherwise.
     """
     low, high = _parse_size_range(size_range)
-    reports = [report for n in range(low, high + 1) for report in verify_cycle(n)]
+    reports = [report for n in range(low, high + 1) for report in bijection.verify_cycle(n)]
     all_passed = all(report.passed and report.duality_holds for report in reports)
     records = [
         {
@@ -184,14 +172,14 @@ def cmd_syt(n: int, j: int, count_only: bool, fmt: str) -> None:
     """
     if n > VERIFY_MAX:
         raise UsageError(f"--n must be at most {VERIFY_MAX}, got {n}")
-    shape = hook_shape(n, j)
-    tableaux = enumerate_standard_tableaux(shape)
+    shape = tableaux.hook_shape(n, j)
+    listing = tableaux.enumerate_standard_tableaux(shape)
     if count_only:
-        counts = {"enumerated": len(tableaux), "hook_length": hook_length_count(shape)}
+        counts = {"enumerated": len(listing), "hook_length": tableaux.hook_length_count(shape)}
         document, columns, records = {"n": n, "j": j, **counts}, list(counts), [counts]
         lines = [f"{counts['enumerated']} {counts['hook_length']}"]
     else:
-        lines = [format_tableau(t) for t in tableaux]
+        lines = [tableaux.format_tableau(t) for t in listing]
         document = {"n": n, "j": j, "tableaux": lines}
         columns, records = ["tableau"], [{"tableau": text} for text in lines]
     if fmt == "text":  # neither text output is a grid

@@ -12,7 +12,7 @@ counts.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import (
     DomainError,

@@ -1,4 +1,9 @@
-"""Exception types, and the immutable value base Record, shared across the package."""
+"""Exception types, the cycle-size cap and the immutable value base Record, shared across the package."""
+
+# The range the tests verify: every table up to this size is checked
+# against its Hilbert series, its Gorenstein symmetry and the closed forms
+# of its corners and linear strand.  Larger cycles would run, unchecked.
+MAX_CYCLE_SIZE = 100
 
 
 class DomainError(ValueError):

@@ -17,13 +17,8 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import DomainError, ImpossibleBranchError, Record
+from .errors import MAX_CYCLE_SIZE, DomainError, ImpossibleBranchError, Record
 from .homology import _cycle_ranks, _graph_homology
-
-# The range the tests verify: every table up to this size is checked
-# against its Hilbert series, its Gorenstein symmetry and the closed forms
-# of its corners and linear strand.  Larger cycles would run, unchecked.
-MAX_CYCLE_SIZE = 100
 
 
 def _check_size(n: int, minimum: int) -> None:

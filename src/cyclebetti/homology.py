@@ -26,10 +26,10 @@ it stays here only as the reference the cycle route is tested against.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from math import gcd
-from typing import Iterable
 
-from .cycle import vertex_set
+from . import cycle  # lazy: only the reference route below runs it
 from .errors import ImpossibleBranchError, Record, VertexRangeError
 
 
@@ -193,7 +193,7 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     subset are kept.  The empty face is always included, so the empty subset
     yields the irrelevant complex rather than the void complex.
     """
-    vs = vertex_set(n, vertices)
+    vs = cycle.vertex_set(n, vertices)
     generators: list[frozenset[int]] = [frozenset()]
     generators.extend(frozenset((v,)) for v in vs)
     generators.extend(edge for i in range(1, n + 1) if (edge := frozenset((i, i % n + 1))) <= vs)

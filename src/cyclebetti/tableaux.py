@@ -9,10 +9,10 @@ text format writes rows separated by ';' and entries by ',', so the
 from __future__ import annotations
 
 from bisect import bisect
+from collections.abc import Iterable
 from itertools import chain, combinations
 from math import factorial
 from operator import attrgetter, itemgetter, lt
-from typing import Iterable
 
 from .errors import (
     DomainError,

@@ -241,6 +241,21 @@ MUTANTS = [
         "sys.stdout.fileno())\n        sys.exit(0)",
         ("test_cli.py",),
     ),
+    # each command runs only its route: cli and homology reach the other routes' modules at call
+    # time, and the package raises AttributeError for a name it does not export
+    Mutant(
+        "cli.py",
+        "from . import bijection, hochster, tableaux\n",
+        "from . import bijection, hochster, tableaux\nfrom .bijection import verify_cycle\n",
+        ("test_api.py",),
+    ),
+    Mutant("homology.py", "from . import cycle", "from . import cycle\nfrom .cycle import vertex_set", ("test_api.py",)),
+    Mutant(
+        "__init__.py",
+        'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',
+        "return None",
+        ("test_api.py",),
+    ),
 ]
 
 

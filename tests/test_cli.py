@@ -362,7 +362,7 @@ class TestProcess:
         def interrupted(n):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "betti_table", interrupted)
+        monkeypatch.setattr(cli.hochster, "betti_table", interrupted)  # cli reaches it through the module
         result = runner.invoke(main, ["table", "--n", "5"])
         assert result.exit_code == 1
         assert result.stderr.endswith("Aborted!\n")

@@ -72,14 +72,14 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     return MarkedSubset(tableau.n, *_read(tableau.hook))
 
 
-def _read(hook: Hook) -> Pair:
+def _read(hook: Hook, freeze: type = frozenset) -> Pair:
     """(subset, marker) of a hook, read off (2, 2); bisection finds the marker's predecessor."""
     row, column, marker = hook
     i, k = bisect_left(row, marker - 1), bisect_left(column, marker - 1)
     if row[i : i + 1] == (marker - 1,):
-        return frozenset(row), marker
+        return freeze(row), marker
     if column[k : k + 1] == (marker - 1,):
-        return frozenset((marker, *row[1:])), marker
+        return freeze((marker, *row[1:])), marker
     cell = (1, row.index(marker - 1) + 1) if marker - 1 in row else (column.index(marker - 1) + 1, 1)
     raise ImpossibleBranchError(
         f"predecessor of the marker sits at {cell}, outside both the first row and the first column"
@@ -173,7 +173,7 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 def _side(n: int, j: int) -> Side:
     """The keys of shape (j, 2, 1, ..., 1) and of the marked subsets of size j; objects dropped."""
     marked = {pair: pair for pair in map(attrgetter("vertices", "marker"), marked_subsets(n, j))}
-    hooks = map(attrgetter("hook"), enumerate_standard_tableaux(hook_shape(n, j)))
+    hooks = map(attrgetter("row", "column", "corner"), enumerate_standard_tableaux(hook_shape(n, j)))
     return {hook: marked.get(pair := _read(hook), pair) for hook in hooks}, marked
 
 
@@ -228,10 +228,11 @@ def transpose_duality_holds(tableau: Tableau) -> bool:
     both avoid vertex 1 on the same side and each membership rule of
     MarkedSubset is symmetric under complementing.
     """
-    return _transpose_complements(tableau.n, _read(tableau.hook), *_read(_transposed_hook(tableau.hook)))
+    return _transpose_complements(tableau.n, _read(tableau.hook), *_read(_transposed_hook(tableau.hook), tuple))
 
 
-def _transpose_complements(n: int, pair: Pair, subset: frozenset[int], marker: int) -> bool:
+def _transpose_complements(n: int, pair: Pair, subset: frozenset[int] | tuple[int, ...], marker: int) -> bool:
     """Whether (subset, marker), read off a transpose, is pair's complement with pair's marker."""
-    # a subset of 1..n, disjoint from pair's with sizes summing to n, is its complement
-    return len(subset) + len(pair[0]) == n and subset.isdisjoint(pair[0]) and marker == pair[1]
+    # a subset of 1..n, disjoint from pair's with sizes summing to n, is its complement; a tuple
+    # read unfrozen repeats no entry, so its length is its size
+    return len(subset) + len(pair[0]) == n and pair[0].isdisjoint(subset) and marker == pair[1]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
+from operator import countOf
 
 from .errors import (
     DomainError,
@@ -33,16 +34,19 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     given, before the frozenset merges equal ones (1, 1.0 and True), so
     their order never matters.
     """
-    try:  # only reading or freezing the labels raises TypeError
-        labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
-        vs = frozenset(labels)
-    except TypeError:
-        raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
+    if type(vertices) is frozenset:  # as a read of a tableau hands it on: freezing it merges nothing
+        labels = vs = vertices
+    else:
+        try:  # only reading or freezing the labels raises TypeError
+            labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
+            vs = frozenset(labels)
+        except TypeError:
+            raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     # with no label repeated, none was merged into vs, and typing vs (the cheaper pass) types them all
     typed = vs if len(vs) == len(labels) else labels
-    if vs and (set(map(type, typed)) != {int} or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
+    if vs and (countOf(map(type, typed), int) != len(typed) or (ends := sorted(vs))[0] < 1 or ends[-1] > n):
         from numbers import Real  # only a rejection sorts by it
         # each bad label once, numbers first; an equal float, bool or int stays apart
         bad = {(type(v), v): v for v in labels if type(v) is not int or not 1 <= v <= n}.values()
@@ -138,7 +142,8 @@ class MarkedSubset(Record):
 
     def __post_init__(self) -> None:
         try:
-            vs = _proper_subset(self.n, self.vertices)
+            if not (vs := vertex_set(self.n, self.vertices)) or len(vs) == self.n:
+                _proper_subset(self.n, vs)  # raises, in its words
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from None  # the same text; a chain only repeats it
         object.__setattr__(self, "vertices", vs)

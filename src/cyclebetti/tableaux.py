@@ -12,7 +12,7 @@ from bisect import bisect
 from collections.abc import Iterable
 from itertools import chain, combinations
 from math import factorial
-from operator import attrgetter, itemgetter, lt
+from operator import attrgetter, countOf, itemgetter, lt
 
 from .errors import (
     DomainError,
@@ -38,7 +38,7 @@ class Shape(Record):
         except TypeError:  # not an iterable of parts: rejected below, as given
             parts = self.parts
         object.__setattr__(self, "parts", parts)
-        if type(parts) is not tuple or set(map(type, parts)) != {int} or parts[:1] < (2,) or (
+        if type(parts) is not tuple or countOf(map(type, parts), int) != len(parts) or parts[:1] < (2,) or (
             parts[1:] != (2,) + (1,) * (len(parts) - 2)
         ):
             raise DomainError(
@@ -124,12 +124,12 @@ class Tableau(Record):
         if len(row) < 2 or len(column) < 2:
             raise TableauValidationError(f"hooks need 2 cells each way, got {len(row)} and {len(column)}")
         n = len(row) + len(column)
-        # typed before any comparison; (1, 1) is in both lines, so their n - 1 cells differ when
-        # their set has n - 1 members, and then n distinct ints in 1..n are exactly 1..n
-        if typed := {*map(type, row), *map(type, column), type(corner)} == {int}:
+        # typed before any comparison, by counting exact ints; (1, 1) is in both lines, so their n - 1
+        # cells differ when their set has n - 1 members, and then n distinct ints in 1..n are exactly 1..n
+        if typed := type(corner) is int and countOf(map(type, row), int) + countOf(map(type, column), int) == n:
             srow, scol, cells = sorted(row), sorted(column), {*row, *column}
-        if not (typed and row[0] == column[0] and len(cells) == n - 1 and 0 < min(srow[0], scol[0])
-                and max(srow[-1], scol[-1]) <= n and 0 < corner <= n and corner not in cells):
+        if not (typed and row[0] == column[0] and len(cells) == n - 1 and 0 < srow[0] and 0 < scol[0]
+                and srow[-1] <= n and scol[-1] <= n and 0 < corner <= n and corner not in cells):
             raise TableauValidationError(f"entries must be exactly 1..{n}, each once")
         if srow != list(row):  # the entries differ, so in order means strictly increasing
             raise TableauValidationError(f"row 1 is not strictly increasing: {row}")
@@ -164,6 +164,8 @@ def enumerate_standard_tableaux(shape: Shape) -> list[Tableau]:
     at (2, 2), and the rest in the column below.  Each tableau is validated as
     it is built.
     """
+    if not isinstance(shape, Shape):
+        raise DomainError(f"expected a Shape, got {shape!r}")
     n, j = shape.size, shape.parts[0]
     entries, found = set(range(2, n + 1)), []
     for rest in combinations(range(2, n + 1), j - 1):
@@ -183,6 +185,8 @@ def hook_length_count(shape: Shape) -> int:
     (2, 2) and n - j - 2, ..., 1 down the rest of column 1.  Serves as the
     closed-form cross-check for the enumeration.
     """
+    if not isinstance(shape, Shape):
+        raise DomainError(f"expected a Shape, got {shape!r}")
     n, j = shape.size, shape.parts[0]
     product = (n - 1) * j * factorial(j - 2) * (n - j) * factorial(n - j - 2)
     total = factorial(n)

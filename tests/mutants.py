@@ -95,12 +95,12 @@ MUTANTS = [
     ),
     Mutant(
         "bijection.py",
-        "_read(_transposed_hook(tableau.hook))",
-        "_read(tableau.hook)",
+        "_read(_transposed_hook(tableau.hook), tuple)",
+        "_read(tableau.hook, tuple)",
         ("test_bijection.py",),
     ),
     Mutant("bijection.py", "len(subset) + len(pair[0]) == n and ", "", ("test_bijection.py",)),
-    Mutant("bijection.py", "subset.isdisjoint(pair[0]) and ", "", ("test_bijection.py",)),
+    Mutant("bijection.py", "pair[0].isdisjoint(subset) and ", "", ("test_bijection.py",)),
     Mutant("bijection.py", " and marker == pair[1]", "", ("test_bijection.py",)),
     # the forward read: the predecessor is bisected for, and the row past (1, 1) joins the marker
     Mutant(
@@ -111,8 +111,8 @@ MUTANTS = [
     ),
     Mutant(
         "bijection.py",
-        "return frozenset((marker, *row[1:])), marker",
-        "return frozenset((marker, *row)), marker",
+        "return freeze((marker, *row[1:])), marker",
+        "return freeze((marker, *row)), marker",
         ("test_bijection.py",),
     ),
     # the rebuilt hook: the side without vertex 1 holds the marker, and 1 heads both lines
@@ -165,14 +165,26 @@ MUTANTS = [
     # merges 1 and 1.0
     Mutant("homology.py", "if type(n) is not int or n < 0:", "if n < 0:", ("test_validators.py",)),
     Mutant("homology.py", "if type(v) is not int or not 1 <= v <= n}", "if not 1 <= v <= n}", ("test_validators.py",)),
-    # the Tableau validator: the corner exceeds the entry above it, no entry exceeds n
+    # the Tableau validator: the corner exceeds the entry above it, no entry of the row or of the
+    # column exceeds n, and the row, the column and the corner are each typed exactly int
     Mutant(
         "tableaux.py",
         "if corner < row[1] or scol != list(column):",
         "if scol != list(column):",
         ("test_tableaux.py",),
     ),
-    Mutant("tableaux.py", "and max(srow[-1], scol[-1]) <= n and ", "and ", ("test_tableaux.py",)),
+    Mutant("tableaux.py", "and srow[-1] <= n and ", "and ", ("test_tableaux.py",)),
+    Mutant("tableaux.py", " and scol[-1] <= n", "", ("test_tableaux.py",)),
+    Mutant("tableaux.py", "countOf(map(type, row), int)", "len(row)", ("test_tableaux.py",)),
+    Mutant("tableaux.py", "countOf(map(type, column), int)", "len(column)", ("test_tableaux.py",)),
+    Mutant("tableaux.py", "type(corner) is int and ", "", ("test_tableaux.py",)),
+    # a Shape's parts are typed exactly int
+    Mutant("tableaux.py", "countOf(map(type, parts), int) != len(parts) or ", "", ("test_tableaux.py",)),
+    # a vertex set's labels are typed exactly int, and only an exact frozenset is returned as given
+    Mutant("cycle.py", "countOf(map(type, typed), int) != len(typed) or ", "", ("test_cycle.py",)),
+    Mutant("cycle.py", "if type(vertices) is frozenset:", "if isinstance(vertices, frozenset):", ("test_cycle.py",)),
+    # a MarkedSubset words a whole subset as one without markers
+    Mutant("cycle.py", " or len(vs) == self.n:", ":", ("test_cycle.py",)),
     # the MarkedSubset validator: the marker is a vertex, on the side avoiding vertex 1, with its
     # predecessor off that side, and no smaller arc minimum on it
     Mutant("cycle.py", "m <= n and (m in vs)", "(m in vs)", ("test_cycle.py",)),

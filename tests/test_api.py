@@ -142,7 +142,7 @@ EXECUTED = (
 
 def run_fresh(script, *args):
     source = str(Path(cyclebetti.__file__).resolve().parent.parent)
-    command = [sys.executable, "-S", "-c", script, *args]
+    command = [sys.executable, "-B", "-S", "-c", script, *args]  # -B: the env drops PYTHONDONTWRITEBYTECODE
     result = subprocess.run(command, capture_output=True, text=True, timeout=60, env={"PYTHONPATH": source})
     assert result.returncode == 0, result.stderr
     return result.stdout

@@ -251,6 +251,25 @@ class TestInterpretedWork:
             assert (back.vertices, back.marker) == (frozenset(vertices), marker)
             assert calls == {"Tableau": 1, "MarkedSubset": 2}
 
+    @pytest.mark.parametrize("n", [16, 2048])
+    def test_each_marked_subset_of_a_round_trip_checks_its_vertices_in_one_call(self, n, monkeypatch):
+        # MarkedSubset calls vertex_set itself; _proper_subset only words an empty or whole subset
+        calls = {}
+        for name in ("vertex_set", "_proper_subset"):
+
+            def counted(*args, check=getattr(cycle, name), name=name):
+                calls[name] = calls.get(name, 0) + 1
+                return check(*args)
+
+            monkeypatch.setattr(cycle, name, counted)
+        j = n // 2
+        for vertices, marker in [({2, *range(4, j + 3)}, 4), ({1, *range(3, j + 2)}, j + 2)]:
+            calls.clear()
+            t = marked_subset_to_tableau(n, j, vertices, marker)
+            tableau_to_marked_subset(t)
+            assert transpose_duality_holds(t)
+            assert calls == {"vertex_set": 2}
+
 
 def round_trip_lines(n, j):
     # line events of each call on two marked subsets of size j, one without

@@ -1,5 +1,6 @@
 import itertools
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -19,6 +20,18 @@ from cyclebetti.errors import (
     VertexRangeError,
 )
 from cyclebetti.homology import restriction_complex
+
+
+class Label(int):
+    """An int subclass: equal to its int and hashed like it, but not of type int."""
+
+    def __repr__(self):
+        return f"Label({int(self)})"
+
+
+class Small(IntEnum):
+    TWO = 2
+    FOUR = 4
 
 
 def all_subsets(n):
@@ -136,6 +149,12 @@ class TestVertexSet:
             (5, [2.5], VertexRangeError, "vertices [2.5] fall outside 1..5"),
             (5, [True], VertexRangeError, "vertices [True] fall outside 1..5"),
             (5, [2, 4.0], VertexRangeError, "vertices [4.0] fall outside 1..5"),
+            # so is an int subclass, though it equals and hashes as its int
+            (5, [Label(2)], VertexRangeError, "vertices [Label(2)] fall outside 1..5"),
+            (5, [2, Label(4)], VertexRangeError, "vertices [Label(4)] fall outside 1..5"),
+            (5, [Label(4), 2, 4], VertexRangeError, "vertices [Label(4)] fall outside 1..5"),
+            (5, frozenset({1, Label(3)}), VertexRangeError, "vertices [Label(3)] fall outside 1..5"),
+            (5, [Small.TWO, 3], VertexRangeError, "vertices [<Small.TWO: 2>] fall outside 1..5"),
             # labels that do not compare with each other: numbers first, then the rest
             (5, ["a", 2.5], VertexRangeError, "vertices [2.5, 'a'] fall outside 1..5"),
             (
@@ -152,6 +171,24 @@ class TestVertexSet:
         with pytest.raises(error) as excinfo:
             vertex_set(n, vertices)
         assert str(excinfo.value) == text
+
+    def test_a_frozenset_is_returned_as_given_and_a_subclass_as_a_frozenset(self):
+        labels = frozenset({2, 4})
+        assert vertex_set(5, labels) is labels
+
+        class Labels(frozenset):
+            pass
+
+        vs = vertex_set(5, Labels({2, 4}))
+        assert type(vs) is frozenset and vs == labels
+        assert type(MarkedSubset(5, Labels({2, 4}), 4).vertices) is frozenset
+
+    @pytest.mark.parametrize("vertices", [[Label(2)], [2, Small.FOUR]], ids=repr)
+    @pytest.mark.parametrize("caller", [restrict, admissible_markers, vertex_set])
+    def test_int_subclasses_are_not_labels(self, caller, vertices):
+        with pytest.raises(VertexRangeError) as excinfo:
+            caller(5, vertices)
+        assert str(excinfo.value) == f"vertices [{vertices[-1]!r}] fall outside 1..5"
 
     @pytest.mark.parametrize("vertices", [5, None, [[1]], [2, {4}]], ids=repr)
     @pytest.mark.parametrize("caller", [restrict, admissible_markers, vertex_set])
@@ -326,6 +363,7 @@ class TestMarkedSubsetType:
                 "marker 5 is not admissible for [1, 2, 5, 7] on the 8-cycle (admissible: [6, 8])",
             ),
             (5, set(), 2, "markers need a proper nonempty subset of 1..5, got []"),
+            (5, {1, 2, 3, 4, 5}, 2, "markers need a proper nonempty subset of 1..5, got [1, 2, 3, 4, 5]"),
             (5, {2, 9}, 9, "vertices [9] fall outside 1..5"),
             (2, {1}, 2, "cycle graphs need n >= 3, got n=2"),
             # labels and markers are ints: an equal float is neither
@@ -337,6 +375,15 @@ class TestMarkedSubsetType:
                 "marker 4.0 is not admissible for [2, 4] on the 5-cycle (admissible: [4])",
             ),
             (5, {"a", 2.5}, 4, "vertices [2.5, 'a'] fall outside 1..5"),
+            # nor is an int subclass
+            (5, {Label(2), 4}, 4, "vertices [Label(2)] fall outside 1..5"),
+            (5, {2, Small.FOUR}, 4, "vertices [<Small.FOUR: 4>] fall outside 1..5"),
+            (
+                5,
+                {2, 4},
+                Label(4),
+                "marker Label(4) is not admissible for [2, 4] on the 5-cycle (admissible: [4])",
+            ),
             (6.0, {2, 4}, 4, "cycle graphs need n >= 3, got n=6.0"),
         ],
     )

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from enum import IntEnum
 from itertools import permutations
 from operator import add
 
@@ -25,6 +26,18 @@ from cyclebetti.tableaux import (
     parse_tableau,
     transpose,
 )
+
+
+class Label(int):
+    """An int subclass: equal to its int and hashed like it, but not of type int."""
+
+    def __repr__(self):
+        return f"Label({int(self)})"
+
+
+class Small(IntEnum):
+    ONE = 1
+    THREE = 3
 
 
 def reference_conjugate(parts):
@@ -125,6 +138,11 @@ class TestShape:
             ((1, 2, 1), SHAPE_TEXT + "(1, 2, 1)"),
             ((3, 2, 1.0), SHAPE_TEXT + "(3, 2, 1.0)"),
             ((3, 2, True), SHAPE_TEXT + "(3, 2, True)"),
+            # and int subclasses, each in place of the int it equals
+            ((3, 2, Label(1)), SHAPE_TEXT + "(3, 2, Label(1))"),
+            ((Label(3), 2, 1), SHAPE_TEXT + "(Label(3), 2, 1)"),
+            ((3, 2, Small.ONE), SHAPE_TEXT + "(3, 2, <Small.ONE: 1>)"),
+            ((Small.THREE, 2), SHAPE_TEXT + "(<Small.THREE: 3>, 2)"),
             # not an iterable of parts at all
             (5, SHAPE_TEXT + "5"),
             (None, SHAPE_TEXT + "None"),
@@ -234,6 +252,8 @@ class TestTableauValidation:
             (((True, 2), (3, 4)), "entries must be exactly 1..4, each once"),
             (((1, 2.0), (3, 4)), "entries must be exactly 1..4, each once"),
             (((1, "2"), ("3", 4)), "entries must be exactly 1..4, each once"),
+            (((1, Label(2)), (3, 4)), "entries must be exactly 1..4, each once"),
+            (((1, 2), (Small.THREE, 4)), "entries must be exactly 1..4, each once"),
             # the shape is checked before the entries
             (((1, 2, 3), (4, 5, 6)), ROWS_TEXT + "(3, 3)"),
             (((1, 2), (3,), (4,)), ROWS_TEXT + "(2, 1, 1)"),
@@ -371,6 +391,14 @@ class TestEnumeration:
             enumerate_standard_tableaux(Shape(parts))
         assert str(excinfo.value) == SHAPE_TEXT + str(parts)
 
+    @pytest.mark.parametrize("value", [(3, 2, 1), [3, 2, 1], None, "3,2,1"], ids=repr)
+    @pytest.mark.parametrize("call", [enumerate_standard_tableaux, hook_length_count])
+    def test_rejects_what_is_not_a_shape(self, call, value):
+        # the parts alone are not a Shape: named, never a bare AttributeError
+        with pytest.raises(DomainError) as excinfo:
+            call(value)
+        assert str(excinfo.value) == f"expected a Shape, got {value!r}"
+
 
 class TestHookLengthCount:
     def test_known_counts(self):
@@ -491,6 +519,16 @@ class TestHook:
             (((1, 3), (7, 2, 5), 4), "entries must be exactly 1..5, each once"),
             (((1, 3), (1.0, 2, 5), 4), "entries must be exactly 1..5, each once"),
             (((2, 3), (1, 4, 5), 6), "entries must be exactly 1..5, each once"),
+            # an int subclass in the row, in the column or at (2, 2), equal to the int it replaces
+            (((1, Label(3)), (1, 2, 5), 4), "entries must be exactly 1..5, each once"),
+            (((Small.ONE, 3), (1, 2, 5), 4), "entries must be exactly 1..5, each once"),
+            (((1, 3), (1, 2, Label(5)), 4), "entries must be exactly 1..5, each once"),
+            (((1, 3), (1, Small.ONE, 5), 4), "entries must be exactly 1..5, each once"),
+            (((1, 3), (1, 2, 5), Label(4)), "entries must be exactly 1..5, each once"),
+            (((1, 3), (1, 2, 5), 4.0), "entries must be exactly 1..5, each once"),
+            # an entry past n in the row, or in the column, with the other n - 1 distinct and positive
+            (((1, 6), (1, 2, 3), 4), "entries must be exactly 1..5, each once"),
+            (((1, 2), (1, 3, 6), 4), "entries must be exactly 1..5, each once"),
             # a hook with no room for the cell (2, 2)
             (((1,), (1, 2, 3, 4), 5), "hooks need 2 cells each way, got 1 and 4"),
             (((1, 2, 3, 4), (1,), 5), "hooks need 2 cells each way, got 4 and 1"),

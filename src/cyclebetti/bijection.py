@@ -72,7 +72,7 @@ def tableau_to_marked_subset(tableau: Tableau) -> MarkedSubset:
     return MarkedSubset(tableau.n, *_read(tableau.hook))
 
 
-def _read(hook: Hook, freeze: type = frozenset) -> Pair:
+def _read(hook: Hook, freeze: type = frozenset) -> tuple[frozenset[int] | tuple[int, ...], int]:
     """(subset, marker) of a hook, read off (2, 2); bisection finds the marker's predecessor."""
     row, column, marker = hook
     i, k = bisect_left(row, marker - 1), bisect_left(column, marker - 1)
@@ -173,7 +173,7 @@ def verify_cycle(n: int) -> list[BijectionReport]:
 def _side(n: int, j: int) -> Side:
     """The keys of shape (j, 2, 1, ..., 1) and of the marked subsets of size j; objects dropped."""
     marked = {pair: pair for pair in map(attrgetter("vertices", "marker"), marked_subsets(n, j))}
-    hooks = map(attrgetter("row", "column", "corner"), enumerate_standard_tableaux(hook_shape(n, j)))
+    hooks = map(attrgetter("hook"), enumerate_standard_tableaux(hook_shape(n, j)))
     return {hook: marked.get(pair := _read(hook), pair) for hook in hooks}, marked
 
 

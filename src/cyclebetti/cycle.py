@@ -34,14 +34,11 @@ def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
     given, before the frozenset merges equal ones (1, 1.0 and True), so
     their order never matters.
     """
-    if type(vertices) is frozenset:  # as a read of a tableau hands it on: freezing it merges nothing
-        labels = vs = vertices
-    else:
-        try:  # only reading or freezing the labels raises TypeError
-            labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
-            vs = frozenset(labels)
-        except TypeError:
-            raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
+    try:  # only reading or freezing the labels raises TypeError
+        labels = vertices if hasattr(vertices, "__len__") else tuple(vertices)  # an iterator runs once
+        vs = frozenset(labels)
+    except TypeError:
+        raise VertexRangeError(f"vertices must be an iterable of labels, got {vertices!r}") from None
     if type(n) is not int or n < 3:
         raise InvalidCycleError(f"cycle graphs need n >= 3, got n={n}")
     # with no label repeated, none was merged into vs, and typing vs (the cheaper pass) types them all
@@ -90,9 +87,8 @@ def restrict(n: int, vertices: Iterable[int]) -> CycleRestriction:
     return CycleRestriction(n, vs, tuple(arcs))
 
 
-def _proper_subset(n: int, vertices: Iterable[int]) -> frozenset[int]:
-    """vertex_set, for a subset that must be proper and nonempty to have markers."""
-    vs = vertex_set(n, vertices)
+def _proper_subset(n: int, vs: frozenset[int]) -> frozenset[int]:
+    """A checked vertex set, once it is proper and nonempty, as it must be to have markers."""
     if not vs or len(vs) == n:
         raise UndefinedMarkerError(
             f"markers need a proper nonempty subset of 1..{n}, got {sorted(vs)}"
@@ -107,7 +103,7 @@ def admissible_markers(n: int, vertices: Iterable[int]) -> frozenset[int]:
     nonempty subset W, or its complement when 1 is in W.  Both sides split
     into as many arcs, so either way there is one marker per component.
     """
-    return frozenset(_admissible(n, _proper_subset(n, vertices)))
+    return frozenset(_admissible(n, _proper_subset(n, vertex_set(n, vertices))))
 
 
 def _admissible(n: int, vs: frozenset[int]) -> list[int]:
@@ -142,8 +138,7 @@ class MarkedSubset(Record):
 
     def __post_init__(self) -> None:
         try:
-            if not (vs := vertex_set(self.n, self.vertices)) or len(vs) == self.n:
-                _proper_subset(self.n, vs)  # raises, in its words
+            vs = _proper_subset(self.n, vertex_set(self.n, self.vertices))
         except (InvalidCycleError, VertexRangeError, UndefinedMarkerError) as exc:
             raise InvalidMarkedSubsetError(str(exc)) from None  # the same text; a chain only repeats it
         object.__setattr__(self, "vertices", vs)

@@ -253,7 +253,7 @@ class TestInterpretedWork:
 
     @pytest.mark.parametrize("n", [16, 2048])
     def test_each_marked_subset_of_a_round_trip_checks_its_vertices_in_one_call(self, n, monkeypatch):
-        # MarkedSubset calls vertex_set itself; _proper_subset only words an empty or whole subset
+        # each MarkedSubset checks its labels in one vertex_set call and its size in one _proper_subset call
         calls = {}
         for name in ("vertex_set", "_proper_subset"):
 
@@ -268,7 +268,7 @@ class TestInterpretedWork:
             t = marked_subset_to_tableau(n, j, vertices, marker)
             tableau_to_marked_subset(t)
             assert transpose_duality_holds(t)
-            assert calls == {"vertex_set": 2}
+            assert calls == {"vertex_set": 2, "_proper_subset": 2}
 
 
 def round_trip_lines(n, j):

@@ -113,16 +113,12 @@ def cmd_unmap(n: int, j: int, subset_text: str, marker: int) -> None:
 
 
 def _parse_size_range(text: str) -> tuple[int, int]:
-    pieces = text.split("..")
-    try:
-        if len(pieces) == 1:
-            low = high = int(pieces[0])
-        elif len(pieces) == 2:
-            low, high = int(pieces[0]), int(pieces[1])
-        else:
-            raise ValueError
+    try:  # a third piece, like a piece that is no integer, raises ValueError
+        low, high = map(int, text.split("..")) if ".." in text else (int(text),) * 2
     except ValueError:
         raise UsageError(f'--n expects "N" or "LOW..HIGH", got {text!r}')
+    if 4 <= high < low <= VERIFY_MAX:
+        raise UsageError(f"--n range is empty: LOW exceeds HIGH, got {text!r}")
     if not 4 <= low <= high <= VERIFY_MAX:
         raise UsageError(f"--n must lie within 4..{VERIFY_MAX}, got {text!r}")
     return low, high

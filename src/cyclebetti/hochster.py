@@ -8,17 +8,83 @@ cycle, and homology is computed from those ranks for every path, the
 empty subset and the whole cycle.  Once every path is acyclic, a proper
 nonempty W, c disjoint paths, has homology c - 1 in degree 0 only, and the
 sum of c - 1 over the j-subsets is counted in closed form, each arc by its
-first vertex.  No vanishing is assumed:
-every zero follows from computed ranks, and the shape of the answer (two
-corners and one linear strand) is something the test suite checks.
+first vertex.  No vanishing is assumed: every zero follows from computed
+ranks, and the shape of the answer (two corners and one linear strand) is
+something the test suite checks.
+
+Cycle restrictions are graphs, so only two of their boundary maps have
+faces on both sides: the augmentation row and the vertex-edge incidence;
+every other map has an empty side and rank 0, and _graph_homology gives
+the three degrees -1, 0 and 1 that have faces.  A proper restriction is a
+union of paths, and _cycle_ranks reads the ranks of every path and of the
+whole cycle off the rank profiles of the cycle's two maps, passed as
+sparse columns, so no dense matrix is built.  Every rank comes from one
+exact sparse column reduction on arbitrary-precision integers,
+_rank_profile, which homology's dense matrix_rank and generic reference
+route import from here; this module imports nothing from homology.
 """
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, gcd
 
 from .errors import MAX_CYCLE_SIZE, DomainError, ImpossibleBranchError, Record
-from .homology import _cycle_ranks, _graph_homology
+
+
+def _rank_profile(columns: list[dict[int, int]]) -> list[int]:
+    """Entry k is the rank of the first k columns, k = 0..len(columns), by exact sparse column reduction.
+
+    A column maps rows to nonzero ints, and each kept column is keyed by its
+    last row.  While a new column's last row keys a kept one, the two are
+    cross-multiplied so that entry cancels, and the result is divided by the
+    gcd of its entries so they stay small.  Each step lowers the last row, and
+    a column that stays nonzero is independent of all before it, so the number
+    kept after it is the rank of its prefix (Zomorodian and Carlsson, DCG 2005).
+    """
+    kept: dict[int, dict[int, int]] = {}
+    profile = [0]
+    for column in columns:
+        while (last := max(column, default=None)) in kept:
+            pivot = kept[last]
+            a, b = pivot[last], column[last]
+            column = {r: v for r in {*column, *pivot} if (v := a * column.get(r, 0) - b * pivot.get(r, 0))}
+            divisor = gcd(*column.values())
+            column = {r: v // divisor for r, v in column.items()}
+        if column:
+            kept[last] = column
+        profile.append(len(kept))
+    return profile
+
+
+def _homology_dim(kernel: int, image: int) -> int:
+    if image > kernel:
+        raise ImpossibleBranchError(
+            f"boundary image (rank {image}) escapes the kernel (dimension {kernel})"
+        )
+    return kernel - image
+
+
+def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence_rank: int) -> list[int]:
+    """Reduced homology of a graph in -1, 0 and 1, the only degrees with faces: each nullity minus the next rank."""
+    # by degree d = -1..2, at index d + 1: the number of d-faces and the rank of the d-th map
+    faces = (1, vertices, edges)
+    ranks = (0, augmentation_rank, incidence_rank, 0)
+    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(3)]
+
+
+def _cycle_ranks(n: int) -> tuple[list[int], list[int]]:
+    """The rank profiles of the n-cycle's augmentation row and its incidence, edges in path order.
+
+    Edge k joins vertices k and k + 1 for k < n, and edge n closes the cycle;
+    each is a sparse column, rows from 0, with -1 at its smaller vertex and +1
+    at its larger, as in boundary_matrix.  The first m - 1 edges touch only the
+    first m rows, so with the profiles aug and inc, the path on m vertices,
+    which every m-vertex arc is up to the order and signs of its rows and
+    columns, has the ranks (aug[m], inc[m - 1]), the whole cycle
+    (aug[n], inc[n]) and the empty subset (aug[0], inc[0]) = (0, 0).
+    """
+    edges = [{k: -1, k + 1: 1} for k in range(n - 1)] + [{0: -1, n - 1: 1}]
+    return _rank_profile([{0: 1}] * n), _rank_profile(edges)
 
 
 def _check_size(n: int, minimum: int) -> None:

@@ -1,36 +1,27 @@
-"""Simplicial complexes and exact reduced-homology dimensions.
+"""Simplicial complexes, dense integer matrices and exact reduced-homology dimensions.
 
-All linear algebra here is exact over the rationals, on arbitrary-precision
-integers, and every rank comes from one sparse column reduction; nothing
-touches floating point.  The complexes that matter downstream are
-restrictions of cycle graphs, which are at most one-dimensional and
-torsion-free, so these dimensions do not depend on the field.
+The generic route (SimplicialComplex, boundary_matrix, reduced_betti_dim,
+restriction_complex) is not exported: it is the reference that the cycle
+route in hochster is tested against, and no command runs this module.
+Every rank, matrix_rank's too, comes from hochster's one sparse column
+reduction, exact on arbitrary-precision integers; nothing touches floating
+point.  Cycle restrictions are at most one-dimensional and torsion-free,
+so their dimensions do not depend on the field.
 
 Conventions.  A complex is a downward-closed family of faces; a nonempty
 complex always contains the empty face, whose dimension is -1.  The void
 complex (no faces at all) is distinct from the irrelevant complex (only
 the empty face): reduced homology separates them in degree -1.
-
-Cycle restrictions, the only complexes the Betti computations need, are
-graphs, so only two of their boundary maps have faces on both sides: the
-augmentation row and the vertex-edge incidence; every other map has an
-empty side and rank 0, and _graph_homology gives the three degrees -1, 0
-and 1 that have faces.  A proper restriction is a union of paths, and
-_cycle_ranks reads the ranks of every path and of the whole cycle off the
-rank profiles of the cycle's two maps, passed as sparse columns, so no
-dense matrix is built.  The generic route (SimplicialComplex,
-boundary_matrix, reduced_betti_dim, restriction_complex) is not exported:
-it stays here only as the reference the cycle route is tested against.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from math import gcd
 
 from . import cycle  # lazy: only the reference route below runs it
-from .errors import ImpossibleBranchError, Record, VertexRangeError
+from .errors import Record, VertexRangeError
+from .hochster import _homology_dim, _rank_profile
 
 
 class IntMatrix(Record):
@@ -64,31 +55,6 @@ class IntMatrix(Record):
 def matrix_rank(matrix: IntMatrix) -> int:
     """Rank over the rationals: the last entry of the rank profile of the matrix's columns."""
     return _rank_profile([{r: v for r, v in enumerate(column) if v} for column in zip(*matrix.rows)])[-1]
-
-
-def _rank_profile(columns: list[dict[int, int]]) -> list[int]:
-    """Entry k is the rank of the first k columns, k = 0..len(columns), by exact sparse column reduction.
-
-    A column maps rows to nonzero ints, and each kept column is keyed by its
-    last row.  While a new column's last row keys a kept one, the two are
-    cross-multiplied so that entry cancels, and the result is divided by the
-    gcd of its entries so they stay small.  Each step lowers the last row, and
-    a column that stays nonzero is independent of all before it, so the number
-    kept after it is the rank of its prefix (Zomorodian and Carlsson, DCG 2005).
-    """
-    kept: dict[int, dict[int, int]] = {}
-    profile = [0]
-    for column in columns:
-        while (last := max(column, default=None)) in kept:
-            pivot = kept[last]
-            a, b = pivot[last], column[last]
-            column = {r: v for r in {*column, *pivot} if (v := a * column.get(r, 0) - b * pivot.get(r, 0))}
-            divisor = gcd(*column.values())
-            column = {r: v // divisor for r, v in column.items()}
-        if column:
-            kept[last] = column
-        profile.append(len(kept))
-    return profile
 
 
 def _face_labels(faces: Iterable[Iterable[int]]) -> list[tuple]:
@@ -178,14 +144,6 @@ def reduced_betti_dim(complex_: SimplicialComplex, d: int) -> int:
     return _homology_dim(kernel, image)
 
 
-def _homology_dim(kernel: int, image: int) -> int:
-    if image > kernel:
-        raise ImpossibleBranchError(
-            f"boundary image (rank {image}) escapes the kernel (dimension {kernel})"
-        )
-    return kernel - image
-
-
 def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     """Faces of the n-cycle contained in the given vertex subset.
 
@@ -198,26 +156,3 @@ def restriction_complex(n: int, vertices: Iterable[int]) -> SimplicialComplex:
     generators.extend(frozenset((v,)) for v in vs)
     generators.extend(edge for i in range(1, n + 1) if (edge := frozenset((i, i % n + 1))) <= vs)
     return SimplicialComplex.from_faces(n, generators)
-
-
-def _graph_homology(vertices: int, edges: int, augmentation_rank: int, incidence_rank: int) -> list[int]:
-    """Reduced homology of a graph in -1, 0 and 1, the only degrees with faces: each nullity minus the next rank."""
-    # by degree d = -1..2, at index d + 1: the number of d-faces and the rank of the d-th map
-    faces = (1, vertices, edges)
-    ranks = (0, augmentation_rank, incidence_rank, 0)
-    return [_homology_dim(faces[k] - ranks[k], ranks[k + 1]) for k in range(3)]
-
-
-def _cycle_ranks(n: int) -> tuple[list[int], list[int]]:
-    """The rank profiles of the n-cycle's augmentation row and its incidence, edges in path order.
-
-    Edge k joins vertices k and k + 1 for k < n, and edge n closes the cycle;
-    each is a sparse column, rows from 0, with -1 at its smaller vertex and +1
-    at its larger, as in boundary_matrix.  The first m - 1 edges touch only the
-    first m rows, so with the profiles aug and inc, the path on m vertices,
-    which every m-vertex arc is up to the order and signs of its rows and
-    columns, has the ranks (aug[m], inc[m - 1]), the whole cycle
-    (aug[n], inc[n]) and the empty subset (aug[0], inc[0]) = (0, 0).
-    """
-    edges = [{k: -1, k + 1: 1} for k in range(n - 1)] + [{0: -1, n - 1: 1}]
-    return _rank_profile([{0: 1}] * n), _rank_profile(edges)

@@ -204,15 +204,15 @@ MUTANTS = [
     # whose last row keys a kept column is reduced against it, a one-entry column too; and each
     # kept column is keyed by its own last row.  No mutant stops the cancellation, which would
     # loop forever, and the division by the gcd changes the size of the entries but no rank.
-    Mutant("homology.py", "        if column:\n", "        if len(column) > 1:\n", ("test_homology.py",)),
-    Mutant("homology.py", "in kept:", "in kept and len(column) > 1:", ("test_homology.py",)),
-    Mutant("homology.py", "kept[last] = column", "kept[last - 1] = column", ("test_homology.py",)),
+    Mutant("hochster.py", "        if column:\n", "        if len(column) > 1:\n", ("test_homology.py",)),
+    Mutant("hochster.py", "in kept:", "in kept and len(column) > 1:", ("test_homology.py",)),
+    Mutant("hochster.py", "kept[last] = column", "kept[last - 1] = column", ("test_homology.py",)),
     # the n-cycle's incidence: edge n closes the cycle at vertices 1 and n, with signs -1 and +1
-    Mutant("homology.py", "{0: -1, n - 1: 1}]", "{1: -1, n - 1: 1}]", ("test_homology.py",)),
-    Mutant("homology.py", "{k: -1, k + 1: 1}", "{k: 1, k + 1: 1}", ("test_homology.py",)),
+    Mutant("hochster.py", "{0: -1, n - 1: 1}]", "{1: -1, n - 1: 1}]", ("test_homology.py",)),
+    Mutant("hochster.py", "{k: -1, k + 1: 1}", "{k: 1, k + 1: 1}", ("test_homology.py",)),
     # a graph's homology: one face in degree -1, then the vertices, then the edges
     Mutant(
-        "homology.py",
+        "hochster.py",
         "faces = (1, vertices, edges)",
         "faces = (1, edges, vertices)",
         ("test_hochster.py",),
@@ -251,7 +251,8 @@ MUTANTS = [
         ("test_cli.py",),
     ),
     # each command runs only its route: cli and homology reach the other routes' modules at call
-    # time, and the package raises AttributeError for a name it does not export
+    # time, hochster runs no homology code, and the package raises AttributeError for a name it
+    # does not export
     Mutant(
         "cli.py",
         "from . import bijection, hochster, tableaux\n",
@@ -259,6 +260,12 @@ MUTANTS = [
         ("test_api.py",),
     ),
     Mutant("homology.py", "from . import cycle", "from . import cycle\nfrom .cycle import vertex_set", ("test_api.py",)),
+    Mutant(
+        "hochster.py",
+        "    return _strand(n, j)\n",
+        "    return _strand(n, j)\n\n\nfrom .homology import matrix_rank\n",
+        ("test_api.py",),
+    ),
     Mutant(
         "__init__.py",
         'raise AttributeError(f"module {__name__!r} has no attribute {name!r}")',

@@ -97,7 +97,7 @@ def test_a_cli_start_imports_no_csv_numbers_or_dataclasses():
     # each of the three serves one branch (csv output, a vertex rejection, a frozen-field error),
     # and no value type is a dataclass: every one is a Record, whose class body generates no code;
     # click is no dependency at all: with its import blocked, a table still prints and returns;
-    # the table route runs no bijection or cycle code, so only its own value types are defined
+    # the table route runs no bijection, cycle or homology code, so only its own value types are defined
     script = (
         "import sys, cyclebetti.cli\n"
         "loaded = sorted({'csv', 'numbers', 'dataclasses', 'click'}.intersection(sys.modules))\n"
@@ -114,13 +114,14 @@ def test_a_cli_start_imports_no_csv_numbers_or_dataclasses():
     assert result.returncode == 0, result.stderr
     assert result.stdout == (
         "i,j,betti,syt\n0,0,1,\n1,2,5,5\n2,3,5,5\n3,5,1,\n"
-        "[] ['BettiTable', 'IntMatrix', 'Shape', 'SimplicialComplex', 'Tableau'] []\n"
+        "[] ['BettiTable', 'Shape', 'Tableau'] []\n"
     )
 
 
 # the cyclebetti modules each command has run: the Betti route and the bijection route share only
-# errors and tableaux (the table's syt column), and --help runs neither
-BETTI_ROUTE = ["cli", "errors", "hochster", "homology", "tableaux"]
+# errors and tableaux (the table's syt column), --help runs neither, and no command runs homology,
+# which holds the tests' reference route and the dense-matrix API
+BETTI_ROUTE = ["cli", "errors", "hochster", "tableaux"]
 BIJECTION_ROUTE = ["bijection", "cli", "cycle", "errors", "tableaux"]
 ROUTES = {
     ("table", "--n", "10"): BETTI_ROUTE,
@@ -164,6 +165,20 @@ def test_each_command_runs_only_the_modules_of_its_route(argv):
     assert run_fresh(script, *argv) == f"exit 0\n{ROUTES[argv]} []\n"
 
 
+def test_no_command_runs_homology():
+    # every command in ROUTES, one after another in one interpreter, runs the union of their routes
+    script = (
+        "import contextlib, io, sys, types\n"
+        "from cyclebetti.cli import main\n"
+        f"for argv in {list(ROUTES)!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "        main(list(argv))\n"
+    ) + EXECUTED
+    union = sorted({module for route in ROUTES.values() for module in route})
+    assert "homology" not in union
+    assert run_fresh(script) == f"{union} []\n"
+
+
 def test_importing_the_package_runs_errors_only_and_binds_exports_on_lookup():
     script = (
         "import sys, types, cyclebetti\n"
@@ -172,4 +187,10 @@ def test_importing_the_package_runs_errors_only_and_binds_exports_on_lookup():
         "cyclebetti.betti_table\n"
         "print(sorted(exports.intersection(vars(cyclebetti))))\n"
     ) + EXECUTED
-    assert run_fresh(script) == "[] []\n['betti_table']\n['errors', 'hochster', 'homology'] []\n"
+    assert run_fresh(script) == "[] []\n['betti_table']\n['errors', 'hochster'] []\n"
+
+
+def test_the_dense_matrix_api_runs_hochster_and_no_cycle_code():
+    # matrix_rank ranks through hochster's reduction; only the reference route reads vertex sets
+    script = "import sys, types, cyclebetti\nprint(cyclebetti.matrix_rank(cyclebetti.IntMatrix(1, 2, ((1, 2),))))\n"
+    assert run_fresh(script + EXECUTED) == "1\n['errors', 'hochster', 'homology'] []\n"

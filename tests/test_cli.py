@@ -160,6 +160,19 @@ def stuck_on(text):
     return lambda h: h if h == hook else transposed(h)
 
 
+# each rejected verify range and its message
+BAD_RANGES = {
+    "3": "--n must lie within 4..14, got '3'",
+    "15": "--n must lie within 4..14, got '15'",
+    "8..5": "--n range is empty: LOW exceeds HIGH, got '8..5'",
+    "10..4": "--n range is empty: LOW exceeds HIGH, got '10..4'",
+    "15..4": "--n must lie within 4..14, got '15..4'",
+    "abc": '--n expects "N" or "LOW..HIGH", got \'abc\'',
+    "4..x": '--n expects "N" or "LOW..HIGH", got \'4..x\'',
+    "4..6..8": '--n expects "N" or "LOW..HIGH", got \'4..6..8\'',
+}
+
+
 class TestVerify:
     def test_range_passes(self, runner):
         result = runner.invoke(main, ["verify", "--n", "4..6"])
@@ -269,10 +282,12 @@ class TestVerify:
         golden = (Path(__file__).parent / "golden" / f"table-4-20.{fmt.replace('text', 'txt')}").read_bytes()
         assert b"".join(result.stdout_bytes for result in results) == golden
 
-    @pytest.mark.parametrize("range_text", ["3", "15", "8..5", "abc", "4..x"])
+    @pytest.mark.parametrize("range_text", BAD_RANGES)
     def test_bad_ranges_are_usage_errors(self, runner, range_text):
+        # both ends of an empty range may lie within 4..14: it is named as empty, not out of range
         result = runner.invoke(main, ["verify", "--n", range_text])
         assert result.exit_code == 2
+        assert (result.stdout, result.stderr) == ("", f"Error: {BAD_RANGES[range_text]}\n")
 
 
 class TestSyt:

@@ -37,15 +37,18 @@ def arc_type(n, w):
 
 
 def rank_spy(monkeypatch):
-    """Record every matrix homology ranks from here on, as (function, nrows, ncols).
+    """Record every matrix the library ranks from here on, as (function, nrows, ncols).
 
     matrix_rank takes an IntMatrix; _rank_profile takes sparse columns, read as the rows they span.
+    hochster defines _rank_profile, and homology's matrix_rank calls its own binding of it.
     """
     shapes = []
-    for name, shape in (("matrix_rank", attrgetter("nrows", "ncols")), ("_rank_profile", column_shape)):
-        real = getattr(homology, name)
+    spied = [(homology, "matrix_rank", attrgetter("nrows", "ncols"))]
+    spied += [(module, "_rank_profile", column_shape) for module in (homology, hochster)]
+    for module, name, shape in spied:
+        real = getattr(module, name)
         monkeypatch.setattr(
-            homology, name, lambda m, name=name, real=real, shape=shape: shapes.append((name, *shape(m))) or real(m)
+            module, name, lambda m, name=name, real=real, shape=shape: shapes.append((name, *shape(m))) or real(m)
         )
     return shapes
 
@@ -293,13 +296,13 @@ class TestCompositionSums:
         # augmentation rank and the sum of the incidence ranks of the paths on its arc lengths;
         # the generic route computes every degree up to |W| - 1, and the ones past 1 must be 0
         n, w = case
-        augmentation, incidence = homology._cycle_ranks(n)
+        augmentation, incidence = hochster._cycle_ranks(n)
         edges = sum(1 for v in w if v % n + 1 in w)
         rank_sum = sum(incidence[len(arc) - 1] for arc in restrict(n, w).components)
         k = restriction_complex(n, w)
         expected = [reduced_betti_dim(k, d) for d in range(-1, max(len(w), 2))]
         assert expected[3:] == [0] * (len(expected) - 3)
-        assert expected[:3] == homology._graph_homology(len(w), edges, augmentation[len(w)], rank_sum)
+        assert expected[:3] == hochster._graph_homology(len(w), edges, augmentation[len(w)], rank_sum)
         assert augmentation[len(w)] == matrix_rank(IntMatrix(1, len(w), ((1,) * len(w),)))
 
     def test_subset_counts_match_a_brute_force_tally(self):
@@ -329,9 +332,9 @@ class TestCompositionSums:
 
 def understate_profile(monkeypatch, nrows, k):
     """Make entry k of the rank profile of columns spanning nrows rows one less than it is."""
-    profile = homology._rank_profile
+    profile = hochster._rank_profile
     monkeypatch.setattr(
-        homology,
+        hochster,
         "_rank_profile",
         lambda m: [r - ((column_shape(m)[0], col) == (nrows, k)) for col, r in enumerate(profile(m))],
     )

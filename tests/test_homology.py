@@ -9,6 +9,7 @@ from chain_checks import column_shape, composes_to_zero, dense, sparse
 from graph_oracle import graph_homology_oracle
 from hypothesis import strategies as st
 
+import cyclebetti.hochster as hochster
 import cyclebetti.homology as homology
 from cyclebetti.cycle import restrict
 from cyclebetti.errors import ImpossibleBranchError, VertexRangeError
@@ -34,8 +35,8 @@ def cycle_matrices(n):
     _cycle_ranks passes sparse columns; each map is read back as the matrix of the rows they span.
     """
     matrices = []
-    with mock.patch.object(homology, "_rank_profile", lambda m: matrices.append(dense(m)) or [0] * (len(m) + 1)):
-        homology._cycle_ranks(n)
+    with mock.patch.object(hochster, "_rank_profile", lambda m: matrices.append(dense(m)) or [0] * (len(m) + 1)):
+        hochster._cycle_ranks(n)
     return matrices
 
 
@@ -68,11 +69,11 @@ def subset_homology(n, vertices):
     """
     restriction = restrict(n, vertices)
     j, arcs = len(restriction.vertices), restriction.components
-    augmentation, incidence = homology._cycle_ranks(n)
+    augmentation, incidence = hochster._cycle_ranks(n)
     if j == n:
-        return homology._graph_homology(n, n, augmentation[n], incidence[n])
+        return hochster._graph_homology(n, n, augmentation[n], incidence[n])
     rank_sum = sum(incidence[len(arc) - 1] for arc in arcs)
-    return homology._graph_homology(j, j - len(arcs), augmentation[j], rank_sum)
+    return hochster._graph_homology(j, j - len(arcs), augmentation[j], rank_sum)
 
 
 def rank_by_rational_elimination(matrix):
@@ -143,7 +144,7 @@ class TestMatrixRank:
     def test_one_entry_column_is_reduced_against_a_kept_column(self):
         # a single entry on a kept column's last row cancels that row, and what is left is kept
         # under a lower one
-        assert homology._rank_profile([{0: 1, 1: 1}, {1: 1}]) == [0, 1, 2]
+        assert hochster._rank_profile([{0: 1, 1: 1}, {1: 1}]) == [0, 1, 2]
         assert matrix_rank(IntMatrix(2, 2, ((1, 0), (1, 1)))) == 2
 
     @given(int_matrices())
@@ -155,7 +156,7 @@ class TestMatrixRank:
         # entry k of the profile is the rank of the first k columns, zero-row and zero-column
         # shapes included
         prefixes = [block(matrix, matrix.nrows, k) for k in range(matrix.ncols + 1)]
-        profile = homology._rank_profile(sparse(matrix))
+        profile = hochster._rank_profile(sparse(matrix))
         assert profile == [matrix_rank(prefix) for prefix in prefixes]
         assert profile == [rank_by_rational_elimination(prefix) for prefix in prefixes]
 
@@ -164,7 +165,7 @@ class TestMatrixRank:
         # the form _cycle_ranks passes: rows need not start at 0 or be contiguous, a column may be
         # empty or repeat an earlier one up to scale, and no column is changed in place
         before = [dict(column) for column in columns]
-        profile = homology._rank_profile(columns)
+        profile = hochster._rank_profile(columns)
         assert profile == [rank_by_rational_elimination(dense(columns[:k])) for k in range(len(columns) + 1)]
         assert columns == before
 
@@ -380,11 +381,11 @@ class TestCycleRanks:
         # one vertex spans the augmentation's image; each path edge adds 1 to the incidence rank,
         # and the edge that closes the cycle adds none
         for n in range(3, 101):
-            assert homology._cycle_ranks(n) == ([0] + [1] * n, [*range(n), n - 1]), n
+            assert hochster._cycle_ranks(n) == ([0] + [1] * n, [*range(n), n - 1]), n
 
     def test_prefix_ranks_match_the_per_length_route(self):
         # every path on m <= 100 vertices, ranked as a matrix of its own
-        augmentation, incidence = homology._cycle_ranks(102)
+        augmentation, incidence = hochster._cycle_ranks(102)
         assert {m: (augmentation[m], incidence[m - 1]) for m in range(1, 101)} == path_ranks(100)
 
     def test_ranks_match_the_generic_route(self):
@@ -394,7 +395,7 @@ class TestCycleRanks:
             return matrix_rank(boundary_matrix(k, 0)), matrix_rank(boundary_matrix(k, 1))
 
         for n in range(3, 11):
-            augmentation, incidence = homology._cycle_ranks(n)
+            augmentation, incidence = hochster._cycle_ranks(n)
             for m in range(1, n):
                 assert (augmentation[m], incidence[m - 1]) == generic_ranks(n, range(1, m + 1))
             assert (augmentation[n], incidence[n]) == generic_ranks(n, range(1, n + 1)) == (1, n - 1)
@@ -430,8 +431,8 @@ class TestCycleReducedHomology:
         # the augmentation row and the vertex-edge incidence of the whole cycle, once each, whatever
         # the subset
         shapes = []
-        profile = homology._rank_profile
-        monkeypatch.setattr(homology, "_rank_profile", lambda m: shapes.append(column_shape(m)) or profile(m))
+        profile = hochster._rank_profile
+        monkeypatch.setattr(hochster, "_rank_profile", lambda m: shapes.append(column_shape(m)) or profile(m))
         subset_homology(n, w)
         assert shapes == [(1, n), (n, n)]
 
@@ -441,9 +442,9 @@ def overstate_profiles(monkeypatch, where=lambda nrows, k: True):
 
     That is one more than the prefix has columns, as no rank can be.
     """
-    profile = homology._rank_profile
+    profile = hochster._rank_profile
     monkeypatch.setattr(
-        homology,
+        hochster,
         "_rank_profile",
         lambda m: [k + 1 if where(column_shape(m)[0], k) else r for k, r in enumerate(profile(m))],
     )

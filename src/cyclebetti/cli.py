@@ -14,7 +14,6 @@ reader closes stdout early, and 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from collections import Counter
@@ -57,11 +56,9 @@ def _emit(
         print(json.dumps(document))
     elif fmt == "csv":
         import csv  # only csv output needs it
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, columns, extrasaction="ignore", lineterminator="\n")
+        writer = csv.DictWriter(sys.stdout, columns, extrasaction="ignore", lineterminator="\n")
         writer.writeheader()
         writer.writerows(records)  # csv writes None as an empty field
-        sys.stdout.write(buffer.getvalue())
     else:
         grid = [columns] + [["-" if r[c] is None else str(r[c]) for c in columns] for r in records]
         widths = [max(map(len, column)) for column in zip(*grid)]

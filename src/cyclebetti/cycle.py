@@ -25,7 +25,7 @@ from .errors import (
 )
 
 
-def vertex_set(n: int, vertices: Iterable[int] = ()) -> frozenset[int]:
+def vertex_set(n: int, vertices: Iterable[int]) -> frozenset[int]:
     """The vertex subset as a frozenset, once n and every label are checked.
 
     This is the one input rule for a subset of the n-cycle: the vertices

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 import cyclebetti.bijection as bijection
 import cyclebetti.cli as cli
 from cyclebetti.cli import main
+from cyclebetti.errors import MAX_CYCLE_SIZE
 from cyclebetti.tableaux import hook_length_count, hook_shape, parse_tableau
 
 
@@ -57,7 +58,7 @@ class TestTable:
             ],
         }
 
-    @pytest.mark.parametrize("n", ["3", "101", "-1"])
+    @pytest.mark.parametrize("n", ["3", str(MAX_CYCLE_SIZE + 1), "-1"])
     def test_out_of_range_size_is_usage_error(self, runner, n):
         result = runner.invoke(main, ["table", "--n", n])
         assert result.exit_code == 2
@@ -361,16 +362,22 @@ class TestProcess:
     # how the process ends when its reader goes away, when it is interrupted, and when argument
     # parsing rejects a value
 
-    def test_a_reader_closing_stdout_early_ends_the_run_with_status_one_and_no_stderr(self):
-        # 9504 tableaux are far more than a pipe buffers, so the writer meets the closed pipe
+    @pytest.mark.parametrize(
+        "options,first_line",
+        [([], b"1,2,3,4,5,6,7;8,9;10;11;12;13;14\n"), (["--format", "csv"], b"tableau\n")],
+        ids=["text", "csv"],
+    )
+    def test_a_reader_closing_stdout_early_ends_the_run_with_status_one_and_no_stderr(self, options, first_line):
+        # 9504 tableaux are far more than a pipe buffers, so the writer meets the closed pipe: in
+        # print's loop for text, inside writerows for csv
         script = "from cyclebetti.cli import main; main()"
-        command = [sys.executable, "-c", script, "syt", "--n", "14", "--j", "7"]
+        command = [sys.executable, "-c", script, "syt", "--n", "14", "--j", "7", *options]
         with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as process:
             first = process.stdout.readline()
             process.stdout.close()
             stderr = process.stderr.read()
             status = process.wait(timeout=60)
-        assert first == b"1,2,3,4,5,6,7;8,9;10;11;12;13;14\n"
+        assert first == first_line
         assert (status, stderr) == (1, b"")
 
     def test_an_interrupt_prints_aborted_on_stderr_and_exits_one(self, runner, monkeypatch):

@@ -132,7 +132,7 @@ class TestRestrict:
 class TestVertexSet:
     def test_accepts_labels_in_range(self):
         assert vertex_set(5, [5, 1, 1, 3]) == frozenset({1, 3, 5})
-        assert vertex_set(3) == frozenset()
+        assert vertex_set(3, ()) == frozenset()
 
     @pytest.mark.parametrize(
         "n,vertices,error,text",

@@ -119,7 +119,7 @@ class TestBetti:
             (5, 0, 6),
             (5, -1, 2),
             (2, 0, 0),
-            (101, 0, 0),
+            (MAX_CYCLE_SIZE + 1, 0, 0),
             (5.0, 1, 2),
             (5, 1, 2.0),
             (5, 1.0, 2),
@@ -147,7 +147,7 @@ class TestBettiTable:
         for n in range(4, 13):
             assert betti_table(n).entries == brute_force_table(n)
 
-    @pytest.mark.parametrize("n", [3, 2, 101, 6.0])
+    @pytest.mark.parametrize("n", [3, 2, MAX_CYCLE_SIZE + 1, 6.0])
     def test_rejects_out_of_range_sizes(self, n):
         with pytest.raises(DomainError):
             betti_table(n)
@@ -403,7 +403,7 @@ class TestLinearStrand:
             for j in range(2, n - 1):
                 assert linear_strand(n, j) == len(marked_subsets(n, j))
 
-    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (101, 2), (6, 2.0), (6.0, 2)])
+    @pytest.mark.parametrize("n,j", [(3, 2), (5, 1), (5, 4), (MAX_CYCLE_SIZE + 1, 2), (6, 2.0), (6.0, 2)])
     def test_domain_errors(self, n, j):
         with pytest.raises(DomainError):
             linear_strand(n, j)
